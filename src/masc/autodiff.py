@@ -1,482 +1,17 @@
-"""Reverse-mode automatic differentiation over dense float64 numpy arrays.
+"""Finite-difference oracle for checking analytic gradients.
 
-The detector's trainable graph is small and static, so this module implements
-a closure-based tape over exactly the operations that graph needs: elementwise
-arithmetic, matmul, concat/stack/row indexing, cumulative sums, tanh/exp,
-softmax, and the composite helpers ``linear``, ``attention``, ``sq_norm`` and
-``cosine``. Everything runs in float64; there is no broadcasting beyond
-numpy's own rules, and no hidden global RNG.
-
-``grad`` and ``finite_diff`` share a single loss-function signature, so every
-analytic gradient can be cross-checked against central differences.
+``finite_diff`` takes central differences of a scalar loss, one parameter
+entry at a time, and ``max_relative_error`` compares the result with an
+analytic gradient such as the one ``detector.trajectory_loss`` returns.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DataError
-
-
-class no_grad:
-    """Context manager that disables graph construction."""
-
-    def __enter__(self):
-        self._prev = Tensor.do_grad
-        Tensor.do_grad = False
-        return self
-
-    def __exit__(self, *exc):
-        Tensor.do_grad = self._prev
-        return False
-
-
-class Tensor:
-    do_grad = True
-
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
-
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and Tensor.do_grad
-        self.grad: np.ndarray | None = None
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._parents: tuple[Tensor, ...] = ()
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def backward(self):
-        if self.data.ndim != 0:
-            raise ValueError("backward() requires a scalar output")
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, exponent):
-        return powc(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return row(self, idx)
-
-    def __repr__(self):
-        return f"Tensor({self.data!r}, requires_grad={self.requires_grad})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    out = Tensor(data)
-    if Tensor.do_grad and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    return out
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
-def _accum(t: Tensor, g: np.ndarray):
-    g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
-    if t.grad is None:
-        t.grad = np.array(g)  # copy: g may be shared with another node
-    else:
-        t.grad += g
-
-
-# -- primitive ops ----------------------------------------------------------
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
-
-    return _make(a.data + b.data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g)
-
-    return _make(a.data - b.data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
-
-    return _make(a.data * b.data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g / b.data)
-        if b.requires_grad:
-            _accum(b, -g * a.data / (b.data * b.data))
-
-    return _make(a.data / b.data, (a, b), backward)
-
-
-def powc(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(exponent)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * c * a.data ** (c - 1.0))
-
-    return _make(a.data**c, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * (1.0 - out_data * out_data))
-
-    return _make(out_data, (a,), backward)
-
-
-def tsum(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, np.full_like(a.data, float(g)))
-
-    return _make(a.data.sum(), (a,), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data @ b.data
-
-    def backward(g):
-        ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 1:
-            if a.requires_grad:
-                _accum(a, g * bd)
-            if b.requires_grad:
-                _accum(b, g * ad)
-        elif ad.ndim == 2 and bd.ndim == 1:
-            if a.requires_grad:
-                _accum(a, np.outer(g, bd))
-            if b.requires_grad:
-                _accum(b, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            if a.requires_grad:
-                _accum(a, bd @ g)
-            if b.requires_grad:
-                _accum(b, np.outer(ad, g))
-        else:
-            if a.requires_grad:
-                _accum(a, g @ bd.T)
-            if b.requires_grad:
-                _accum(b, ad.T @ g)
-
-    return _make(out_data, (a, b), backward)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g.T)
-
-    return _make(a.data.T, (a,), backward)
-
-
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(p) for p in parts]
-    sizes = [t.data.shape[axis] for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offset, offset + size)
-                _accum(t, g[tuple(sl)])
-            offset += size
-
-    return _make(out_data, tuple(tensors), backward)
-
-
-def stack(rows_: Sequence) -> Tensor:
-    tensors = [as_tensor(r) for r in rows_]
-    out_data = np.stack([t.data for t in tensors], axis=0)
-
-    def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                _accum(t, g[i])
-
-    return _make(out_data, tuple(tensors), backward)
-
-
-def row(a, idx: int) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[idx] = g
-            _accum(a, full)
-
-    return _make(a.data[idx], (a,), backward)
-
-
-def cumsum0(a) -> Tensor:
-    """Cumulative sum over axis 0 (strictly sequential, so prefix-exact)."""
-    a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, np.flip(np.cumsum(np.flip(g, axis=0), axis=0), axis=0))
-
-    return _make(np.cumsum(a.data, axis=0), (a,), backward)
-
-
-def softmax(v) -> Tensor:
-    """Numerically stable softmax of a 1-D vector (max-shift is exact)."""
-    v = as_tensor(v)
-    if v.data.ndim != 1 or v.data.size == 0:
-        raise DataError("softmax expects a non-empty 1-D vector")
-    shifted = np.exp(v.data - v.data.max())
-    s = shifted / shifted.sum()
-
-    def backward(g):
-        if v.requires_grad:
-            _accum(v, s * (g - float(g @ s)))
-
-    return _make(s, (v,), backward)
-
-
-# -- fused ops for the detector's hot path -----------------------------------
-
-def affine(x, w_t, b) -> Tensor:
-    """x @ w_t + b for an (n, k) row matrix x; one node instead of two."""
-    x, w_t, b = as_tensor(x), as_tensor(w_t), as_tensor(b)
-    out_data = x.data @ w_t.data + b.data
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g @ w_t.data.T)
-        if w_t.requires_grad:
-            _accum(w_t, x.data.T @ g)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0))
-
-    return _make(out_data, (x, w_t, b), backward)
-
-
-def causal_context(x) -> Tensor:
-    """Per position i: [mean(x_1..x_i) ; x_i], the mixer block input.
-
-    Strictly sequential cumulative sums keep full-sequence and prefix runs
-    bit-identical.
-    """
-    x = as_tensor(x)
-    n = x.data.shape[0]
-    inv = (1.0 / np.arange(1, n + 1, dtype=np.float64))[:, None]
-    pooled = np.cumsum(x.data, axis=0) * inv
-    out_data = np.concatenate([pooled, x.data], axis=1)
-
-    def backward(g):
-        if x.requires_grad:
-            k = x.data.shape[1]
-            g_m = g[:, :k] * inv
-            dx = np.flip(np.cumsum(np.flip(g_m, axis=0), axis=0), axis=0)
-            dx += g[:, k:]
-            _accum(x, dx)
-
-    return _make(out_data, (x,), backward)
-
-
-def sq_diff_sum(x, target, scale: float = 1.0) -> Tensor:
-    """scale * sum((x - target)^2) against a constant target."""
-    x = as_tensor(x)
-    c = np.asarray(target, dtype=np.float64)
-    s = float(scale)
-    diff = x.data - c
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, (2.0 * s * float(g)) * diff)
-
-    return _make(np.asarray(s * float(np.sum(diff * diff))), (x,), backward)
-
-
-def proto_misalignment(x_hats, p) -> Tensor:
-    """mean_t (1 - cos(x_hat_t, p)) with the zero-norm guard (cos := 0)."""
-    x_hats, p = as_tensor(x_hats), as_tensor(p)
-    xd, pd = x_hats.data, p.data
-    n = xd.shape[0]
-    rn = np.sqrt(np.sum(xd * xd, axis=1))
-    pn = float(np.linalg.norm(pd))
-    mask = rn > 0.0
-    cos = np.zeros(n)
-    if pn > 0.0:
-        cos[mask] = (xd[mask] @ pd) / (rn[mask] * pn)
-    out_data = np.asarray(1.0 - cos.sum() / n)
-
-    def backward(g):
-        scale = -float(g) / n
-        if pn == 0.0:
-            return
-        if x_hats.requires_grad:
-            dx = np.zeros_like(xd)
-            dx[mask] = pd[None, :] / (rn[mask, None] * pn) - (
-                cos[mask] / (rn[mask] ** 2)
-            )[:, None] * xd[mask]
-            _accum(x_hats, scale * dx)
-        if p.requires_grad:
-            dp = (xd[mask] / rn[mask, None]).sum(axis=0) / pn
-            dp -= cos[mask].sum() * pd / (pn * pn)
-            _accum(p, scale * dp)
-
-    return _make(out_data, (x_hats, p), backward)
-
-
-# -- composite helpers ------------------------------------------------------
-
-def linear(w, b, x) -> Tensor:
-    """y = Wx + b for a single vector x."""
-    return add(matmul(w, x), b)
-
-
-def sq_norm(v) -> Tensor:
-    """Squared L2 norm of a vector."""
-    v = as_tensor(v)
-    return matmul(v, v)
-
-
-def cosine(a, b) -> Tensor:
-    """Cosine similarity; callers must guard zero-norm inputs."""
-    return div(matmul(a, b), mul(powc(sq_norm(a), 0.5), powc(sq_norm(b), 0.5)))
-
-
-def attention(query, keys, values, wq, wk, wv, scale: float) -> Tensor:
-    """Single-head attention: softmax((qWq)(KWk)^T / scale) (VWv).
-
-    ``query`` is a vector, ``keys``/``values`` are row matrices.
-    """
-    keys = as_tensor(keys)
-    if keys.data.ndim != 2 or keys.data.shape[0] == 0:
-        raise DataError("empty attention context")
-    q = matmul(query, wq)
-    k = matmul(keys, wk)
-    v = matmul(values, wv)
-    weights = softmax(div(matmul(k, q), float(scale)))
-    return matmul(weights, v)
-
-
-# -- gradient extraction and the finite-difference oracle --------------------
-
-LossFn = Callable[[dict[str, "Tensor"]], "Tensor"]
-
-
-def grad(loss_fn: LossFn, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Exact reverse-mode gradients of ``loss_fn`` w.r.t. every parameter."""
-    leaves = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
-    out = loss_fn(leaves)
-    out.backward()
-    return {
-        k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-        for k, t in leaves.items()
-    }
+LossFn = Callable[[dict[str, np.ndarray]], float]
 
 
 def finite_diff(
@@ -485,11 +20,6 @@ def finite_diff(
     """Central-difference gradients, one scalar parameter at a time."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-
-    def evaluate(values: dict[str, np.ndarray]) -> float:
-        with no_grad():
-            return float(loss_fn({k: Tensor(v) for k, v in values.items()}).data)
-
     work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     out: dict[str, np.ndarray] = {}
     for name, arr in work.items():
@@ -499,9 +29,9 @@ def finite_diff(
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = evaluate(work)
+            f_plus = float(loss_fn(work))
             flat[i] = orig - eps
-            f_minus = evaluate(work)
+            f_minus = float(loss_fn(work))
             flat[i] = orig
             gflat[i] = (f_plus - f_minus) / (2.0 * eps)
         out[name] = g

@@ -74,7 +74,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
-    """Read a checkpoint; verifies magic, version, and payload integrity."""
+    """Read a checkpoint; verifies magic, version, and payload integrity.
+
+    Any malformed header (missing keys, wrong types, shapes that do not
+    match the payload) raises CheckpointError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + _LEN.size or blob[: len(MAGIC)] != MAGIC:
@@ -85,8 +89,10 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
         raise CheckpointError("corrupt checkpoint: truncated header")
     try:
         header = json.loads(blob[header_start : header_start + header_len])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable UTF-8 or malformed JSON
         raise CheckpointError("corrupt checkpoint: unreadable header") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("corrupt checkpoint: header is not an object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
@@ -94,46 +100,41 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
             f"(expected {FORMAT_VERSION})"
         )
     payload = blob[header_start + header_len :]
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-        raise CheckpointError("corrupt checkpoint: payload digest mismatch")
-    params: dict[str, np.ndarray] = {}
-    offset = 0
-    for name in header["param_order"]:
-        shape = tuple(header["param_shapes"][name])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", offset=offset, count=count)
-        params[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
-    if offset != len(payload):
-        raise CheckpointError("corrupt checkpoint: payload size mismatch")
-    model = DetectorModel(
-        d_e=header["d_e"],
-        d_h=header["d_h"],
-        embedder=EmbedderSpec(**header["embedder"]),
-        backbone=BackboneSpec(**header["backbone"]),
-        seed=header["seed"],
-        with_gt=header["with_gt"],
-        params=params,
-    )
-    calibration = None
-    if header.get("calibration"):
-        c = header["calibration"]
-        calibration = Calibration(
-            delta=c["delta"],
-            quantile=c["quantile"],
-            alpha=c["alpha"],
-            beta=c["beta"],
-            stats=c.get("stats", {}),
+    try:
+        if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+            raise CheckpointError("corrupt checkpoint: payload digest mismatch")
+        params: dict[str, np.ndarray] = {}
+        offset = 0
+        for name in header["param_order"]:
+            shape = tuple(header["param_shapes"][name])
+            count = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(payload, dtype="<f8", offset=offset, count=count)
+            params[name] = arr.reshape(shape).astype(np.float64)
+            offset += count * 8
+        if offset != len(payload):
+            raise CheckpointError("corrupt checkpoint: payload size mismatch")
+        if sorted(params) != sorted(PARAM_ORDER):
+            raise CheckpointError("corrupt checkpoint: unexpected parameter names")
+        model = DetectorModel(
+            d_e=header["d_e"],
+            d_h=header["d_h"],
+            embedder=EmbedderSpec(**header["embedder"]),
+            backbone=BackboneSpec(**header["backbone"]),
+            seed=header["seed"],
+            with_gt=header["with_gt"],
+            params=params,
         )
+        calibration = None
+        if header.get("calibration"):
+            c = header["calibration"]
+            calibration = Calibration(
+                delta=c["delta"],
+                quantile=c["quantile"],
+                alpha=c["alpha"],
+                beta=c["beta"],
+                stats=c.get("stats", {}),
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint: malformed header ({exc!r})") from exc
     return model, calibration
 
-
-def checkpoint_lambda(path: str) -> float | None:
-    """Training lambda recorded in the header, if any."""
-    with open(path, "rb") as fh:
-        blob = fh.read(len(MAGIC) + _LEN.size)
-        if blob[: len(MAGIC)] != MAGIC:
-            raise CheckpointError("corrupt checkpoint: bad magic")
-        (header_len,) = _LEN.unpack_from(blob, len(MAGIC))
-        header = json.loads(fh.read(header_len))
-    return header.get("lambda")

@@ -147,13 +147,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    if path.endswith(".toml"):
-        import tomllib
+    """Settings from a JSON or TOML file; ConfigError unless it holds an object."""
+    try:
+        if path.endswith(".toml"):
+            import tomllib
 
-        with open(path, "rb") as fh:
-            return tomllib.load(fh)
-    with open(path) as fh:
-        return json.load(fh)
+            with open(path, "rb") as fh:
+                settings = tomllib.load(fh)
+        else:
+            with open(path, "rb") as fh:
+                settings = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, TOMLDecodeError, bad UTF-8
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    if not isinstance(settings, dict):
+        raise ConfigError(f"config file {path} must hold an object at the top level")
+    return settings
 
 
 def _resolve_train_config(args) -> TrainConfig:

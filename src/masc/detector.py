@@ -25,7 +25,13 @@ The in-process backbone (``frozen_mixer``) is a stack of seeded, fixed
 blocks: causal mean over the sequence prefix concatenated with the current
 position, a fixed random linear map, then tanh. It is deterministic,
 order-sensitive, and strictly causal, so scoring a full trajectory in one
-pass is exactly equivalent to scoring each prefix separately.
+pass gives the same verdicts as scoring each prefix separately, to rounding:
+a one-row product takes BLAS's matrix-vector path, so the two can differ in
+the last bit.
+
+Training and inference run the same numpy forward pass. ``trajectory_loss``
+adds the one backward pass: a hand-written reverse sweep over the forward's
+intermediates (losses, attention, head, mixer blocks, projections).
 """
 
 from __future__ import annotations
@@ -37,8 +43,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .embedding import EmbedderSpec
 from .errors import ConfigError, DataError, TransportError
 
@@ -74,6 +78,16 @@ class BackboneSpec:
             raise ConfigError("remote_llm backbone requires endpoint and model_name")
 
 
+def causal_context(x: np.ndarray) -> np.ndarray:
+    """Per position i: [mean(x_1..x_i) ; x_i], the mixer block input.
+
+    Cumulative sums are sequential, so the rows of a prefix's context equal
+    the first rows of the full context bit for bit.
+    """
+    inv = (1.0 / np.arange(1, x.shape[0] + 1, dtype=np.float64))[:, None]
+    return np.concatenate([np.cumsum(x, axis=0) * inv, x], axis=1)
+
+
 class FrozenMixer:
     """Seeded stack of frozen causal mixing blocks."""
 
@@ -90,17 +104,37 @@ class FrozenMixer:
             self.matrices_t.append(np.ascontiguousarray(matrix.T))
             in_dim = spec.hidden_dim
 
-    def run(self, sequence: Tensor) -> Tensor:
-        """Encode an (n, input_dim) sequence into (n, hidden_dim) states.
+    def run(self, sequence: np.ndarray) -> list[np.ndarray]:
+        """Encode an (n, input_dim) sequence; returns every block's output.
 
-        Position i of the output depends only on positions <= i of the input
-        (cumulative sums are sequential), so row t of a full pass equals the
-        final row of a pass over the length-t prefix, bit for bit.
+        The last output is the (n, hidden_dim) hidden states; the backward
+        pass reads the others. Position i of each output depends only on
+        positions <= i of the input, so the final row of a pass over the
+        length-t prefix agrees with row t of the full pass to rounding (not
+        bit for bit: a one-row product takes a matrix-vector BLAS path).
         """
+        outputs = []
         x = sequence
         for matrix_t in self.matrices_t:
-            x = ad.tanh(ad.matmul(ad.causal_context(x), Tensor(matrix_t)))
-        return x
+            x = np.tanh(causal_context(x) @ matrix_t)
+            outputs.append(x)
+        return outputs
+
+    def backward(self, outputs: list[np.ndarray], grad: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. the input sequence, given ``run``'s outputs and the
+        gradient w.r.t. the last block's output."""
+        n = grad.shape[0]
+        inv = (1.0 / np.arange(1, n + 1, dtype=np.float64))[:, None]
+        for matrix_t, out in zip(reversed(self.matrices_t), reversed(outputs)):
+            g_ctx = (grad * (1.0 - out * out)) @ matrix_t.T
+            k = matrix_t.shape[0] // 2
+            grad = np.cumsum((g_ctx[:, :k] * inv)[::-1], axis=0)[::-1]  # reversed cumsum
+            grad += g_ctx[:, k:]
+            # A fresh contiguous copy: a reversed or offset operand can take
+            # another BLAS path and change the gradient's last bits, which
+            # the golden training digest pins.
+            grad = np.array(grad)
+        return grad
 
 
 class RemoteBackbone:
@@ -211,15 +245,6 @@ class DetectorModel:
 
 
 @dataclass(frozen=True)
-class StepPrediction:
-    """Predicted vs realized embedding for step t (both of dimension d)."""
-
-    x_hat: np.ndarray
-    x: np.ndarray
-    t: int
-
-
-@dataclass(frozen=True)
 class AnomalyVerdict:
     """Per-step anomaly score and its two components.
 
@@ -237,138 +262,186 @@ class AnomalyVerdict:
     t: int | None = None
 
 
-# -- forward passes -----------------------------------------------------------
-
-
-def _tensor_params(model: DetectorModel) -> dict[str, Tensor]:
-    return {k: Tensor(v) for k, v in model.params.items()}
+# -- forward pass ---------------------------------------------------------------
 
 
 def projected_sequence(
-    params: dict[str, Tensor], q_vec: np.ndarray, history: np.ndarray
-) -> Tensor:
+    params: dict[str, np.ndarray], q_vec: np.ndarray, history: np.ndarray
+) -> np.ndarray:
     """Rows [q~, f_h(h_1) .. f_h(h_k)] for a (k, 2*d_e) history matrix."""
-    q_t = ad.linear(params["fq_w"], params["fq_b"], Tensor(q_vec))
+    q_t = params["fq_w"] @ q_vec + params["fq_b"]
     if history.shape[0] == 0:
-        return ad.stack([q_t])
-    h_t = ad.affine(Tensor(history), ad.transpose(params["fh_w"]), params["fh_b"])
-    return ad.concat([ad.stack([q_t]), h_t], axis=0)
+        return q_t[None, :]
+    h_t = history @ params["fh_w"].T + params["fh_b"]
+    return np.concatenate([q_t[None, :], h_t], axis=0)
 
 
 def predictions_tensor(
     model: DetectorModel,
-    params: dict[str, Tensor],
+    params: dict[str, np.ndarray],
     q_vec: np.ndarray,
     step_matrix: np.ndarray,
     upto: int | None = None,
-) -> Tensor:
-    """Matrix of x_hat_t rows for t = 1..upto in one causal pass."""
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Matrix of x_hat_t rows for t = 1..upto in one causal pass.
+
+    Also returns the backbone's block outputs, whose last entry holds the
+    states the head reads; the backward pass needs them. A remote backbone
+    has a single entry.
+    """
     T = step_matrix.shape[0] if upto is None else upto
     if T < 1:
         raise DataError("empty trajectory")
     seq = projected_sequence(params, q_vec, step_matrix[: T - 1])
     if model.backbone.kind == "frozen_mixer":
-        states = model.mixer().run(seq)
+        blocks = model.mixer().run(seq)
     else:
         if model._remote is None:
             model._remote = RemoteBackbone(model.backbone)
-        rows = [Tensor(model._remote.encode(seq.data[:t])) for t in range(1, T + 1)]
-        states = ad.stack(rows)
-    return ad.affine(states, ad.transpose(params["ft_w"]), params["ft_b"])
+        blocks = [np.stack([model._remote.encode(seq[:t]) for t in range(1, T + 1)])]
+    return blocks[-1] @ params["ft_w"].T + params["ft_b"], blocks
 
 
-def prototype_attention(params: dict[str, Tensor], x_hats: Tensor, d: int) -> Tensor:
-    """New prototype: attention with p as query and predictions as keys/values."""
-    return ad.attention(
-        params["p"], x_hats, x_hats,
-        params["wq"], params["wk"], params["wv"], math.sqrt(d),
-    )
+def softmax(v: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax of a 1-D vector (max-shift is exact)."""
+    if v.ndim != 1 or v.size == 0:
+        raise DataError("softmax over an empty attention context")
+    shifted = np.exp(v - v.max())
+    return shifted / shifted.sum()
+
+
+def prototype_attention(
+    params: dict[str, np.ndarray], x_hats: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """New prototype: attention with p as query and predictions as keys/values.
+
+    Returns (p_new, weights, query, keys, values): the output, the softmax
+    weights over the predictions, and the projections the backward pass reads.
+    """
+    query = params["p"] @ params["wq"]
+    keys = x_hats @ params["wk"]
+    values = x_hats @ params["wv"]
+    weights = softmax((keys @ query) / math.sqrt(d))
+    return weights @ values, weights, query, keys, values
+
+
+def reconstruction_loss(x_hats: np.ndarray, step_matrix: np.ndarray) -> float:
+    """Mean over steps of ||x_hat_t - x_t||^2."""
+    diff = x_hats - step_matrix
+    return (1.0 / step_matrix.shape[0]) * float(np.sum(diff * diff))
+
+
+def misalignment_loss(
+    x_hats: np.ndarray, p: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """mean_t (1 - cos(x_hat_t, p)); a zero-norm vector counts as cos 0.
+
+    Returns (loss, per-row cosines, per-row norms).
+    """
+    norms = np.sqrt(np.sum(x_hats * x_hats, axis=1))
+    p_norm = float(np.linalg.norm(p))
+    cos = np.zeros(x_hats.shape[0])
+    if p_norm > 0.0:
+        mask = norms > 0.0
+        cos[mask] = (x_hats[mask] @ p) / (norms[mask] * p_norm)
+    return float(1.0 - cos.sum() / x_hats.shape[0]), cos, norms
+
+
+# -- loss and backward pass -----------------------------------------------------
 
 
 def trajectory_loss(
     model: DetectorModel,
-    params: dict[str, Tensor],
+    params: dict[str, np.ndarray],
     q_vec: np.ndarray,
     step_matrix: np.ndarray,
     lam: float,
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Full training loss of one trajectory (step_matrix is T x d, row t = h_t).
+) -> tuple[float, float, float, np.ndarray, dict[str, np.ndarray]]:
+    """Training loss of one trajectory and its gradient (step_matrix is T x d,
+    row t = h_t).
 
-    Returns (total, recon, proto, p_new) where total = recon + lam * proto,
-    recon is the mean squared prediction error against x_t := h_t, and proto
-    is the mean cosine misalignment of each prediction with the trajectory's
-    attention-updated prototype p_new.
+    Returns (total, recon, proto, p_new, grads) where total = recon + lam *
+    proto, recon is the mean squared prediction error against x_t := h_t,
+    proto is the mean cosine misalignment of each prediction with the
+    trajectory's attention-updated prototype p_new, and grads holds
+    d total / d param for every name in ``params``. A remote backbone's
+    states carry no gradient, so f_q and f_h get zero gradient.
     """
     step_matrix = np.asarray(step_matrix, dtype=np.float64)
+    q_vec = np.asarray(q_vec, dtype=np.float64)
     T = step_matrix.shape[0]
-    x_hats = predictions_tensor(model, params, q_vec, step_matrix)
-    recon = ad.sq_diff_sum(x_hats, step_matrix, 1.0 / T)
-    p_new = prototype_attention(params, x_hats, model.d)
-    proto = ad.proto_misalignment(x_hats, p_new)
+    x_hats, blocks = predictions_tensor(model, params, q_vec, step_matrix)
+    recon = reconstruction_loss(x_hats, step_matrix)
+    p_new, weights, query, keys, values = prototype_attention(params, x_hats, model.d)
+    proto, cos, norms = misalignment_loss(x_hats, p_new)
     total = recon + lam * proto
-    return total, recon, proto, p_new
+
+    # Losses. Float addition is not associative: the x_hats gradient sums
+    # its four terms in the order the golden training digest was recorded
+    # with (recon, misalignment, keys, values).
+    grads: dict[str, np.ndarray] = {}
+    g_x = (2.0 * (1.0 / T)) * (x_hats - step_matrix)
+    p_norm = float(np.linalg.norm(p_new))
+    if p_norm > 0.0:  # a zero p_new makes every cos 0: no gradient flows
+        scale = -float(lam) / T
+        mask = norms > 0.0
+        dx = np.zeros_like(x_hats)
+        dx[mask] = p_new[None, :] / (norms[mask, None] * p_norm) - (
+            cos[mask] / (norms[mask] ** 2)
+        )[:, None] * x_hats[mask]
+        g_x += scale * dx
+        g_p = (x_hats[mask] / norms[mask, None]).sum(axis=0) / p_norm
+        g_p -= cos[mask].sum() * p_new / (p_norm * p_norm)
+        g_p = scale * g_p
+
+        # Attention.
+        g_w = values @ g_p
+        g_values = np.outer(weights, g_p)
+        g_scores = weights * (g_w - float(g_w @ weights)) / math.sqrt(model.d)
+        g_keys = np.outer(g_scores, query)
+        g_query = keys.T @ g_scores
+        g_x += g_keys @ params["wk"].T
+        g_x += g_values @ params["wv"].T
+        grads["wk"] = x_hats.T @ g_keys
+        grads["wv"] = x_hats.T @ g_values
+        grads["p"] = params["wq"] @ g_query
+        grads["wq"] = np.outer(params["p"], g_query)
+
+    # Head.
+    grads["ft_w"] = (blocks[-1].T @ g_x).T
+    grads["ft_b"] = g_x.sum(axis=0)
+
+    # Mixer blocks, then the projections.
+    if model.backbone.kind == "frozen_mixer":
+        g_seq = model.mixer().backward(blocks, g_x @ params["ft_w"])
+        grads["fq_w"] = np.outer(g_seq[0], q_vec)
+        grads["fq_b"] = g_seq[0].copy()
+        if T > 1:
+            g_h = np.array(g_seq[1:])  # a fresh copy, as in the mixer
+            grads["fh_w"] = (step_matrix[: T - 1].T @ g_h).T
+            grads["fh_b"] = g_h.sum(axis=0)
+    for name in params.keys() - grads.keys():
+        grads[name] = np.zeros_like(params[name])
+    return total, recon, proto, p_new, grads
 
 
-def _as_matrix(step_embs) -> np.ndarray:
-    if isinstance(step_embs, np.ndarray) and step_embs.ndim == 2:
-        return step_embs
-    return np.stack(step_embs) if len(step_embs) else np.zeros((0, 0))
+# -- inference ------------------------------------------------------------------
 
 
-# -- operation surface --------------------------------------------------------
-
-
-def encode_context(
-    model: DetectorModel, q_vec: np.ndarray, hist: list[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Project the query and history embeddings into the hidden dimension."""
-    if q_vec.shape != (model.d_e,):
+def _checked_inputs(
+    model: DetectorModel, q_vec, step_embs
+) -> tuple[np.ndarray, np.ndarray]:
+    """The query and the (T, d) step matrix; ConfigError on a wrong dimension."""
+    if np.shape(q_vec) != (model.d_e,):
         raise ConfigError(f"query vector must have dimension {model.d_e}")
-    for h in hist:
-        if h.shape != (model.d,):
-            raise ConfigError(f"step embeddings must have dimension {model.d}")
-    with ad.no_grad():
-        params = _tensor_params(model)
-        q_t = ad.linear(params["fq_w"], params["fq_b"], Tensor(q_vec)).data
-        hist_t = [
-            ad.linear(params["fh_w"], params["fh_b"], Tensor(h)).data for h in hist
-        ]
-    return q_t, hist_t
-
-
-def predict_next(
-    model: DetectorModel, q_tilde: np.ndarray, hist_tilde: list[np.ndarray]
-) -> np.ndarray:
-    """Predict the next step embedding from projected context vectors."""
-    with ad.no_grad():
-        params = _tensor_params(model)
-        seq = ad.stack([Tensor(q_tilde)] + [Tensor(h) for h in hist_tilde])
-        if model.backbone.kind == "frozen_mixer":
-            state = model.mixer().run(seq)[seq.shape[0] - 1]
-        else:
-            if model._remote is None:
-                model._remote = RemoteBackbone(model.backbone)
-            state = Tensor(model._remote.encode(seq.data))
-        return ad.linear(params["ft_w"], params["ft_b"], state).data
-
-
-def update_prototype(model: DetectorModel, x_hats: np.ndarray) -> np.ndarray:
-    """Attention output that replaces the prototype during training."""
-    x_hats = np.atleast_2d(np.asarray(x_hats, dtype=np.float64))
-    if x_hats.shape[0] == 0:
-        raise DataError("empty trajectory")
-    with ad.no_grad():
-        params = _tensor_params(model)
-        return prototype_attention(params, Tensor(x_hats), model.d).data
-
-
-def loss_recon(preds: list[StepPrediction]) -> float:
-    """Mean squared error between predicted and realized embeddings."""
-    if not preds:
-        raise DataError("loss_recon needs at least one prediction")
-    return float(
-        sum(float(np.sum((p.x_hat - p.x) ** 2)) for p in preds) / len(preds)
-    )
+    if not isinstance(step_embs, np.ndarray):
+        try:
+            step_embs = np.stack(step_embs) if len(step_embs) else np.zeros((0, model.d))
+        except ValueError as exc:
+            raise ConfigError(f"step embeddings must have dimension {model.d}") from exc
+    if step_embs.ndim != 2 or step_embs.shape[1] != model.d:
+        raise ConfigError(f"step embeddings must have dimension {model.d}")
+    return np.asarray(q_vec, dtype=np.float64), step_embs
 
 
 def _safe_cos(a: np.ndarray, b: np.ndarray) -> float:
@@ -379,22 +452,6 @@ def _safe_cos(a: np.ndarray, b: np.ndarray) -> float:
         logger.warning("zero-norm vector in cosine; treating cos as 0")
         return 0.0
     return float(a @ b) / (na * nb)
-
-
-def loss_proto(preds: list[StepPrediction], p: np.ndarray) -> float:
-    """Mean cosine misalignment of predictions with the prototype."""
-    if not preds:
-        raise DataError("loss_proto needs at least one prediction")
-    if float(np.linalg.norm(p)) == 0.0:
-        raise DataError("prototype must have positive norm")
-    return float(sum(1.0 - _safe_cos(pr.x_hat, p) for pr in preds) / len(preds))
-
-
-def total_loss(preds: list[StepPrediction], p: np.ndarray, lam: float) -> float:
-    """Weighted combination: loss_recon + lam * loss_proto."""
-    if lam < 0:
-        raise DataError("lambda must be >= 0")
-    return loss_recon(preds) + lam * loss_proto(preds, p)
 
 
 def anomaly_score(
@@ -430,16 +487,15 @@ def detect(
     """Score step t against its history and apply the threshold.
 
     Only embeddings for steps 1..t are read; the verdict for step t on a
-    trajectory equals the verdict on the trajectory truncated at t.
+    trajectory equals the verdict on the trajectory truncated at t. A query
+    of dimension other than d_e, or a step of dimension other than d, raises
+    ConfigError.
     """
-    step_matrix = _as_matrix(step_embs)
+    q_vec, step_matrix = _checked_inputs(model, q_vec, step_embs)
     if not (1 <= t <= step_matrix.shape[0]):
         raise DataError(f"step index {t} out of range 1..{step_matrix.shape[0]}")
-    with ad.no_grad():
-        params = _tensor_params(model)
-        x_hats = predictions_tensor(model, params, q_vec, step_matrix, upto=t)
-        x_hat = x_hats.data[t - 1]
-    verdict = anomaly_score(model, x_hat, step_matrix[t - 1], alpha, beta)
+    x_hats, _ = predictions_tensor(model, model.params, q_vec, step_matrix, upto=t)
+    verdict = anomaly_score(model, x_hats[t - 1], step_matrix[t - 1], alpha, beta)
     return replace(verdict, delta=delta, flagged=bool(verdict.score > delta), t=t)
 
 
@@ -453,15 +509,14 @@ def score_trajectory(
 ) -> list[AnomalyVerdict]:
     """Verdicts for every step in one causal pass.
 
-    Exactly equivalent to calling ``detect`` per step (the backbone is
-    strictly causal), but runs the sequence encoder once.
+    Agrees with calling ``detect`` per step to rounding (the backbone is
+    strictly causal; see ``FrozenMixer.run``), but runs the sequence encoder
+    once. Dimension mismatches raise ConfigError as in ``detect``.
     """
-    step_matrix = _as_matrix(step_embs)
-    if step_matrix.shape[0] == 0:
+    if len(step_embs) == 0:
         raise DataError("empty trajectory")
-    with ad.no_grad():
-        params = _tensor_params(model)
-        x_hats = predictions_tensor(model, params, q_vec, step_matrix).data
+    q_vec, step_matrix = _checked_inputs(model, q_vec, step_embs)
+    x_hats, _ = predictions_tensor(model, model.params, q_vec, step_matrix)
     out = []
     for t in range(1, step_matrix.shape[0] + 1):
         verdict = anomaly_score(model, x_hats[t - 1], step_matrix[t - 1], alpha, beta)

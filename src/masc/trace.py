@@ -29,6 +29,12 @@ _TRAJECTORY_KEYS = {"id", "query", "gt_answer", "steps"}
 _STEP_KEYS = {"role", "output", "label"}
 
 
+def _valid_label(label) -> bool:
+    """None, 0 or 1 as an int: ``true`` and ``1.0`` compare equal to 1 but
+    would not re-serialize canonically."""
+    return label is None or (type(label) is int and label in (0, 1))
+
+
 @dataclass(frozen=True)
 class Step:
     role: str
@@ -40,7 +46,7 @@ class Step:
             raise TraceValidationError("step role must be non-empty")
         if not self.output:
             raise TraceValidationError("step output must be non-empty")
-        if self.label is not None and self.label not in (0, 1):
+        if not _valid_label(self.label):
             raise TraceValidationError(f"step label must be 0 or 1, got {self.label!r}")
 
 
@@ -119,7 +125,7 @@ def parse_trajectory(line: bytes | str, strict: bool = False) -> Trajectory:
         if not isinstance(role, str) or not isinstance(output, str):
             raise TraceValidationError(f"step {i} needs string role and output")
         label = raw.get("label")
-        if label is not None and label not in (0, 1):
+        if not _valid_label(label):
             raise TraceValidationError(f"step {i} label must be 0, 1, or null")
         steps.append(Step(role=role, output=output, label=label))
     gt = obj.get("gt_answer")

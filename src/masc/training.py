@@ -2,7 +2,8 @@
 
 The training loop walks trajectories in order; for each one it runs the full
 forward pass (predictions for t = 1..T, the attention-updated prototype, and
-the combined loss), backpropagates, then:
+the combined loss) and the detector's hand-written backward pass
+(``detector.trajectory_loss``), then:
 
 1. overwrites the stored prototype with the attention output of the forward
    pass, and
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .detector import BackboneSpec, DetectorModel, score_trajectory, trajectory_loss
 from .embedding import EmbedderSpec, embed_trajectory
 from .errors import DataError, DivergenceError
@@ -125,6 +125,11 @@ def train(
     Deterministic given (cfg, data): identical runs produce identical
     parameter digests. Raises DivergenceError with epoch/trajectory context
     if the loss goes non-finite.
+
+    With a ``remote_llm`` backbone the service's hidden states carry no
+    gradient back to the projections, so f_q and f_h keep their initial
+    values (apart from weight decay); only the head f_theta, the attention
+    maps and the prototype train.
     """
     if not train_set:
         raise DataError("empty training set")
@@ -146,22 +151,16 @@ def train(
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
         for trajectory, (q_vec, step_matrix) in zip(prepared, embedded):
-            params = {k: ad.Tensor(v, requires_grad=True) for k, v in model.params.items()}
-            total, recon, proto, p_new = trajectory_loss(
-                model, params, q_vec, step_matrix, cfg.lam
+            total, recon, proto, p_new, grads = trajectory_loss(
+                model, model.params, q_vec, step_matrix, cfg.lam
             )
-            if not np.isfinite(total.data):
+            if not np.isfinite(total):
                 raise DivergenceError(
                     f"diverged at epoch {epoch + 1}, trajectory {trajectory.id!r}"
                 )
-            total.backward()
-            grads = {
-                k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                for k, t in params.items()
-            }
-            model.params["p"] = p_new.data.copy()
+            model.params["p"] = p_new
             model.params = adam_step(adam, model.params, grads)
-            sums += (float(recon.data), float(proto.data), float(total.data))
+            sums += (recon, proto, total)
         means = sums / len(prepared)
         report.epochs.append(EpochStats(*means))
         logger.debug(

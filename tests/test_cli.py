@@ -140,6 +140,20 @@ class TestTrain:
                      str(tmp_path / "x.ckpt"), "--config", str(config)])
         assert code == 2
 
+    def test_malformed_config_exits_two(self, corpus_file, tmp_path, capsys):
+        cases = {
+            "broken.json": '{"epochs": 2,',
+            "broken.toml": "epochs = = 2",
+            "list.json": "[1, 2]",
+        }
+        for name, text in cases.items():
+            config = tmp_path / name
+            config.write_text(text)
+            code = main(["train", "--traces", corpus_file, "--checkpoint",
+                         str(tmp_path / "x.ckpt"), "--config", str(config)])
+            assert code == 2, name
+            assert "error:" in capsys.readouterr().err
+
     def test_golden_digest(self, tmp_path, capsys):
         """Training digest on the committed fixture corpus, recorded at the
         first verified run; reruns in the same environment must reproduce it."""

@@ -4,30 +4,29 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from masc import autodiff as ad
-from masc.autodiff import Tensor
 from masc.detector import (
     PARAM_ORDER,
     AnomalyVerdict,
     BackboneSpec,
     DetectorModel,
     FrozenMixer,
-    StepPrediction,
     anomaly_score,
     detect,
-    encode_context,
-    loss_proto,
-    loss_recon,
-    predict_next,
+    misalignment_loss,
+    predictions_tensor,
+    projected_sequence,
+    prototype_attention,
+    reconstruction_loss,
     score_trajectory,
-    total_loss,
-    update_prototype,
+    trajectory_loss,
 )
 from masc.embedding import EmbedderSpec, embed_trajectory
 from masc.errors import ConfigError, DataError
-from masc.synthetic import make_normal_trajectory, plant_anomaly
-from masc.training import calibrate_threshold
+from masc.synthetic import make_normal_corpus, make_normal_trajectory, plant_anomaly
+from masc.training import TrainConfig, calibrate_threshold, train
 from tests.conftest import SMALL_EMBEDDER
 
 EMB4 = EmbedderSpec(kind="hashing", dimension=4)
@@ -42,59 +41,69 @@ def tiny_model(seed=0, d_e=4, d_h=6):
 
 
 class TestEncodeContext:
+    """The f_q/f_h projections that encode the context, and input checks."""
+
     def test_empty_history(self):
         model = tiny_model()
-        q_t, hist_t = encode_context(model, np.zeros(4), [])
-        assert hist_t == []
-        assert q_t.shape == (6,)
+        seq = projected_sequence(model.params, np.zeros(4), np.zeros((0, 8)))
+        assert seq.shape == (1, 6)
 
     def test_zero_query_returns_bias(self):
         model = tiny_model()
         model.params["fq_b"] = np.arange(6.0)
-        q_t, _ = encode_context(model, np.zeros(4), [])
-        assert np.array_equal(q_t, np.arange(6.0))
+        seq = projected_sequence(model.params, np.zeros(4), np.zeros((0, 8)))
+        assert np.array_equal(seq[0], np.arange(6.0))
 
     def test_matches_composed_linear_ops(self):
         model = tiny_model(seed=5)
         rng = np.random.RandomState(5)
-        q, h = rng.randn(4), [rng.randn(8), rng.randn(8)]
-        q_t, hist_t = encode_context(model, q, h)
+        q, h = rng.randn(4), rng.randn(2, 8)
+        seq = projected_sequence(model.params, q, h)
         assert np.allclose(
-            q_t, model.params["fq_w"] @ q + model.params["fq_b"], atol=1e-15
+            seq[0], model.params["fq_w"] @ q + model.params["fq_b"], atol=1e-15
         )
-        for got, raw in zip(hist_t, h):
+        for got, raw in zip(seq[1:], h):
             expected = model.params["fh_w"] @ raw + model.params["fh_b"]
             assert np.allclose(got, expected, atol=1e-15)
 
     def test_dimension_mismatch_is_fatal(self):
         model = tiny_model()
-        with pytest.raises(ConfigError):
-            encode_context(model, np.zeros(5), [])
-        with pytest.raises(ConfigError):
-            encode_context(model, np.zeros(4), [np.zeros(7)])
+        bad_inputs = [
+            (np.zeros(5), [np.zeros(8)]),
+            (np.zeros(4), [np.zeros(7)]),
+            (np.zeros(4), [np.zeros(8), np.zeros(7)]),
+            (np.zeros(4), np.zeros((2, 7))),
+        ]
+        for q, steps in bad_inputs:
+            with pytest.raises(ConfigError):
+                score_trajectory(model, q, steps, 1.0, 1.0)
+            with pytest.raises(ConfigError):
+                detect(model, q, steps, 1, 1.0, 1.0, 1.0)
 
 
 class TestPredictNext:
     def test_empty_history_is_well_defined(self):
         model = tiny_model()
-        q_t, _ = encode_context(model, np.ones(4), [])
-        out = predict_next(model, q_t, [])
-        assert out.shape == (8,)
-        assert np.all(np.isfinite(out))
+        x_hats, _ = predictions_tensor(model, model.params, np.ones(4), np.zeros((1, 8)))
+        assert x_hats.shape == (1, 8)
+        assert np.all(np.isfinite(x_hats))
 
     def test_deterministic_across_fresh_models(self):
         rng = np.random.RandomState(0)
-        q_t, hist = rng.randn(6), [rng.randn(6) for _ in range(3)]
-        outs = [predict_next(tiny_model(seed=9), q_t, hist) for _ in range(2)]
+        q, steps = rng.randn(4), rng.randn(4, 8)
+        outs = []
+        for _ in range(2):
+            model = tiny_model(seed=9)
+            outs.append(predictions_tensor(model, model.params, q, steps)[0])
         assert np.array_equal(outs[0], outs[1])
 
     def test_history_order_sensitivity(self):
         model = tiny_model(seed=1)
         rng = np.random.RandomState(1)
-        q_t = rng.randn(6)
-        hist = [rng.randn(6) for _ in range(3)]
-        forward = predict_next(model, q_t, hist)
-        permuted = predict_next(model, q_t, [hist[1], hist[0], hist[2]])
+        q = rng.randn(4)
+        steps = rng.randn(4, 8)
+        forward = predictions_tensor(model, model.params, q, steps)[0][-1]
+        permuted = predictions_tensor(model, model.params, q, steps[[1, 0, 2, 3]])[0][-1]
         assert not np.array_equal(forward, permuted)
 
 
@@ -102,103 +111,102 @@ class TestUpdatePrototype:
     def test_singleton_closed_form_exact(self):
         model = tiny_model(seed=2)
         x1 = np.random.RandomState(2).randn(8)
-        assert np.array_equal(
-            update_prototype(model, x1[None, :]), x1 @ model.params["wv"]
-        )
+        p_new = prototype_attention(model.params, x1[None, :], model.d)[0]
+        assert np.array_equal(p_new, x1 @ model.params["wv"])
 
     def test_identical_rows_ignore_prototype(self):
         model = tiny_model(seed=3)
         row = np.random.RandomState(3).randn(8)
         rows = np.tile(row, (4, 1))
         expected = row @ model.params["wv"]
-        assert np.allclose(update_prototype(model, rows), expected, atol=1e-12)
+        p_new = prototype_attention(model.params, rows, model.d)[0]
+        assert np.allclose(p_new, expected, atol=1e-12)
         model.params["p"] = np.random.RandomState(99).randn(8)
-        assert np.allclose(update_prototype(model, rows), expected, atol=1e-12)
+        p_new = prototype_attention(model.params, rows, model.d)[0]
+        assert np.allclose(p_new, expected, atol=1e-12)
 
     def test_matches_attention_oracle(self):
         model = tiny_model(seed=4)
         rows = np.random.RandomState(4).randn(3, 8)
-        got = update_prototype(model, rows)
-        oracle = ad.attention(
-            Tensor(model.params["p"]), Tensor(rows), Tensor(rows),
-            Tensor(model.params["wq"]), Tensor(model.params["wk"]),
-            Tensor(model.params["wv"]), math.sqrt(8),
-        ).data
-        assert np.array_equal(got, oracle)
+        got = prototype_attention(model.params, rows, model.d)[0]
+        prm = model.params
+        scores = [float((r @ prm["wk"]) @ (prm["p"] @ prm["wq"])) / math.sqrt(8) for r in rows]
+        weights = [math.exp(s - max(scores)) for s in scores]
+        oracle = sum(w * (r @ prm["wv"]) for w, r in zip(weights, rows)) / sum(weights)
+        assert np.allclose(got, oracle, rtol=1e-12, atol=1e-14)
 
     def test_empty_rejected(self):
-        with pytest.raises(DataError, match="empty trajectory"):
-            update_prototype(tiny_model(), np.zeros((0, 8)))
-
-
-def preds_from(x_hats, xs):
-    return [StepPrediction(x_hat=a, x=b, t=i + 1) for i, (a, b) in enumerate(zip(x_hats, xs))]
+        model = tiny_model()
+        with pytest.raises(DataError, match="empty"):
+            prototype_attention(model.params, np.zeros((0, 8)), model.d)
 
 
 class TestLosses:
     def test_recon_zero_iff_exact(self):
         rng = np.random.RandomState(0)
-        xs = [rng.randn(6) for _ in range(3)]
-        assert loss_recon(preds_from(xs, xs)) == 0.0
-        bumped = [x.copy() for x in xs]
+        xs = rng.randn(3, 6)
+        assert reconstruction_loss(xs.copy(), xs) == 0.0
+        bumped = xs.copy()
         bumped[1][0] += 1e-6
-        assert loss_recon(preds_from(bumped, xs)) > 0.0
+        assert reconstruction_loss(bumped, xs) > 0.0
 
     def test_recon_all_ones_difference(self):
         d = 7
-        got = loss_recon(preds_from([np.ones(d)], [np.zeros(d)]))
+        got = reconstruction_loss(np.ones((1, d)), np.zeros((1, d)))
         assert got == pytest.approx(d, abs=1e-12)
 
     def test_recon_matches_scalar_loop_oracle(self):
         rng = np.random.RandomState(1)
-        x_hats = [rng.randn(5) for _ in range(2)]
-        xs = [rng.randn(5) for _ in range(2)]
+        x_hats = rng.randn(2, 5)
+        xs = rng.randn(2, 5)
         oracle = 0.0
         for a, b in zip(x_hats, xs):
             for i in range(5):
                 oracle += (a[i] - b[i]) ** 2
         oracle /= 2
-        assert loss_recon(preds_from(x_hats, xs)) == pytest.approx(oracle, abs=1e-12)
+        assert reconstruction_loss(x_hats, xs) == pytest.approx(oracle, abs=1e-12)
 
     def test_proto_aligned_is_zero(self):
         p = np.array([1.0, 2.0, 3.0])
-        preds = preds_from([2 * p, 0.5 * p], [p, p])
-        assert loss_proto(preds, p) == pytest.approx(0.0, abs=1e-12)
+        loss = misalignment_loss(np.stack([2 * p, 0.5 * p]), p)[0]
+        assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_proto_antipodal_is_two(self):
         p = np.array([1.0, -1.0, 0.5])
-        preds = preds_from([-p, -3 * p], [p, p])
-        assert loss_proto(preds, p) == pytest.approx(2.0, abs=1e-12)
+        loss = misalignment_loss(np.stack([-p, -3 * p]), p)[0]
+        assert loss == pytest.approx(2.0, abs=1e-12)
 
     def test_proto_orthogonal_is_one(self):
         p = np.array([1.0, 0.0])
-        preds = preds_from([np.array([0.0, 5.0])], [p])
-        assert loss_proto(preds, p) == pytest.approx(1.0, abs=1e-12)
+        assert misalignment_loss(np.array([[0.0, 5.0]]), p)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_proto_zero_norm_prediction_counts_one_and_warns(self, caplog):
+        # The training loss counts it as cos 0 silently; the per-step score
+        # does the same and logs a warning.
         p = np.array([1.0, 0.0])
-        preds = preds_from([np.zeros(2)], [p])
+        assert misalignment_loss(np.zeros((1, 2)), p)[0] == pytest.approx(1.0)
+        model = tiny_model()
         with caplog.at_level(logging.WARNING):
-            assert loss_proto(preds, p) == pytest.approx(1.0)
+            verdict = anomaly_score(model, np.zeros(8), np.ones(8), 1.0, 1.0)
+        assert verdict.proto_term == 1.0
         assert any("zero-norm" in r.message for r in caplog.records)
 
-    def test_proto_zero_norm_prototype_rejected(self):
-        with pytest.raises(DataError):
-            loss_proto(preds_from([np.ones(2)], [np.ones(2)]), np.zeros(2))
-
     def test_total_lambda_zero_equals_recon(self):
+        model = tiny_model(seed=2)
         rng = np.random.RandomState(2)
-        preds = preds_from([rng.randn(4)], [rng.randn(4)])
-        assert total_loss(preds, rng.randn(4), 0.0) == loss_recon(preds)
+        total, recon, _, _, _ = trajectory_loss(
+            model, model.params, rng.randn(4), rng.randn(3, 8), 0.0
+        )
+        assert total == recon
 
     def test_total_is_weighted_sum(self):
+        model = tiny_model(seed=3)
         rng = np.random.RandomState(3)
         for lam in (0.2, 0.3, 1.7):
-            preds = preds_from([rng.randn(4) for _ in range(3)],
-                               [rng.randn(4) for _ in range(3)])
-            p = rng.randn(4)
-            expected = loss_recon(preds) + lam * loss_proto(preds, p)
-            assert total_loss(preds, p, lam) == pytest.approx(expected, abs=1e-12)
+            total, recon, proto, _, _ = trajectory_loss(
+                model, model.params, rng.randn(4), rng.randn(3, 8), lam
+            )
+            assert total == pytest.approx(recon + lam * proto, abs=1e-12)
 
 
 class TestAnomalyScore:
@@ -345,20 +353,32 @@ class TestFrozenBackbone:
             assert np.array_equal(ma, mb)
 
 
+def remote_spec(endpoint):
+    return BackboneSpec(kind="remote_llm", hidden_dim=6, endpoint=endpoint,
+                        model_name="llm")
+
+
 class TestRemoteBackbone:
     def test_predict_next_via_stub(self, stub_service):
         with stub_service(vector_dim=6) as stub:
-            model = DetectorModel.init(
-                EMB4,
-                d_h=6,
-                backbone=BackboneSpec(kind="remote_llm", hidden_dim=6,
-                                      endpoint=stub.endpoint, model_name="llm"),
-                seed=0,
-            )
+            model = DetectorModel.init(EMB4, d_h=6, backbone=remote_spec(stub.endpoint))
             rng = np.random.RandomState(0)
-            out = predict_next(model, rng.randn(6), [rng.randn(6)])
-            assert out.shape == (8,)
+            verdicts = score_trajectory(model, rng.randn(4), rng.randn(2, 8), 1.0, 1.0)
+            assert [v.t for v in verdicts] == [1, 2]
+            assert all(np.isfinite(v.score) for v in verdicts)
             assert stub.requests[0]["path"].endswith("/encode")
+
+    def test_training_leaves_projections_untouched(self, stub_service):
+        # The service's states carry no gradient, so f_q and f_h keep their
+        # initial values while the head trains.
+        with stub_service(vector_dim=6) as stub:
+            cfg = TrainConfig(epochs=1, lr=1e-2, seed=4, d_h=6, embedder=EMB4,
+                              backbone=remote_spec(stub.endpoint))
+            model, _ = train(cfg, make_normal_corpus(2, seed=4, T=3))
+        initial = DetectorModel.init(EMB4, d_h=6, backbone=cfg.backbone, seed=4)
+        for name in ("fq_w", "fq_b", "fh_w", "fh_b"):
+            assert np.array_equal(model.params[name], initial.params[name]), name
+        assert not np.array_equal(model.params["ft_w"], initial.params["ft_w"])
 
     def test_spec_requires_endpoint(self):
         with pytest.raises(ConfigError):
@@ -375,3 +395,29 @@ def test_verdict_dataclass_fields():
     v = AnomalyVerdict(score=1.0, recon_term=0.5, proto_term=0.5,
                        alpha=1.0, beta=1.0, delta=2.0, flagged=False, t=1)
     assert v.flagged == (v.score > v.delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_e=st.integers(1, 8),
+    d_h=st.integers(1, 24),
+    layers=st.integers(1, 3),
+    T=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_detect_agrees_with_score_trajectory(d_e, d_h, layers, T, seed):
+    # A prefix pass and the full pass agree to rounding, not bit for bit:
+    # a one-row product takes BLAS's matrix-vector path.
+    model = DetectorModel.init(
+        EmbedderSpec(kind="hashing", dimension=d_e), d_h=d_h,
+        backbone=BackboneSpec(hidden_dim=d_h, layers=layers, seed=seed), seed=seed,
+    )
+    rng = np.random.RandomState(seed)
+    q, steps = rng.randn(d_e), rng.randn(T, 2 * d_e)
+    batch = score_trajectory(model, q, steps, 1.0, 1.0)
+    for t in range(1, T + 1):
+        single = detect(model, q, steps, t, 1.0, 1.0, math.inf)
+        assert single.score == pytest.approx(batch[t - 1].score, rel=1e-12, abs=0.0)
+        assert single.recon_term == pytest.approx(batch[t - 1].recon_term, rel=1e-12, abs=0.0)
+        # 1 - cos lies in [0, 2]; near 0 a relative bound would be meaningless.
+        assert single.proto_term == pytest.approx(batch[t - 1].proto_term, rel=0.0, abs=1e-12)

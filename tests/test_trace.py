@@ -55,10 +55,14 @@ class TestParse:
         assert a == b
 
     def test_label_must_be_binary(self):
-        with pytest.raises(TraceValidationError):
-            parse_trajectory(
-                b'{"id":"x","query":"q","steps":[{"role":"r","output":"o","label":2}]}'
-            )
+        # true and 1.0 compare equal to 1 but would not re-serialize as 1.
+        for label in ("2", "true", "false", "1.0", "0.0", '"1"'):
+            line = '{"id":"x","query":"q","steps":[{"role":"r","output":"o","label":%s}]}'
+            with pytest.raises(TraceValidationError):
+                parse_trajectory(line % label)
+        for label in (2, True, 1.0):
+            with pytest.raises(TraceValidationError):
+                Step(role="r", output="o", label=label)
 
     def test_unknown_keys_strict_vs_lenient(self, caplog):
         line = b'{"id":"x","query":"q","bonus":1,"steps":[{"role":"r","output":"o"}]}'

@@ -1,15 +1,12 @@
+import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from masc.checkpoint import (
-    FORMAT_VERSION,
-    checkpoint_lambda,
-    load_checkpoint,
-    save_checkpoint,
-)
+from masc.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from masc.detector import BackboneSpec, detect, score_trajectory
 from masc.embedding import EmbedderSpec, embed_trajectory
 from masc.errors import CheckpointError, DataError, DivergenceError
@@ -179,7 +176,6 @@ class TestCheckpoint:
         digest = save_checkpoint(model, calibration, path, lam=0.2)
         loaded, cal2 = load_checkpoint(path)
         assert cal2.delta == calibration.delta
-        assert checkpoint_lambda(path) == 0.2
         assert loaded.param_digest() == model.param_digest()
         rng = np.random.RandomState(0)
         for _ in range(10):
@@ -227,6 +223,33 @@ class TestCheckpoint:
             with open(path, "wb") as fh:
                 fh.write(patched)
             with pytest.raises(CheckpointError, match="version"):
+                load_checkpoint(path)
+
+    def test_malformed_header_is_checkpoint_error(self, small_trained, tmp_path):
+        model, _, _ = small_trained
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, None, path)
+        blob = open(path, "rb").read()
+        (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
+        start = len(MAGIC) + 4
+        header = json.loads(blob[start : start + header_len])
+        payload = blob[start + header_len :]
+
+        def drop(key):
+            return {k: v for k, v in header.items() if k != key}
+
+        bad_shapes = dict(header, param_shapes=dict(header["param_shapes"], p=[4096]))
+        cases = {
+            "no digest": drop("payload_sha256"),
+            "no d_e": drop("d_e"),
+            "list header": [header],
+            "shape mismatch": bad_shapes,
+        }
+        for name, bad in cases.items():
+            text = json.dumps(bad).encode()
+            with open(path, "wb") as fh:
+                fh.write(MAGIC + struct.pack("<I", len(text)) + text + payload)
+            with pytest.raises(CheckpointError, match="corrupt"):
                 load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
