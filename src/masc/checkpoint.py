@@ -124,6 +124,15 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
             with_gt=header["with_gt"],
             params=params,
         )
+        shapes = model.param_shapes()
+        if (
+            header["d"] != model.d
+            or model.embedder.dimension != model.d_e
+            or any(params[name].shape != shapes[name] for name in PARAM_ORDER)
+        ):
+            raise CheckpointError(
+                "corrupt checkpoint: header dimensions disagree with param_shapes"
+            )
         calibration = None
         if header.get("calibration"):
             c = header["calibration"]

@@ -3,8 +3,7 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 Flag precedence for training configuration: explicit flags > --config file
 (JSON or TOML) > profile defaults. Reports embed the effective configuration
-and the tool version. MASC_CACHE_DIR sets the default embedding cache
-location for remote embedders.
+and the tool version.
 """
 
 from __future__ import annotations
@@ -146,8 +145,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The type of each --config value; a number is an int or a float, never a bool.
+_CONFIG_TYPES = {
+    "epochs": int, "seed": int, "d_h": int, "layers": int, "dim": int,
+    "lr": float, "weight_decay": float, "lam": float, "lambda": float,
+    "with_gt": bool, "exclude_labeled_steps": bool,
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+
+
 def _load_config_file(path: str) -> dict:
-    """Settings from a JSON or TOML file; ConfigError unless it holds an object."""
+    """Settings from a JSON or TOML file; ConfigError unless it holds an
+    object whose keys are known and whose values have the right types."""
     try:
         if path.endswith(".toml"):
             import tomllib
@@ -161,6 +170,16 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(settings, dict):
         raise ConfigError(f"config file {path} must hold an object at the top level")
+    unknown = set(settings) - set(_CONFIG_TYPES)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in settings.items():
+        kind = _CONFIG_TYPES[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ConfigError(
+                f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}"
+            )
     return settings
 
 
@@ -174,9 +193,6 @@ def _resolve_train_config(args) -> TrainConfig:
         settings.update(PROFILES[args.profile])
     if args.config:
         file_settings = _load_config_file(args.config)
-        unknown = set(file_settings) - set(settings) - {"lambda"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "lambda" in file_settings:
             file_settings["lam"] = file_settings.pop("lambda")
         settings.update(file_settings)

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import logging
-import time
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Protocol
 
 from .detector import AnomalyVerdict
-from .errors import ConfigError
+from .transport import chat, new_session
 
 logger = logging.getLogger(__name__)
 
@@ -54,24 +53,6 @@ Input Information:
 - Your Previous Response: {flagged_output}
 - Context (previous steps if available):
 {context}"""
-
-
-@dataclass(frozen=True)
-class CorrectionPolicySpec:
-    """Configuration for the correction agent's policy."""
-
-    kind: str = "scripted"  # "scripted" | "remote_chat"
-    endpoint: str | None = None
-    model_name: str | None = None
-    script: dict[str, str] | None = None  # flagged output -> raw reply
-    max_attempts: int = 3
-    timeout: float = 30.0
-
-    def __post_init__(self):
-        if self.kind not in ("scripted", "remote_chat"):
-            raise ConfigError(f"unknown correction policy kind {self.kind!r}")
-        if self.kind == "remote_chat" and (not self.endpoint or not self.model_name):
-            raise ConfigError("remote_chat policy requires endpoint and model_name")
 
 
 @dataclass(frozen=True)
@@ -202,6 +183,13 @@ def parse_correction_response(raw: str, original: str) -> CorrectionResult:
 
 # -- policies -----------------------------------------------------------------
 
+
+class CorrectionPolicy(Protocol):
+    """A correction agent: answers the recovery prompt for one flagged step."""
+
+    def reply(self, req: CorrectionRequest, prompt: str) -> str: ...
+
+
 PolicyFn = Callable[[CorrectionRequest, str], str]
 
 
@@ -223,51 +211,21 @@ class ScriptedPolicy:
 
 
 class RemoteChatPolicy:
-    """Client for POST {endpoint}/chat with a single user message."""
+    """Correction agent behind the POST {endpoint}/chat contract."""
 
-    def __init__(self, spec: CorrectionPolicySpec):
-        import requests
-
-        self.spec = spec
-        self._session = requests.Session()
+    def __init__(self, endpoint: str, model_name: str):
+        self.endpoint = endpoint
+        self.model_name = model_name
+        self._session = new_session()
         self.calls = 0
 
     def reply(self, req: CorrectionRequest, prompt: str) -> str:
-        import requests
-
         self.calls += 1
-        url = self.spec.endpoint.rstrip("/") + "/chat"
-        body = {
-            "model": self.spec.model_name,
-            "messages": [{"role": "user", "content": prompt}],
-        }
-        last_error = "no attempts made"
-        for attempt in range(self.spec.max_attempts):
-            if attempt:
-                time.sleep(0.05 * attempt)
-            try:
-                resp = self._session.post(url, json=body, timeout=self.spec.timeout)
-            except requests.RequestException as exc:
-                last_error = str(exc)
-                continue
-            if resp.status_code != 200:
-                last_error = f"HTTP {resp.status_code}"
-                continue
-            return str(resp.json()["content"])
-        raise ConnectionError(
-            f"correction request failed after {self.spec.max_attempts} attempts: "
-            f"{last_error}"
-        )
-
-
-def build_policy(spec: CorrectionPolicySpec):
-    if spec.kind == "scripted":
-        return ScriptedPolicy(spec.script or {})
-    return RemoteChatPolicy(spec)
+        return chat(self._session, self.endpoint, self.model_name, prompt)
 
 
 def apply_correction(
-    policy, verdict: AnomalyVerdict, req: CorrectionRequest
+    policy: CorrectionPolicy, verdict: AnomalyVerdict, req: CorrectionRequest
 ) -> CorrectionOutcome:
     """Gate on the verdict and return the surviving output for step t.
 

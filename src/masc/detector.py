@@ -44,7 +44,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embedding import EmbedderSpec
-from .errors import ConfigError, DataError, TransportError
+from .errors import ConfigError, DataError
+from .transport import new_session, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -141,34 +142,22 @@ class RemoteBackbone:
     """Client for POST {endpoint}/encode: {"model", "sequence": [[f64]]} -> {"vector"}."""
 
     def __init__(self, spec: BackboneSpec):
-        import requests
-
         self.spec = spec
-        self._session = requests.Session()
+        self._session = new_session()
 
     def encode(self, sequence: np.ndarray) -> np.ndarray:
-        import requests
-
         url = self.spec.endpoint.rstrip("/") + "/encode"
         body = {"model": self.spec.model_name, "sequence": sequence.tolist()}
-        last_error = "no attempts made"
-        for attempt in range(3):
-            try:
-                resp = self._session.post(url, json=body, timeout=30.0)
-            except requests.RequestException as exc:
-                last_error = str(exc)
-                continue
-            if resp.status_code != 200:
-                last_error = f"HTTP {resp.status_code}"
-                continue
-            vector = np.asarray(resp.json()["vector"], dtype=np.float64)
-            if vector.size != self.spec.hidden_dim:
-                raise ConfigError(
-                    f"backbone service returned dimension {vector.size}, "
-                    f"expected {self.spec.hidden_dim}"
-                )
-            return vector
-        raise TransportError(f"backbone request failed: {last_error}")
+        vector = post_json(
+            self._session, url, body,
+            lambda reply: np.asarray(reply["vector"], dtype=np.float64),
+        )
+        if vector.shape != (self.spec.hidden_dim,):
+            raise ConfigError(
+                f"backbone service returned a vector of shape {vector.shape}, "
+                f"expected dimension {self.spec.hidden_dim}"
+            )
+        return vector
 
 
 @dataclass
@@ -227,6 +216,16 @@ class DetectorModel:
             d_e=d_e, d_h=d_h, embedder=embedder, backbone=backbone,
             seed=seed, with_gt=with_gt, params=params,
         )
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shape each parameter has for this model's dimensions."""
+        d, d_h = self.d, self.d_h
+        return {
+            "fq_w": (d_h, self.d_e), "fq_b": (d_h,),
+            "fh_w": (d_h, d), "fh_b": (d_h,),
+            "ft_w": (d, self.backbone.hidden_dim), "ft_b": (d,),
+            "wq": (d, d), "wk": (d, d), "wv": (d, d), "p": (d,),
+        }
 
     def mixer(self) -> FrozenMixer:
         if self._mixer is None:

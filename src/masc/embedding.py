@@ -22,13 +22,13 @@ import os
 import re
 import struct
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TransportError
+from .errors import ConfigError, DataError
 from .trace import Trajectory
+from .transport import new_session, post_json
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -132,10 +132,8 @@ class RemoteEmbedder:
     """Client for the POST {endpoint}/embed JSON contract."""
 
     def __init__(self, spec: EmbedderSpec):
-        import requests
-
         self.spec = spec
-        self._session = requests.Session()
+        self._session = new_session()
         self._sem = threading.Semaphore(spec.max_inflight)
         self.cache = VectorCache(spec.cache_path) if spec.cache_path else None
 
@@ -153,10 +151,10 @@ class RemoteEmbedder:
         if missing:
             vectors = self._post([texts[i] for i in missing])
             for i, vec in zip(missing, vectors):
-                if vec.size != spec.dimension:
+                if vec.shape != (spec.dimension,):
                     raise ConfigError(
-                        f"embedding service returned dimension {vec.size}, "
-                        f"expected {spec.dimension}"
+                        f"embedding service returned a vector of shape {vec.shape}, "
+                        f"expected dimension {spec.dimension}"
                     )
                 if self.cache is not None:
                     self.cache.put(cache_key(spec.model_name, texts[i]), vec)
@@ -164,29 +162,20 @@ class RemoteEmbedder:
         return [v for v in out]  # type: ignore[misc]
 
     def _post(self, texts: list[str]) -> list[np.ndarray]:
-        import requests
-
         spec = self.spec
-        url = spec.endpoint.rstrip("/") + "/embed"
+
+        def parse(reply: dict) -> list[np.ndarray]:
+            vectors = [np.asarray(v, dtype=np.float64) for v in reply["vectors"]]
+            if len(vectors) != len(texts):
+                raise ValueError(f"{len(vectors)} vectors for {len(texts)} texts")
+            return vectors
+
         body = {"model": spec.model_name, "texts": texts}
-        last_error = "no attempts made"
-        for attempt in range(spec.max_attempts):
-            if attempt:
-                time.sleep(0.05 * attempt)
-            try:
-                with self._sem:
-                    resp = self._session.post(url, json=body, timeout=spec.timeout)
-            except requests.RequestException as exc:
-                last_error = str(exc)
-                continue
-            if resp.status_code != 200:
-                last_error = f"HTTP {resp.status_code}"
-                continue
-            payload = resp.json()
-            return [np.asarray(v, dtype=np.float64) for v in payload["vectors"]]
-        raise TransportError(
-            f"embedding request failed after {spec.max_attempts} attempts: {last_error}"
-        )
+        with self._sem:
+            return post_json(
+                self._session, spec.endpoint.rstrip("/") + "/embed", body, parse,
+                spec.max_attempts, spec.timeout,
+            )
 
 
 _BACKENDS: dict[EmbedderSpec, RemoteEmbedder] = {}

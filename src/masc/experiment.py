@@ -8,6 +8,7 @@ clean-run-text oracle corrector unless a custom policy is supplied.
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -21,8 +22,6 @@ from .fixtures import (
     run_fixture,
 )
 from .simulator import (
-    CellResult,
-    ExperimentReport,
     FaultSpec,
     MascHook,
     RunReport,
@@ -60,6 +59,65 @@ class ExperimentConfig:
     masc: MascSettings = field(default_factory=MascSettings)
     with_masc_cells: bool = True
     jobs: int = 1
+
+
+@dataclass
+class CellResult:
+    topology: str
+    faulted: bool
+    masc_on: bool
+    accuracy: float
+    n_runs: int
+    flagged: int
+    interventions: int
+
+    def key(self) -> str:
+        return (
+            f"{self.topology}/{'faulted' if self.faulted else 'clean'}/"
+            f"{'masc' if self.masc_on else 'off'}"
+        )
+
+
+@dataclass
+class ExperimentReport:
+    cells: list[CellResult]
+    deltas: dict[str, dict[str, float]]
+    config: dict
+    runs: dict[str, list[Trajectory]] = field(default_factory=dict, repr=False)
+
+    def cell(self, topology: str, faulted: bool, masc_on: bool) -> CellResult:
+        for c in self.cells:
+            if (c.topology, c.faulted, c.masc_on) == (topology, faulted, masc_on):
+                return c
+        raise KeyError((topology, faulted, masc_on))
+
+    def to_dict(self) -> dict:
+        return {
+            "cells": {
+                c.key(): {
+                    "accuracy": c.accuracy,
+                    "n_runs": c.n_runs,
+                    "flagged": c.flagged,
+                    "interventions": c.interventions,
+                }
+                for c in self.cells
+            },
+            "deltas": self.deltas,
+            "config": self.config,
+        }
+
+    def to_csv(self) -> str:
+        lines = ["topology,condition,masc,accuracy,n_runs,flagged,interventions"]
+        for c in self.cells:
+            lines.append(
+                f"{c.topology},{'faulted' if c.faulted else 'clean'},"
+                f"{'on' if c.masc_on else 'off'},{c.accuracy:.6f},{c.n_runs},"
+                f"{c.flagged},{c.interventions}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _topology(config: ExperimentConfig, kind: str, fixture_index: int) -> Topology:

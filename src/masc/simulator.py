@@ -14,7 +14,6 @@ text is what lands in the history that later agents (and the detector) see.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import random
 import re
@@ -24,11 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from .correction import CorrectionRequest, apply_correction
+from .correction import CorrectionPolicy, CorrectionRequest, apply_correction
 from .detector import AnomalyVerdict, DetectorModel, detect
 from .embedding import embed_step, embed_text
 from .errors import ConfigError, DataError, TransportError
 from .trace import Step, Trajectory, is_early_step
+from .transport import chat, new_session
 
 logger = logging.getLogger(__name__)
 
@@ -94,7 +94,7 @@ class MascHook:
     alpha: float
     beta: float
     delta: float
-    policy: object  # anything with reply(req, prompt) -> str
+    policy: CorrectionPolicy
 
 
 @dataclass
@@ -151,15 +151,6 @@ def _connected(n: int, edge_set: frozenset[frozenset[int]]) -> bool:
                 seen.add(neighbor)
                 frontier.append(neighbor)
     return len(seen) == n
-
-
-def neighbors(topology: Topology, agent: int) -> set[int]:
-    return {
-        other
-        for edge in edges(topology)
-        for other in edge
-        if agent in edge and other != agent
-    }
 
 
 def schedule(topology: Topology) -> list[int]:
@@ -229,14 +220,10 @@ class RemoteChatAgent:
     """Agent backed by the POST {endpoint}/chat contract."""
 
     def __init__(self, spec: AgentSpec):
-        import requests
-
         self.spec = spec
-        self._session = requests.Session()
+        self._session = new_session()
 
     def act(self, query: str, visible: list[tuple[str, str]], t: int) -> str:
-        import requests
-
         transcript = "\n".join(f"[{role}] {output}" for role, output in visible)
         prompt = (
             f"You are {self.spec.role} in a multi-agent collaboration.\n"
@@ -244,18 +231,7 @@ class RemoteChatAgent:
             f"Visible context:\n{transcript if transcript else '(none)'}\n"
             f"Respond with your contribution for step {t}."
         )
-        body = {
-            "model": self.spec.model_name,
-            "messages": [{"role": "user", "content": prompt}],
-        }
-        url = self.spec.endpoint.rstrip("/") + "/chat"
-        try:
-            resp = self._session.post(url, json=body, timeout=30.0)
-        except requests.RequestException as exc:
-            raise TransportError(f"remote agent failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"remote agent failed: HTTP {resp.status_code}")
-        return str(resp.json()["content"])
+        return chat(self._session, self.spec.endpoint, self.spec.model_name, prompt)
 
 
 def _agent_callable(spec: AgentSpec) -> AgentFn:
@@ -285,8 +261,10 @@ def run_trajectory(
         raise ConfigError("agents list must match topology.n_agents")
     start = time.monotonic()
     turn_order = schedule(topology)
+    adjacent = edges(topology)
     visibility = {
-        i: neighbors(topology, i) | {i} for i in range(topology.n_agents)
+        i: {i}.union(*(edge for edge in adjacent if i in edge))
+        for i in range(topology.n_agents)
     }
     callables = [_agent_callable(spec) for spec in agents]
     report = RunReport(trajectory=None, expected_answer=expected_answer)
@@ -356,65 +334,3 @@ def run_seed(base_seed: int, run_id: str) -> int:
     """Isolated per-run seed stream."""
     digest = hashlib.sha256(f"{base_seed}:{run_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-# -- batch experiments --------------------------------------------------------
-
-
-@dataclass
-class CellResult:
-    topology: str
-    faulted: bool
-    masc_on: bool
-    accuracy: float
-    n_runs: int
-    flagged: int
-    interventions: int
-
-    def key(self) -> str:
-        return (
-            f"{self.topology}/{'faulted' if self.faulted else 'clean'}/"
-            f"{'masc' if self.masc_on else 'off'}"
-        )
-
-
-@dataclass
-class ExperimentReport:
-    cells: list[CellResult]
-    deltas: dict[str, dict[str, float]]
-    config: dict
-    runs: dict[str, list[Trajectory]] = field(default_factory=dict, repr=False)
-
-    def cell(self, topology: str, faulted: bool, masc_on: bool) -> CellResult:
-        for c in self.cells:
-            if (c.topology, c.faulted, c.masc_on) == (topology, faulted, masc_on):
-                return c
-        raise KeyError((topology, faulted, masc_on))
-
-    def to_dict(self) -> dict:
-        return {
-            "cells": {
-                c.key(): {
-                    "accuracy": c.accuracy,
-                    "n_runs": c.n_runs,
-                    "flagged": c.flagged,
-                    "interventions": c.interventions,
-                }
-                for c in self.cells
-            },
-            "deltas": self.deltas,
-            "config": self.config,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["topology,condition,masc,accuracy,n_runs,flagged,interventions"]
-        for c in self.cells:
-            lines.append(
-                f"{c.topology},{'faulted' if c.faulted else 'clean'},"
-                f"{'on' if c.masc_on else 'off'},{c.accuracy:.6f},{c.n_runs},"
-                f"{c.flagged},{c.interventions}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -13,12 +13,21 @@ from masc import BackboneSpec, EmbedderSpec, TrainConfig, train
 from masc.synthetic import make_normal_corpus
 
 
+# 200 replies that break every contract; each client adds its own cases.
+MALFORMED_REPLIES = {"not json": b"not json", "json list": b"[1, 2]", "missing key": b"{}"}
+
+
 class StubService:
-    """Tiny JSON-over-HTTP stub for the embed/encode/chat contracts."""
+    """Tiny JSON-over-HTTP stub for the embed/encode/chat contracts.
+
+    With ``raw`` set, every request that gets through ``fail_first`` and
+    ``status`` is answered 200 with exactly those bytes.
+    """
 
     def __init__(self, dimension=8, fail_first=0, status=200, content="ok",
-                 vector_dim=None):
+                 vector_dim=None, raw=None):
         self.dimension = dimension
+        self.raw = raw
         self.vector_dim = vector_dim if vector_dim is not None else dimension
         self.fail_first = fail_first
         self.status = status
@@ -45,21 +54,10 @@ class StubService:
                     self.send_response(stub.status)
                     self.end_headers()
                     return
-                if self.path.endswith("/embed"):
-                    vectors = [
-                        [float(len(t) % 7 + i) for i in range(stub.vector_dim)]
-                        for t in body["texts"]
-                    ]
-                    payload = {"vectors": vectors}
-                elif self.path.endswith("/encode"):
-                    seq = np.asarray(body["sequence"], dtype=float)
-                    vec = np.tanh(seq.mean(axis=0))
-                    out = np.zeros(stub.vector_dim)
-                    out[: min(len(vec), stub.vector_dim)] = vec[: stub.vector_dim]
-                    payload = {"vector": out.tolist()}
-                else:  # /chat
-                    payload = {"content": stub.content}
-                blob = json.dumps(payload).encode()
+                if stub.raw is not None:
+                    blob = stub.raw
+                else:
+                    blob = json.dumps(stub.payload(self.path, body)).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(blob)))
@@ -68,6 +66,22 @@ class StubService:
 
         self._server = HTTPServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+
+    def payload(self, path, body):
+        """The well-formed reply to one request."""
+        if path.endswith("/embed"):
+            vectors = [
+                [float(len(t) % 7 + i) for i in range(self.vector_dim)]
+                for t in body["texts"]
+            ]
+            return {"vectors": vectors}
+        if path.endswith("/encode"):
+            seq = np.asarray(body["sequence"], dtype=float)
+            vec = np.tanh(seq.mean(axis=0))
+            out = np.zeros(self.vector_dim)
+            out[: min(len(vec), self.vector_dim)] = vec[: self.vector_dim]
+            return {"vector": out.tolist()}
+        return {"content": self.content}  # /chat
 
     def __enter__(self):
         self._thread.start()

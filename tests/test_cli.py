@@ -145,6 +145,14 @@ class TestTrain:
             "broken.json": '{"epochs": 2,',
             "broken.toml": "epochs = = 2",
             "list.json": "[1, 2]",
+            "epochs.json": '{"epochs": "ten"}',
+            "epochs_bool.json": '{"epochs": true}',
+            "lr.json": '{"lr": "x"}',
+            "dim.json": '{"dim": "8"}',
+            "lambda.json": '{"lambda": null}',
+            "d_h.json": '{"d_h": 2.5}',
+            "with_gt.json": '{"with_gt": "yes"}',
+            "layers.toml": 'layers = "2"',
         }
         for name, text in cases.items():
             config = tmp_path / name

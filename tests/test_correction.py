@@ -4,17 +4,16 @@ import logging
 import pytest
 
 from masc.correction import (
-    CorrectionPolicySpec,
     CorrectionRequest,
     RemoteChatPolicy,
     ScriptedPolicy,
     apply_correction,
     build_correction_prompt,
-    build_policy,
     parse_correction_response,
 )
 from masc.detector import AnomalyVerdict
-from masc.errors import ConfigError
+from masc.errors import TransportError
+from tests.conftest import MALFORMED_REPLIES
 
 
 def req(history=((("planner", "made a plan"),)), output="the answer is 12"):
@@ -159,27 +158,10 @@ class TestApply:
 
 
 class TestPolicies:
-    def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            CorrectionPolicySpec(kind="remote_chat")
-        with pytest.raises(ConfigError):
-            CorrectionPolicySpec(kind="nope")
-
-    def test_build_policy_kinds(self):
-        assert isinstance(build_policy(CorrectionPolicySpec(kind="scripted")), ScriptedPolicy)
-        spec = CorrectionPolicySpec(
-            kind="remote_chat", endpoint="http://localhost:1", model_name="m"
-        )
-        assert isinstance(build_policy(spec), RemoteChatPolicy)
-
     def test_remote_chat_round_trip(self, stub_service):
         reply = json.dumps({"correction_needed": "Yes", "final_response": "better"})
         with stub_service(content=reply) as stub:
-            policy = RemoteChatPolicy(
-                CorrectionPolicySpec(
-                    kind="remote_chat", endpoint=stub.endpoint, model_name="m"
-                )
-            )
+            policy = RemoteChatPolicy(stub.endpoint, "m")
             outcome = apply_correction(policy, verdict(True), req())
             assert outcome.output == "better"
             body = stub.requests[0]["body"]
@@ -190,24 +172,28 @@ class TestPolicies:
     def test_remote_chat_retries(self, stub_service):
         reply = json.dumps({"correction_needed": "No", "final_response": ""})
         with stub_service(content=reply, fail_first=1) as stub:
-            policy = RemoteChatPolicy(
-                CorrectionPolicySpec(
-                    kind="remote_chat", endpoint=stub.endpoint, model_name="m",
-                    max_attempts=3,
-                )
-            )
+            policy = RemoteChatPolicy(stub.endpoint, "m")
             outcome = apply_correction(policy, verdict(True), req())
             assert outcome.output == "the answer is 12"
             assert len(stub.requests) == 2
 
     def test_remote_chat_exhaustion_fails_open(self, stub_service):
         with stub_service(status=500) as stub:
-            policy = RemoteChatPolicy(
-                CorrectionPolicySpec(
-                    kind="remote_chat", endpoint=stub.endpoint, model_name="m",
-                    max_attempts=2,
-                )
-            )
+            policy = RemoteChatPolicy(stub.endpoint, "m")
+            outcome = apply_correction(policy, verdict(True), req())
+            assert outcome.output == "the answer is 12"
+            assert outcome.failed
+
+    @pytest.mark.parametrize(
+        "raw", [*MALFORMED_REPLIES.values(), b'{"content": ["a"]}'],
+        ids=[*MALFORMED_REPLIES, "content not a string"],
+    )
+    def test_remote_chat_malformed_reply_fails_open(self, stub_service, raw):
+        with stub_service(raw=raw) as stub:
+            policy = RemoteChatPolicy(stub.endpoint, "m")
+            with pytest.raises(TransportError, match="malformed reply"):
+                policy.reply(req(), "prompt")
+            assert len(stub.requests) == 3
             outcome = apply_correction(policy, verdict(True), req())
             assert outcome.output == "the answer is 12"
             assert outcome.failed

@@ -24,10 +24,10 @@ from masc.detector import (
     trajectory_loss,
 )
 from masc.embedding import EmbedderSpec, embed_trajectory
-from masc.errors import ConfigError, DataError
+from masc.errors import ConfigError, DataError, TransportError
 from masc.synthetic import make_normal_corpus, make_normal_trajectory, plant_anomaly
 from masc.training import TrainConfig, calibrate_threshold, train
-from tests.conftest import SMALL_EMBEDDER
+from tests.conftest import MALFORMED_REPLIES, SMALL_EMBEDDER
 
 EMB4 = EmbedderSpec(kind="hashing", dimension=4)
 
@@ -367,6 +367,18 @@ class TestRemoteBackbone:
             assert [v.t for v in verdicts] == [1, 2]
             assert all(np.isfinite(v.score) for v in verdicts)
             assert stub.requests[0]["path"].endswith("/encode")
+
+    @pytest.mark.parametrize(
+        "raw", [*MALFORMED_REPLIES.values(), b'{"vector": "abc"}'],
+        ids=[*MALFORMED_REPLIES, "vector not numeric"],
+    )
+    def test_malformed_reply_is_transport_error(self, stub_service, raw):
+        with stub_service(raw=raw) as stub:
+            model = DetectorModel.init(EMB4, d_h=6, backbone=remote_spec(stub.endpoint))
+            rng = np.random.RandomState(0)
+            with pytest.raises(TransportError, match="malformed reply"):
+                score_trajectory(model, rng.randn(4), rng.randn(2, 8), 1.0, 1.0)
+            assert len(stub.requests) == 3
 
     def test_training_leaves_projections_untouched(self, stub_service):
         # The service's states carry no gradient, so f_q and f_h keep their

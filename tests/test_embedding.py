@@ -16,6 +16,7 @@ from masc.embedding import (
 )
 from masc.errors import ConfigError, DataError, TransportError
 from masc.trace import Step, Trajectory
+from tests.conftest import MALFORMED_REPLIES
 
 HASHING = EmbedderSpec(kind="hashing", dimension=64)
 
@@ -197,6 +198,18 @@ class TestRemoteEmbedder:
                                 max_attempts=2)
             with pytest.raises(TransportError, match="after 2 attempts"):
                 embed_text(spec, "x")
+
+    @pytest.mark.parametrize(
+        "raw", [*MALFORMED_REPLIES.values(), b'{"vectors": [[0, 1, 2, 3]]}'],
+        ids=[*MALFORMED_REPLIES, "one vector for two texts"],
+    )
+    def test_malformed_reply_is_transport_error(self, stub_service, raw):
+        with stub_service(raw=raw) as stub:
+            spec = EmbedderSpec(kind="remote", dimension=4,
+                                endpoint=stub.endpoint, model_name="m")
+            with pytest.raises(TransportError, match="malformed reply"):
+                embed_texts(spec, ["one", "two"])
+            assert len(stub.requests) == 3
 
     def test_dimension_mismatch_is_fatal(self, stub_service):
         with stub_service(dimension=4, vector_dim=6) as stub:

@@ -28,12 +28,12 @@ from masc.simulator import (
     edges,
     extract_answer,
     inject_fault,
-    neighbors,
     resolve_fault,
     run_trajectory,
     schedule,
 )
 from masc.trace import serialize_trajectory
+from tests.conftest import MALFORMED_REPLIES
 
 
 class TestTopology:
@@ -79,9 +79,7 @@ class TestTopology:
         )
 
     def test_neighbors(self):
-        topo = Topology("chain", 3)
-        assert neighbors(topo, 0) == {1}
-        assert neighbors(topo, 1) == {0, 2}
+        assert edges(Topology("chain", 3)) == {frozenset({0, 1}), frozenset({1, 2})}
 
     def test_invalid_kind(self):
         with pytest.raises(ConfigError):
@@ -213,6 +211,35 @@ class TestRunTrajectory:
         assert report.aborted
         assert report.error
         assert len(report.trajectory.steps) == 1  # decomposer only
+        assert report.task_correct is None
+
+    def test_remote_agent_output_enters_history(self, stub_service):
+        agents = fixture_agents()
+        with stub_service(content="x = 7") as stub:
+            remote = AgentSpec(role="solver", policy="remote_chat",
+                               endpoint=stub.endpoint, model_name="m")
+            report = run_trajectory([agents[0], remote, agents[2]], CHAIN, FIXTURE.query)
+        assert not report.aborted
+        assert report.trajectory.steps[1].output == "x = 7"
+        prompt = stub.requests[0]["body"]["messages"][0]["content"]
+        assert "You are solver" in prompt and FIXTURE.query in prompt
+
+    @pytest.mark.parametrize(
+        "raw", [*MALFORMED_REPLIES.values(), b'{"content": null}'],
+        ids=[*MALFORMED_REPLIES, "content not a string"],
+    )
+    def test_remote_agent_malformed_reply_aborts(self, stub_service, raw):
+        agents = fixture_agents()
+        with stub_service(raw=raw) as stub:
+            remote = AgentSpec(role="solver", policy="remote_chat",
+                               endpoint=stub.endpoint, model_name="m")
+            report = run_trajectory(
+                [agents[0], remote, agents[2]], CHAIN, FIXTURE.query,
+                expected_answer=str(FIXTURE.expected),
+            )
+        assert report.aborted
+        assert "malformed reply" in report.error
+        assert len(report.trajectory.steps) == 1
         assert report.task_correct is None
 
 

@@ -244,6 +244,15 @@ class TestCheckpoint:
             "no d_e": drop("d_e"),
             "list header": [header],
             "shape mismatch": bad_shapes,
+            "d_e 16 -> 8": dict(header, d_e=8),
+            "d_h 32 -> 16": dict(header, d_h=16),
+            "d 32 -> 16": dict(header, d=16),
+            "hidden_dim 32 -> 16": dict(
+                header, backbone=dict(header["backbone"], hidden_dim=16)
+            ),
+            "embedder dimension 16 -> 8": dict(
+                header, embedder=dict(header["embedder"], dimension=8)
+            ),
         }
         for name, bad in cases.items():
             text = json.dumps(bad).encode()
