@@ -29,9 +29,18 @@ pass gives the same verdicts as scoring each prefix separately, to rounding:
 a one-row product takes BLAS's matrix-vector path, so the two can differ in
 the last bit.
 
-Training and inference run the same numpy forward pass. ``trajectory_loss``
-adds the one backward pass: a hand-written reverse sweep over the forward's
-intermediates (losses, attention, head, mixer blocks, projections).
+Three ways to score, one forward pass (``FrozenMixer.run``):
+
+- ``score_trajectory``: every step of a recorded trajectory in one batched
+  pass; ``train`` runs the same pass and ``trajectory_loss`` adds the one
+  backward pass, a hand-written reverse sweep over the forward's
+  intermediates (losses, attention, head, mixer blocks, projections).
+- ``DetectorStream``: in-loop detection. ``score`` judges the pending step
+  without changing state; ``commit`` pushes the kept step's row through the
+  blocks, continuing from each block's carried prefix sum, so a turn costs
+  the same at step 3 and step 300.
+- ``detect``: a one-off query, the last verdict of ``score_trajectory`` on
+  a prefix.
 """
 
 from __future__ import annotations
@@ -79,14 +88,24 @@ class BackboneSpec:
             raise ConfigError("remote_llm backbone requires endpoint and model_name")
 
 
-def causal_context(x: np.ndarray) -> np.ndarray:
-    """Per position i: [mean(x_1..x_i) ; x_i], the mixer block input.
+def causal_context(
+    x: np.ndarray, prefix_sum: np.ndarray | None = None, count: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per position i: [mean(x_1..x_i) ; x_i], the mixer block input, and the
+    running sums x_1 + .. + x_i.
 
-    Cumulative sums are sequential, so the rows of a prefix's context equal
-    the first rows of the full context bit for bit.
+    With ``prefix_sum``, the sum of ``count`` earlier rows, the positions
+    continue after those rows. Cumulative sums are sequential, so the rows
+    of a prefix's context, or of a continuation's, equal the matching rows
+    of the full context bit for bit.
     """
-    inv = (1.0 / np.arange(1, x.shape[0] + 1, dtype=np.float64))[:, None]
-    return np.concatenate([np.cumsum(x, axis=0) * inv, x], axis=1)
+    if prefix_sum is None:
+        sums = np.cumsum(x, axis=0)
+    else:
+        sums = np.cumsum(np.concatenate([prefix_sum[None, :], x]), axis=0)[1:]
+    n = x.shape[0]
+    inv = (1.0 / np.arange(count + 1, count + n + 1, dtype=np.float64))[:, None]
+    return np.concatenate([sums * inv, x], axis=1), sums
 
 
 class FrozenMixer:
@@ -105,7 +124,12 @@ class FrozenMixer:
             self.matrices_t.append(np.ascontiguousarray(matrix.T))
             in_dim = spec.hidden_dim
 
-    def run(self, sequence: np.ndarray) -> list[np.ndarray]:
+    def run(
+        self,
+        sequence: np.ndarray,
+        sums: list[np.ndarray | None] | None = None,
+        count: int = 0,
+    ) -> list[np.ndarray]:
         """Encode an (n, input_dim) sequence; returns every block's output.
 
         The last output is the (n, hidden_dim) hidden states; the backward
@@ -113,11 +137,19 @@ class FrozenMixer:
         positions <= i of the input, so the final row of a pass over the
         length-t prefix agrees with row t of the full pass to rounding (not
         bit for bit: a one-row product takes a matrix-vector BLAS path).
+
+        ``sums`` continues an earlier pass over ``count`` rows: entry k is
+        the sum of the rows block k has read (None before the first row).
+        The pass starts from those sums and leaves each entry holding the
+        sum over ``sequence`` too.
         """
         outputs = []
         x = sequence
-        for matrix_t in self.matrices_t:
-            x = np.tanh(causal_context(x) @ matrix_t)
+        for k, matrix_t in enumerate(self.matrices_t):
+            context, running = causal_context(x, None if sums is None else sums[k], count)
+            if sums is not None:
+                sums[k] = running[-1]
+            x = np.tanh(context @ matrix_t)
             outputs.append(x)
         return outputs
 
@@ -232,6 +264,11 @@ class DetectorModel:
             self._mixer = FrozenMixer(self.backbone, self.d_h)
         return self._mixer
 
+    def remote(self) -> RemoteBackbone:
+        if self._remote is None:
+            self._remote = RemoteBackbone(self.backbone)
+        return self._remote
+
     def param_digest(self) -> str:
         """SHA-256 over all parameter bytes in the documented fixed order."""
         h = hashlib.sha256()
@@ -271,8 +308,12 @@ def projected_sequence(
     q_t = params["fq_w"] @ q_vec + params["fq_b"]
     if history.shape[0] == 0:
         return q_t[None, :]
-    h_t = history @ params["fh_w"].T + params["fh_b"]
-    return np.concatenate([q_t[None, :], h_t], axis=0)
+    return np.concatenate([q_t[None, :], projected_steps(params, history)], axis=0)
+
+
+def projected_steps(params: dict[str, np.ndarray], steps: np.ndarray) -> np.ndarray:
+    """Rows f_h(h_1) .. f_h(h_k) for a (k, 2*d_e) step matrix."""
+    return steps @ params["fh_w"].T + params["fh_b"]
 
 
 def predictions_tensor(
@@ -280,24 +321,21 @@ def predictions_tensor(
     params: dict[str, np.ndarray],
     q_vec: np.ndarray,
     step_matrix: np.ndarray,
-    upto: int | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Matrix of x_hat_t rows for t = 1..upto in one causal pass.
+    """Matrix of x_hat_t rows for every step t in one causal pass.
 
     Also returns the backbone's block outputs, whose last entry holds the
     states the head reads; the backward pass needs them. A remote backbone
     has a single entry.
     """
-    T = step_matrix.shape[0] if upto is None else upto
+    T = step_matrix.shape[0]
     if T < 1:
         raise DataError("empty trajectory")
     seq = projected_sequence(params, q_vec, step_matrix[: T - 1])
     if model.backbone.kind == "frozen_mixer":
         blocks = model.mixer().run(seq)
     else:
-        if model._remote is None:
-            model._remote = RemoteBackbone(model.backbone)
-        blocks = [np.stack([model._remote.encode(seq[:t]) for t in range(1, T + 1)])]
+        blocks = [np.stack([model.remote().encode(seq[:t]) for t in range(1, T + 1)])]
     return blocks[-1] @ params["ft_w"].T + params["ft_b"], blocks
 
 
@@ -474,6 +512,10 @@ def anomaly_score(
     )
 
 
+def _thresholded(verdict: AnomalyVerdict, delta: float, t: int) -> AnomalyVerdict:
+    return replace(verdict, delta=delta, flagged=bool(verdict.score > delta), t=t)
+
+
 def detect(
     model: DetectorModel,
     q_vec: np.ndarray,
@@ -483,19 +525,17 @@ def detect(
     beta: float,
     delta: float,
 ) -> AnomalyVerdict:
-    """Score step t against its history and apply the threshold.
+    """One-off query: score step t against its history and apply the threshold.
 
-    Only embeddings for steps 1..t are read; the verdict for step t on a
-    trajectory equals the verdict on the trajectory truncated at t. A query
-    of dimension other than d_e, or a step of dimension other than d, raises
-    ConfigError.
+    This is the last verdict of ``score_trajectory`` on steps 1..t; later
+    steps are not read. It encodes the whole prefix, so a run that scores
+    every step as it arrives uses ``DetectorStream`` instead. Dimension
+    mismatches raise ConfigError as in ``score_trajectory``.
     """
     q_vec, step_matrix = _checked_inputs(model, q_vec, step_embs)
     if not (1 <= t <= step_matrix.shape[0]):
         raise DataError(f"step index {t} out of range 1..{step_matrix.shape[0]}")
-    x_hats, _ = predictions_tensor(model, model.params, q_vec, step_matrix, upto=t)
-    verdict = anomaly_score(model, x_hats[t - 1], step_matrix[t - 1], alpha, beta)
-    return replace(verdict, delta=delta, flagged=bool(verdict.score > delta), t=t)
+    return score_trajectory(model, q_vec, step_matrix[:t], alpha, beta, delta)[-1]
 
 
 def score_trajectory(
@@ -506,20 +546,88 @@ def score_trajectory(
     beta: float,
     delta: float = math.inf,
 ) -> list[AnomalyVerdict]:
-    """Verdicts for every step in one causal pass.
+    """Verdicts for every step of a recorded trajectory in one causal pass.
 
-    Agrees with calling ``detect`` per step to rounding (the backbone is
-    strictly causal; see ``FrozenMixer.run``), but runs the sequence encoder
-    once. Dimension mismatches raise ConfigError as in ``detect``.
+    The sequence encoder runs once over the whole trajectory as matrix
+    products; that stays faster than pushing the rows through a
+    ``DetectorStream`` one at a time. Step t's verdict agrees to rounding
+    with the stream's and with the verdict on the trajectory cut at t (see
+    ``FrozenMixer.run``). A query of dimension other than d_e, or a step of
+    dimension other than d, raises ConfigError.
     """
     if len(step_embs) == 0:
         raise DataError("empty trajectory")
     q_vec, step_matrix = _checked_inputs(model, q_vec, step_embs)
     x_hats, _ = predictions_tensor(model, model.params, q_vec, step_matrix)
-    out = []
-    for t in range(1, step_matrix.shape[0] + 1):
-        verdict = anomaly_score(model, x_hats[t - 1], step_matrix[t - 1], alpha, beta)
-        out.append(
-            replace(verdict, delta=delta, flagged=bool(verdict.score > delta), t=t)
-        )
-    return out
+    return [
+        _thresholded(anomaly_score(model, x_hat, step, alpha, beta), delta, t)
+        for t, (x_hat, step) in enumerate(zip(x_hats, step_matrix), start=1)
+    ]
+
+
+class DetectorStream:
+    """In-loop detection: each step is scored before it is committed.
+
+    The stream holds the projected query and, with the frozen mixer, each
+    block's running input sum and the hidden state after the last committed
+    step, so a turn costs one f_h row through the blocks whatever the
+    history's length. With a remote backbone it keeps the projected rows and
+    sends one /encode request per scored step.
+
+    ``score`` judges a pending step against the committed history and
+    leaves the stream unchanged; the prediction it compares with is computed
+    at most once per commit. ``commit`` appends the step the run keeps: the
+    corrected one when a correction replaced the output. Verdicts agree with
+    ``score_trajectory`` on the committed trajectory to rounding (a one-row
+    product takes BLAS's matrix-vector path). A query of dimension other
+    than d_e, or a step of dimension other than d, raises ConfigError.
+    """
+
+    def __init__(self, model: DetectorModel, q_vec: np.ndarray):
+        if np.shape(q_vec) != (model.d_e,):
+            raise ConfigError(f"query vector must have dimension {model.d_e}")
+        self.model = model
+        self._length = 0  # rows encoded: the query plus the committed steps
+        self._sums: list[np.ndarray | None] = [None] * model.backbone.layers
+        self._state: np.ndarray | None = None  # last row's hidden state
+        self._rows: list[np.ndarray] = []  # remote backbone only
+        self._x_hat: np.ndarray | None = None
+        q_vec = np.asarray(q_vec, dtype=np.float64)
+        self._push(projected_sequence(model.params, q_vec, np.zeros((0, model.d))))
+
+    def _push(self, row: np.ndarray) -> None:
+        """Append one projected (1, d_h) row to the encoded sequence."""
+        if self.model.backbone.kind == "frozen_mixer":
+            self._state = self.model.mixer().run(row, self._sums, self._length)[-1][0]
+        else:
+            self._rows.append(row[0])
+        self._length += 1
+        self._x_hat = None
+
+    def _prediction(self) -> np.ndarray:
+        if self._x_hat is None:
+            params = self.model.params
+            if self.model.backbone.kind == "frozen_mixer":
+                state = self._state
+            else:
+                state = self.model.remote().encode(np.stack(self._rows))
+            self._x_hat = state @ params["ft_w"].T + params["ft_b"]
+        return self._x_hat
+
+    def _checked_step(self, step_emb) -> np.ndarray:
+        if np.shape(step_emb) != (self.model.d,):
+            raise ConfigError(f"step embeddings must have dimension {self.model.d}")
+        return np.asarray(step_emb, dtype=np.float64)
+
+    def score(
+        self, step_emb: np.ndarray, alpha: float, beta: float, delta: float
+    ) -> AnomalyVerdict:
+        """Verdict on the pending step t = (committed steps) + 1."""
+        step = self._checked_step(step_emb)
+        verdict = anomaly_score(self.model, self._prediction(), step, alpha, beta)
+        return _thresholded(verdict, delta, self._length)
+
+    def commit(self, step_emb: np.ndarray) -> None:
+        """Append a step to the history the next prediction reads."""
+        step = self._checked_step(step_emb)
+        self._push(projected_steps(self.model.params, step[None, :]))

@@ -6,9 +6,11 @@ iterate agents in index order, ``rounds`` full passes. Each agent sees the
 query plus the messages emitted by itself and its graph neighbors.
 
 A fault corrupts exactly one (agent, step) per run. With detection enabled,
-every produced output is scored against the shared history before it is
-committed; flagged outputs go through the correction agent and the corrected
-text is what lands in the history that later agents (and the detector) see.
+a ``DetectorStream`` scores every produced output against the shared
+history before it is committed; flagged outputs go through the correction
+agent, and the corrected text is what the stream commits and what lands in
+the history that later agents see. A turn's detection cost does not grow
+with the length of the history.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .correction import CorrectionPolicy, CorrectionRequest, apply_correction
-from .detector import AnomalyVerdict, DetectorModel, detect
+from .detector import AnomalyVerdict, DetectorModel, DetectorStream
 from .embedding import embed_step, embed_text
 from .errors import ConfigError, DataError, TransportError
 from .trace import Step, Trajectory, is_early_step
@@ -273,8 +273,8 @@ def run_trajectory(
             fault, turn_order, topology.n_agents
         )
     history: list[tuple[int, str, str]] = []  # (agent index, role, output)
-    step_embs: list[np.ndarray] = []
-    q_vec = embed_text(masc.model.embedder, query) if masc is not None else None
+    if masc is not None:
+        stream = DetectorStream(masc.model, embed_text(masc.model.embedder, query))
 
     for t, agent_idx in enumerate(turn_order, start=1):
         spec = agents[agent_idx]
@@ -292,10 +292,8 @@ def run_trajectory(
         if fault is not None and t == report.fault_step:
             output = inject_fault(output, fault.corruption, fault.seed)
         if masc is not None:
-            step_embs.append(embed_step(masc.model.embedder, spec.role, output))
-            verdict = detect(
-                masc.model, q_vec, step_embs, t, masc.alpha, masc.beta, masc.delta
-            )
+            step_emb = embed_step(masc.model.embedder, spec.role, output)
+            verdict = stream.score(step_emb, masc.alpha, masc.beta, masc.delta)
             report.verdicts.append(verdict)
             if verdict.flagged:
                 report.flagged += 1
@@ -311,9 +309,8 @@ def run_trajectory(
                 if outcome.replaced:
                     report.interventions += 1
                     output = outcome.output
-                    step_embs[t - 1] = embed_step(
-                        masc.model.embedder, spec.role, output
-                    )
+                    step_emb = embed_step(masc.model.embedder, spec.role, output)
+            stream.commit(step_emb)
         history.append((agent_idx, spec.role, output))
 
     if history:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .detector import BackboneSpec, DetectorModel, score_trajectory, trajectory_loss
 from .embedding import EmbedderSpec, embed_trajectory
-from .errors import DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .optim import AdamState, adam_step
 from .trace import Step, Trajectory
 
@@ -48,11 +49,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise DataError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
+        for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay),
+                            ("lambda", self.lam)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.lr <= 0:
-            raise DataError("lr must be > 0")
+            raise ConfigError("lr must be > 0")
         if self.lam < 0:
-            raise DataError("lambda must be >= 0")
+            raise ConfigError("lambda must be >= 0")
 
 
 # Hyperparameter profiles: (epochs, lr, weight_decay, d_h, lam).

@@ -65,7 +65,11 @@ class StubService:
                 self.wfile.write(blob)
 
         self._server = HTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll interval: shutdown() waits for the serving loop's next
+        # poll, 0.5 s by default, at the end of every stub test.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     def payload(self, path, body):
         """The well-formed reply to one request."""

@@ -162,6 +162,34 @@ class TestTrain:
             assert code == 2, name
             assert "error:" in capsys.readouterr().err
 
+    def test_out_of_range_config_exits_two(self, corpus_file, tmp_path, capsys):
+        for name, text in {"epochs.json": '{"epochs": 0}', "lr.json": '{"lr": 0}',
+                           "lambda.json": '{"lambda": -1}'}.items():
+            config = tmp_path / name
+            config.write_text(text)
+            code = main(["train", "--traces", corpus_file, "--checkpoint",
+                         str(tmp_path / "x.ckpt"), "--config", str(config)])
+            assert code == 2, name
+            assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_config_exits_two_without_training(
+        self, corpus_file, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() ran on a rejected config")
+
+        monkeypatch.setattr("masc.cli.train", no_training)
+        for name, text in {"lr.json": '{"lr": NaN}', "wd.json": '{"weight_decay": Infinity}',
+                           "lambda.json": '{"lambda": -Infinity}'}.items():
+            config = tmp_path / name
+            config.write_text(text)
+            ckpt = tmp_path / "x.ckpt"
+            code = main(["train", "--traces", corpus_file, "--checkpoint", str(ckpt),
+                         "--config", str(config)])
+            assert code == 2, name
+            assert "must be finite" in capsys.readouterr().err
+            assert not ckpt.exists()
+
     def test_golden_digest(self, tmp_path, capsys):
         """Training digest on the committed fixture corpus, recorded at the
         first verified run; reruns in the same environment must reproduce it."""

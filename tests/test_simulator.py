@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from masc.correction import ScriptedPolicy
-from masc.detector import BackboneSpec
-from masc.embedding import EmbedderSpec
+from masc.detector import BackboneSpec, DetectorModel, detect, score_trajectory
+from masc.embedding import EmbedderSpec, embed_step, embed_trajectory
 from masc.errors import ConfigError, DataError
 from masc.experiment import (
     ExperimentConfig,
@@ -324,6 +324,47 @@ class TestMascInLoop:
         )
         assert report.interventions <= report.flagged
         assert hook.policy.calls == report.flagged
+
+
+    def test_remote_backbone_encodes_once_per_turn(self, stub_service):
+        # Every step is flagged and the oracle rewrites only the faulted one,
+        # so the committed trajectory is the clean run's.
+        fixture = make_fixture(3, seed=8)
+        topology = Topology("chain", 3, rounds=2)
+        clean = run_fixture(fixture, topology)
+        fault = FaultSpec(target_agent=1, seed=8)
+        with stub_service(vector_dim=6) as stub:
+            backbone = BackboneSpec(kind="remote_llm", hidden_dim=6,
+                                    endpoint=stub.endpoint, model_name="llm")
+            model = DetectorModel.init(EmbedderSpec(dimension=4), d_h=6,
+                                       backbone=backbone, seed=2)
+            hook = MascHook(
+                model=model, alpha=1.0, beta=1.0, delta=-1.0,
+                policy=oracle_corrector([s.output for s in clean.trajectory.steps]),
+            )
+            report = run_fixture(fixture, topology, fault=fault, masc=hook)
+            T = len(report.trajectory)
+            assert T == 6 and report.interventions == 1
+            assert len(stub.requests) == T
+            assert all(r["path"].endswith("/encode") for r in stub.requests)
+
+            assert report.trajectory.steps == clean.trajectory.steps
+            q, committed = embed_trajectory(model.embedder, report.trajectory)
+            faulted = list(committed)
+            faulted[report.fault_step - 1] = embed_step(
+                model.embedder, report.trajectory.steps[report.fault_step - 1].role,
+                inject_fault(clean.trajectory.steps[report.fault_step - 1].output,
+                             fault.corruption, fault.seed),
+            )
+            expected = score_trajectory(model, q, committed, 1.0, 1.0)
+            # The faulted step was scored on its own text, before the commit.
+            expected[report.fault_step - 1] = detect(
+                model, q, faulted, report.fault_step, 1.0, 1.0, -1.0
+            )
+        for got, want in zip(report.verdicts, expected):
+            assert got.t == want.t
+            assert got.score == pytest.approx(want.score, rel=1e-12, abs=0.0)
+            assert got.proto_term == pytest.approx(want.proto_term, rel=0.0, abs=1e-12)
 
 
 class TestBatchExperiment:

@@ -9,7 +9,7 @@ import pytest
 from masc.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from masc.detector import BackboneSpec, detect, score_trajectory
 from masc.embedding import EmbedderSpec, embed_trajectory
-from masc.errors import CheckpointError, DataError, DivergenceError
+from masc.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from masc.synthetic import make_normal_corpus
 from masc.trace import Step, Trajectory
 from masc.training import PROFILES, Calibration, TrainConfig, calibrate_threshold, train
@@ -28,12 +28,18 @@ def cfg(**kw):
 
 class TestTrainConfig:
     def test_zero_epochs_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             cfg(epochs=0)
 
     def test_negative_lr_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             cfg(lr=0.0)
+
+    @pytest.mark.parametrize("key", ["lr", "weight_decay", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rates_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="finite"):
+            cfg(**{key: value})
 
     def test_hc_profile_matches_published_defaults(self):
         assert PROFILES["hc"] == {
