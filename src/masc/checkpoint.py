@@ -7,20 +7,22 @@ Layout:
 The header records the format version, dimensions, embedder and backbone
 specs, seed, training lambda, optional calibration (alpha, beta, delta,
 quantile, stats), the parameter block order with shapes, and the SHA-256 of
-the payload. The payload is the concatenation of all parameter arrays as raw
-little-endian float64 in the documented fixed order.
+the payload. The payload is the model's parameter buffer (``params.flat``):
+all parameter arrays as raw little-endian float64, concatenated in
+``PARAM_ORDER``. A header with any other block order is rejected.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict
 
 import numpy as np
 
-from .detector import PARAM_ORDER, BackboneSpec, DetectorModel
+from .detector import PARAM_ORDER, BackboneSpec, DetectorModel, FlatParams
 from .embedding import EmbedderSpec
 from .errors import CheckpointError
 from .training import Calibration
@@ -37,9 +39,7 @@ def save_checkpoint(
     lam: float | None = None,
 ) -> str:
     """Write model (+ optional calibration) to ``path``; returns payload digest."""
-    payload = b"".join(
-        model.params[name].astype("<f8").tobytes() for name in PARAM_ORDER
-    )
+    payload = model.params.flat.astype("<f8", copy=False).tobytes()
     digest = hashlib.sha256(payload).hexdigest()
     header = {
         "format_version": FORMAT_VERSION,
@@ -103,18 +103,12 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
     try:
         if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
             raise CheckpointError("corrupt checkpoint: payload digest mismatch")
-        params: dict[str, np.ndarray] = {}
-        offset = 0
-        for name in header["param_order"]:
-            shape = tuple(header["param_shapes"][name])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(payload, dtype="<f8", offset=offset, count=count)
-            params[name] = arr.reshape(shape).astype(np.float64)
-            offset += count * 8
-        if offset != len(payload):
+        if header["param_order"] != list(PARAM_ORDER):
+            raise CheckpointError("corrupt checkpoint: unexpected parameter order")
+        shapes = {name: tuple(header["param_shapes"][name]) for name in PARAM_ORDER}
+        if 8 * sum(math.prod(shape) for shape in shapes.values()) != len(payload):
             raise CheckpointError("corrupt checkpoint: payload size mismatch")
-        if sorted(params) != sorted(PARAM_ORDER):
-            raise CheckpointError("corrupt checkpoint: unexpected parameter names")
+        params = FlatParams(shapes, np.frombuffer(payload, dtype="<f8").astype(np.float64))
         model = DetectorModel(
             d_e=header["d_e"],
             d_h=header["d_h"],
@@ -124,11 +118,10 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
             with_gt=header["with_gt"],
             params=params,
         )
-        shapes = model.param_shapes()
         if (
             header["d"] != model.d
             or model.embedder.dimension != model.d_e
-            or any(params[name].shape != shapes[name] for name in PARAM_ORDER)
+            or params.shapes() != model.param_shapes()
         ):
             raise CheckpointError(
                 "corrupt checkpoint: header dimensions disagree with param_shapes"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -324,19 +325,30 @@ def cmd_score(args) -> int:
     trajectories = load_trajectories(args.traces, strict=args.strict)
     if not trajectories:
         raise DataError("no trajectories in input")
-    rows = ["trajectory_id,t,score,recon_term,proto_term,flagged"]
+    # Ids are quoted only when they hold a comma, a quote or a line break.
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["trajectory_id", "t", "score", "recon_term", "proto_term", "flagged"])
     for trajectory, v in _score_rows(
         model, calibration, trajectories, args.alpha, args.beta, args.delta
     ):
-        rows.append(
-            f"{trajectory.id},{v.t},{v.score:.17g},{v.recon_term:.17g},"
-            f"{v.proto_term:.17g},{int(v.flagged)}"
-        )
-    _write_text(args.out, "\n".join(rows) + "\n")
+        writer.writerow([
+            trajectory.id, v.t, f"{v.score:.17g}", f"{v.recon_term:.17g}",
+            f"{v.proto_term:.17g}", int(v.flagged),
+        ])
+    _write_text(args.out, text.getvalue())
     return EXIT_OK
 
 
+_SCORE_COLUMNS = ("trajectory_id", "t", "score", "flagged")
+
+
 def _scored_steps_from_csv(path: str, trajectories) -> list[ScoredStep]:
+    """Rows of a ``masc score`` CSV joined with the traces' step labels.
+
+    A missing column, a short row, a non-numeric field or an unreadable file
+    raises DataError naming the file and line.
+    """
     labels = {
         (t.id, i): s.label
         for t in trajectories
@@ -344,20 +356,31 @@ def _scored_steps_from_csv(path: str, trajectories) -> list[ScoredStep]:
     }
     out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["trajectory_id"], int(row["t"]))
-            label = labels.get(key)
-            if label is None:
-                raise DataError(f"no label for step {key}")
-            out.append(
-                ScoredStep(
-                    trajectory_id=row["trajectory_id"],
-                    t=int(row["t"]),
-                    score=float(row["score"]),
-                    label=label,
-                    flagged=bool(int(row["flagged"])),
+        reader = csv.DictReader(fh)
+        try:
+            missing = [c for c in _SCORE_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                try:
+                    t, score = int(row["t"]), float(row["score"])
+                    flagged = bool(int(row["flagged"]))
+                except (TypeError, ValueError) as exc:
+                    raise DataError(
+                        f"{path}:{reader.line_num}: missing or non-numeric field ({exc})"
+                    ) from exc
+                key = (row["trajectory_id"], t)
+                label = labels.get(key)
+                if label is None:
+                    raise DataError(f"no label for step {key}")
+                out.append(
+                    ScoredStep(
+                        trajectory_id=key[0], t=t, score=score, label=label,
+                        flagged=flagged,
+                    )
                 )
-            )
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise DataError(f"{path}: unreadable CSV ({exc})") from exc
     return out
 
 

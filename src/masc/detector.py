@@ -48,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,6 +62,65 @@ logger = logging.getLogger(__name__)
 PARAM_ORDER = (
     "fq_w", "fq_b", "fh_w", "fh_b", "ft_w", "ft_b", "wq", "wk", "wv", "p",
 )
+
+
+class FlatParams(Mapping[str, np.ndarray]):
+    """Named, reshaped views into one contiguous float64 vector, ``flat``.
+
+    The parameters, their gradients and the Adam moments share this layout,
+    so an optimizer step is a few passes over whole vectors. Writing through
+    a view (``params["p"][...] = x``) writes into ``flat``. There is no
+    ``__setitem__``: rebinding a name would silently detach its view from
+    the buffer, so ``params["p"] = x`` raises TypeError.
+    """
+
+    __slots__ = ("_flat", "_views")
+
+    def __init__(
+        self, shapes: Mapping[str, tuple[int, ...]], flat: np.ndarray | None = None
+    ):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        if flat.dtype != np.float64 or flat.shape != (sum(sizes),) or not flat.flags.c_contiguous:
+            raise ValueError(
+                f"flat buffer must be a contiguous float64 vector of {sum(sizes)} entries"
+            )
+        self._flat = flat
+        self._views: dict[str, np.ndarray] = {}
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            self._views[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self._flat
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: view.shape for name, view in self._views.items()}
+
+    def copy(self) -> "FlatParams":
+        """The same layout over a copy of the buffer."""
+        return FlatParams(self.shapes(), self._flat.copy())
+
+    def zeros_like(self) -> "FlatParams":
+        """The same layout over a zero buffer, e.g. for gradients."""
+        return FlatParams(self.shapes())
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild the views over one buffer; copied one
+        # by one, each view would get a buffer of its own.
+        return FlatParams, (self.shapes(), self._flat)
 
 
 @dataclass(frozen=True)
@@ -192,17 +252,32 @@ class RemoteBackbone:
         return vector
 
 
+def _param_shapes(d_e: int, d_h: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """Parameter shapes in ``PARAM_ORDER``; steps have dimension d = 2 * d_e."""
+    d = 2 * d_e
+    return {
+        "fq_w": (d_h, d_e), "fq_b": (d_h,),
+        "fh_w": (d_h, d), "fh_b": (d_h,),
+        "ft_w": (d, hidden_dim), "ft_b": (d,),
+        "wq": (d, d), "wk": (d, d), "wv": (d, d), "p": (d,),
+    }
+
+
 @dataclass
 class DetectorModel:
-    """All trainable parameters plus the frozen backbone configuration."""
+    """All trainable parameters plus the frozen backbone configuration.
+
+    ``params`` holds the ten parameters in ``PARAM_ORDER``, as views into
+    one buffer (``params.flat``).
+    """
 
     d_e: int
     d_h: int
     embedder: EmbedderSpec
     backbone: BackboneSpec
     seed: int
+    params: FlatParams
     with_gt: bool = False
-    params: dict[str, np.ndarray] = field(default_factory=dict)
     _mixer: FrozenMixer | None = field(default=None, repr=False, compare=False)
     _remote: RemoteBackbone | None = field(default=None, repr=False, compare=False)
 
@@ -227,23 +302,13 @@ class DetectorModel:
         if backbone is None:
             backbone = BackboneSpec(hidden_dim=d_h)
         rng = np.random.RandomState(seed)
-
-        def layer(out_dim: int, in_dim: int) -> np.ndarray:
+        params = FlatParams(_param_shapes(d_e, d_h, backbone.hidden_dim))
+        # Drawn in PARAM_ORDER; the biases stay zero.
+        for name in ("fq_w", "fh_w", "ft_w", "wq", "wk", "wv"):
+            out_dim, in_dim = params[name].shape
             bound = 1.0 / math.sqrt(in_dim)
-            return rng.uniform(-bound, bound, size=(out_dim, in_dim))
-
-        params = {
-            "fq_w": layer(d_h, d_e),
-            "fq_b": np.zeros(d_h),
-            "fh_w": layer(d_h, d),
-            "fh_b": np.zeros(d_h),
-            "ft_w": layer(d, backbone.hidden_dim),
-            "ft_b": np.zeros(d),
-            "wq": layer(d, d),
-            "wk": layer(d, d),
-            "wv": layer(d, d),
-            "p": rng.standard_normal(d) / math.sqrt(d),
-        }
+            params[name][...] = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+        params["p"][...] = rng.standard_normal(d) / math.sqrt(d)
         return cls(
             d_e=d_e, d_h=d_h, embedder=embedder, backbone=backbone,
             seed=seed, with_gt=with_gt, params=params,
@@ -251,13 +316,7 @@ class DetectorModel:
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """The shape each parameter has for this model's dimensions."""
-        d, d_h = self.d, self.d_h
-        return {
-            "fq_w": (d_h, self.d_e), "fq_b": (d_h,),
-            "fh_w": (d_h, d), "fh_b": (d_h,),
-            "ft_w": (d, self.backbone.hidden_dim), "ft_b": (d,),
-            "wq": (d, d), "wk": (d, d), "wv": (d, d), "p": (d,),
-        }
+        return _param_shapes(self.d_e, self.d_h, self.backbone.hidden_dim)
 
     def mixer(self) -> FrozenMixer:
         if self._mixer is None:
@@ -270,14 +329,12 @@ class DetectorModel:
         return self._remote
 
     def param_digest(self) -> str:
-        """SHA-256 over all parameter bytes in the documented fixed order."""
-        h = hashlib.sha256()
-        for name in PARAM_ORDER:
-            h.update(self.params[name].astype("<f8").tobytes())
-        return h.hexdigest()
+        """SHA-256 of the parameter buffer's little-endian float64 bytes,
+        which hold the parameters in ``PARAM_ORDER``."""
+        return hashlib.sha256(self.params.flat.astype("<f8", copy=False).tobytes()).hexdigest()
 
     def copy(self) -> "DetectorModel":
-        return replace(self, params={k: v.copy() for k, v in self.params.items()})
+        return replace(self, params=self.params.copy())
 
 
 @dataclass(frozen=True)
@@ -389,11 +446,12 @@ def misalignment_loss(
 
 def trajectory_loss(
     model: DetectorModel,
-    params: dict[str, np.ndarray],
+    params: Mapping[str, np.ndarray],
     q_vec: np.ndarray,
     step_matrix: np.ndarray,
     lam: float,
-) -> tuple[float, float, float, np.ndarray, dict[str, np.ndarray]]:
+    grads: FlatParams | None = None,
+) -> tuple[float, float, float, np.ndarray, FlatParams]:
     """Training loss of one trajectory and its gradient (step_matrix is T x d,
     row t = h_t).
 
@@ -401,9 +459,13 @@ def trajectory_loss(
     proto, recon is the mean squared prediction error against x_t := h_t,
     proto is the mean cosine misalignment of each prediction with the
     trajectory's attention-updated prototype p_new, and grads holds
-    d total / d param for every name in ``params``. A remote backbone's
-    states carry no gradient, so f_q and f_h get zero gradient.
+    d total / d param for every parameter. ``grads`` is written in place
+    when given (training reuses one buffer for every trajectory) and
+    allocated in the model's layout otherwise. A remote backbone's states
+    carry no gradient, so f_q and f_h get zero gradient.
     """
+    if grads is None:
+        grads = FlatParams(model.param_shapes())
     step_matrix = np.asarray(step_matrix, dtype=np.float64)
     q_vec = np.asarray(q_vec, dtype=np.float64)
     T = step_matrix.shape[0]
@@ -415,11 +477,13 @@ def trajectory_loss(
 
     # Losses. Float addition is not associative: the x_hats gradient sums
     # its four terms in the order the golden training digest was recorded
-    # with (recon, misalignment, keys, values).
-    grads: dict[str, np.ndarray] = {}
+    # with (recon, misalignment, keys, values). Each gradient is written into
+    # its view of ``grads`` with ``out=``; a weight gradient is computed as
+    # g.T @ inputs, which gives the same bits as (inputs.T @ g).T without
+    # the transposed copy.
     g_x = (2.0 * (1.0 / T)) * (x_hats - step_matrix)
     p_norm = float(np.linalg.norm(p_new))
-    if p_norm > 0.0:  # a zero p_new makes every cos 0: no gradient flows
+    if p_norm > 0.0:
         scale = -float(lam) / T
         mask = norms > 0.0
         dx = np.zeros_like(x_hats)
@@ -439,26 +503,33 @@ def trajectory_loss(
         g_query = keys.T @ g_scores
         g_x += g_keys @ params["wk"].T
         g_x += g_values @ params["wv"].T
-        grads["wk"] = x_hats.T @ g_keys
-        grads["wv"] = x_hats.T @ g_values
-        grads["p"] = params["wq"] @ g_query
-        grads["wq"] = np.outer(params["p"], g_query)
+        np.matmul(x_hats.T, g_keys, out=grads["wk"])
+        np.matmul(x_hats.T, g_values, out=grads["wv"])
+        np.matmul(params["wq"], g_query, out=grads["p"])
+        np.outer(params["p"], g_query, out=grads["wq"])
+    else:  # a zero p_new makes every cos 0: no gradient flows
+        for name in ("wk", "wv", "p", "wq"):
+            grads[name].fill(0.0)
 
     # Head.
-    grads["ft_w"] = (blocks[-1].T @ g_x).T
-    grads["ft_b"] = g_x.sum(axis=0)
+    np.matmul(g_x.T, blocks[-1], out=grads["ft_w"])
+    np.sum(g_x, axis=0, out=grads["ft_b"])
 
     # Mixer blocks, then the projections.
     if model.backbone.kind == "frozen_mixer":
         g_seq = model.mixer().backward(blocks, g_x @ params["ft_w"])
-        grads["fq_w"] = np.outer(g_seq[0], q_vec)
-        grads["fq_b"] = g_seq[0].copy()
-        if T > 1:
-            g_h = np.array(g_seq[1:])  # a fresh copy, as in the mixer
-            grads["fh_w"] = (step_matrix[: T - 1].T @ g_h).T
-            grads["fh_b"] = g_h.sum(axis=0)
-    for name in params.keys() - grads.keys():
-        grads[name] = np.zeros_like(params[name])
+        np.outer(g_seq[0], q_vec, out=grads["fq_w"])
+        grads["fq_b"][...] = g_seq[0]
+    else:
+        grads["fq_w"].fill(0.0)
+        grads["fq_b"].fill(0.0)
+    if model.backbone.kind == "frozen_mixer" and T > 1:
+        g_h = np.array(g_seq[1:])  # a fresh copy, as in the mixer
+        np.matmul(g_h.T, step_matrix[: T - 1], out=grads["fh_w"])
+        np.sum(g_h, axis=0, out=grads["fh_b"])
+    else:
+        grads["fh_w"].fill(0.0)
+        grads["fh_b"].fill(0.0)
     return total, recon, proto, p_new, grads
 
 

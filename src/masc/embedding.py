@@ -18,6 +18,7 @@ role half first, giving vectors of dimension 2 * d_e.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import re
 import struct
@@ -29,6 +30,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .trace import Trajectory
 from .transport import new_session, post_json
+
+logger = logging.getLogger(__name__)
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -82,8 +85,10 @@ class VectorCache:
     """Append-only on-disk cache of embedding vectors.
 
     File layout is a sequence of length-prefixed records (key digest,
-    dimension, raw little-endian float64 values). A truncated trailing record
-    is ignored on load. Writes are serialized by an internal lock.
+    dimension, raw little-endian float64 values). On load, a record whose
+    length disagrees with its dimension is skipped with a warning, and
+    loading goes on after it; a truncated trailing record is ignored. Writes
+    are serialized by an internal lock.
     """
 
     def __init__(self, path: str):
@@ -104,10 +109,20 @@ class VectorCache:
             if start + length > len(blob):
                 break  # truncated tail
             payload = blob[start : start + length]
+            pos = start + length
+            if length < _KEY_DIM.size:
+                logger.warning("%s: skipping a %d-byte cache record at byte %d",
+                               self.path, length, start - _RECORD_HEAD.size)
+                continue
             digest, dim = _KEY_DIM.unpack_from(payload, 0)
+            if _KEY_DIM.size + 8 * dim != length:
+                logger.warning("%s: skipping a cache record at byte %d: dimension %d "
+                               "does not fit its %d bytes",
+                               self.path, start - _RECORD_HEAD.size, dim, length)
+                continue
             values = np.frombuffer(payload, dtype="<f8", offset=_KEY_DIM.size, count=dim)
             self._mem[digest] = values.astype(np.float64)
-            pos = start + length
+
     def get(self, digest: bytes) -> np.ndarray | None:
         vec = self._mem.get(digest)
         return None if vec is None else vec.copy()

@@ -1,85 +1,72 @@
 """Adam optimizer with decoupled weight decay.
 
-Moments are stored in one packed buffer per run so an update is a handful of
-vectorized passes regardless of how many parameter groups exist; the public
-interface still works in named parameter dicts.
+The parameters, their gradients and the two moments share one flat layout
+(``detector.FlatParams``), so an update is a handful of in-place vectorized
+passes over whole vectors, whatever the number of parameter groups. Two
+scratch vectors held by the state take the temporaries; a step allocates
+nothing of the parameters' size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .detector import FlatParams
 from .errors import DivergenceError
 
 
 @dataclass
 class AdamState:
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    weight_decay: float
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     step_count: int = 0
-    layout: list[tuple[str, tuple[int, ...], int, int]] = field(default_factory=list)
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
-    def init(cls, params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0,
+    def init(cls, params: FlatParams, lr: float, weight_decay: float = 0.0,
              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        layout = []
-        offset = 0
-        for name, p in params.items():
-            layout.append((name, p.shape, offset, offset + p.size))
-            offset += p.size
+        n = params.flat.size
         return cls(
             lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
-            layout=layout, m=np.zeros(offset), v=np.zeros(offset),
+            m=np.zeros(n), v=np.zeros(n), scratch=(np.empty(n), np.empty(n)),
         )
 
-    def _pack(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
-        out = np.empty(self.m.size)
-        for name, _, lo, hi in self.layout:
-            out[lo:hi] = arrays[name].ravel()
-        return out
 
-    def _unpack(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {
-            name: flat[lo:hi].reshape(shape)
-            for name, shape, lo, hi in self.layout
-        }
-
-
-def adam_step(
-    state: AdamState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """One Adam update; returns new parameter arrays, mutating only ``state``.
+def adam_step(state: AdamState, params: FlatParams, grads: FlatParams) -> None:
+    """One Adam update of ``params.flat`` in place; ``grads`` is only read.
 
     Weight decay is decoupled (applied directly to parameters, not folded into
     the gradient), which reduces to plain Adam when weight_decay == 0.
-    Non-finite gradients abort with DivergenceError.
+    Non-finite gradients abort with DivergenceError before any state changes.
     """
-    g = state._pack(grads)
+    g = grads.flat
     if not np.all(np.isfinite(g)):
         raise DivergenceError("diverged: non-finite gradient")
-    p = state._pack(params)
+    p, m, v = params.flat, state.m, state.v
+    s, decay = state.scratch
     state.step_count += 1
     t = state.step_count
-    m, v = state.m, state.v
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    np.square(g, out=g)
+    m += np.multiply(g, 1.0 - state.beta1, out=s)
+    np.square(g, out=s)
+    s *= 1.0 - state.beta2
     v *= state.beta2
-    v += (1.0 - state.beta2) * g
-    denom = np.sqrt(v / (1.0 - state.beta2**t))  # v_hat
-    denom += state.eps
-    update = m / denom
-    update *= state.lr / (1.0 - state.beta1**t)
-    new = p - update
+    v += s
+    np.divide(v, 1.0 - state.beta2**t, out=s)  # v_hat
+    np.sqrt(s, out=s)
+    s += state.eps
+    np.divide(m, s, out=s)
+    s *= state.lr / (1.0 - state.beta1**t)
     if state.weight_decay > 0.0:
-        new -= (state.lr * state.weight_decay) * p
-    return state._unpack(new)
+        np.multiply(p, state.lr * state.weight_decay, out=decay)  # from the old p
+        p -= s
+        p -= decay
+    else:
+        p -= s

@@ -94,11 +94,15 @@ def _check_keys(obj: dict, allowed: set[str], what: str, strict: bool):
 def parse_trajectory(line: bytes | str, strict: bool = False) -> Trajectory:
     """Parse one JSONL line into a validated Trajectory.
 
-    Malformed JSON raises TraceParseError carrying the byte offset; schema
-    violations raise TraceValidationError. Key order in the source does not
-    matter. Unknown keys are rejected in strict mode, otherwise logged.
+    Malformed JSON or a byte that is not UTF-8 raises TraceParseError
+    carrying the byte offset; schema violations raise TraceValidationError.
+    Key order in the source does not matter. Unknown keys are rejected in
+    strict mode, otherwise logged.
     """
-    text = line.decode("utf-8") if isinstance(line, bytes) else line
+    try:
+        text = line.decode("utf-8") if isinstance(line, bytes) else line
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"invalid UTF-8: {exc.reason}", exc.start) from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

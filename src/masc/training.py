@@ -3,12 +3,13 @@
 The training loop walks trajectories in order; for each one it runs the full
 forward pass (predictions for t = 1..T, the attention-updated prototype, and
 the combined loss) and the detector's hand-written backward pass
-(``detector.trajectory_loss``), then:
+(``detector.trajectory_loss``), which writes the gradients into one buffer
+laid out like the parameters and reused for every trajectory, then:
 
-1. overwrites the stored prototype with the attention output of the forward
-   pass, and
-2. applies one Adam update to every trainable parameter, the prototype
-   included, using the gradients taken at the pre-update values.
+1. overwrites the stored prototype, in place, with the attention output of
+   the forward pass, and
+2. applies one in-place Adam update to the whole parameter buffer, the
+   prototype included, using the gradients taken at the pre-update values.
 
 So the prototype is both rewritten by the attention mechanism each trajectory
 and nudged by its gradient, in that order. One optimizer step per trajectory;
@@ -152,19 +153,20 @@ def train(
         q_vec, step_embs = embed_trajectory(cfg.embedder, trajectory, with_gt=cfg.with_gt)
         embedded.append((q_vec, np.stack(step_embs)))
     adam = AdamState.init(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    grads = model.params.zeros_like()
     report = TrainReport(n_trajectories=len(prepared))
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
         for trajectory, (q_vec, step_matrix) in zip(prepared, embedded):
-            total, recon, proto, p_new, grads = trajectory_loss(
-                model, model.params, q_vec, step_matrix, cfg.lam
+            total, recon, proto, p_new, _ = trajectory_loss(
+                model, model.params, q_vec, step_matrix, cfg.lam, grads
             )
             if not np.isfinite(total):
                 raise DivergenceError(
                     f"diverged at epoch {epoch + 1}, trajectory {trajectory.id!r}"
                 )
-            model.params["p"] = p_new
-            model.params = adam_step(adam, model.params, grads)
+            model.params["p"][...] = p_new
+            adam_step(adam, model.params, grads)
             sums += (recon, proto, total)
         means = sums / len(prepared)
         report.epochs.append(EpochStats(*means))

@@ -10,6 +10,7 @@ import pytest
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from masc import BackboneSpec, EmbedderSpec, TrainConfig, train
+from masc.detector import PARAM_ORDER
 from masc.synthetic import make_normal_corpus
 
 
@@ -104,6 +105,18 @@ def stub_service():
 
 
 SMALL_EMBEDDER = EmbedderSpec(kind="hashing", dimension=16)
+
+
+def views_tile(params) -> bool:
+    """Every view lies in ``params.flat``, in PARAM_ORDER, back to back."""
+    base = params.flat.__array_interface__["data"][0]
+    offset = 0
+    for name in PARAM_ORDER:
+        view = params[name]
+        if view.__array_interface__["data"][0] != base + 8 * offset:
+            return False
+        offset += view.size
+    return offset == params.flat.size
 
 
 @pytest.fixture(scope="session")

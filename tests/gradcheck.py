@@ -1,4 +1,4 @@
-"""Finite-difference oracle for checking analytic gradients.
+"""Finite-difference oracle for checking analytic gradients in tests.
 
 ``finite_diff`` takes central differences of a scalar loss, one parameter
 entry at a time, and ``max_relative_error`` compares the result with an
@@ -7,7 +7,7 @@ analytic gradient such as the one ``detector.trajectory_loss`` returns.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -15,7 +15,7 @@ LossFn = Callable[[dict[str, np.ndarray]], float]
 
 
 def finite_diff(
-    loss_fn: LossFn, params: dict[str, np.ndarray], eps: float = 1e-4
+    loss_fn: LossFn, params: Mapping[str, np.ndarray], eps: float = 1e-4
 ) -> dict[str, np.ndarray]:
     """Central-difference gradients, one scalar parameter at a time."""
     if eps <= 0:
@@ -39,7 +39,7 @@ def finite_diff(
 
 
 def max_relative_error(
-    analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]
+    analytic: Mapping[str, np.ndarray], numeric: Mapping[str, np.ndarray]
 ) -> float:
     """max_i |a_i - n_i| / (1 + |n_i|) over all parameters."""
     worst = 0.0

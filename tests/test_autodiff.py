@@ -5,10 +5,10 @@ hand-written backward pass, and Adam."""
 import numpy as np
 import pytest
 
-from masc import autodiff as ad
 from masc.detector import (
     BackboneSpec,
     DetectorModel,
+    FlatParams,
     causal_context,
     predictions_tensor,
     projected_sequence,
@@ -19,6 +19,7 @@ from masc.detector import (
 from masc.embedding import EmbedderSpec
 from masc.errors import DataError, DivergenceError
 from masc.optim import AdamState, adam_step
+from tests import gradcheck as ad
 
 
 def _query_row(w, b, x):
@@ -142,7 +143,7 @@ def test_grad_cosine_at_alignment_is_zero():
     # One step predicted exactly, with W_v = 2 I so that p_new = 2 x_hat is
     # aligned with the prediction: both loss terms sit at their minimum.
     model = _model(2, 4, 1, seed=2)
-    model.params["wv"] = 2.0 * np.eye(4)
+    model.params["wv"][...] = 2.0 * np.eye(4)
     q = np.random.RandomState(2).randn(2)
     steps = predictions_tensor(model, model.params, q, np.zeros((1, 4)))[0]
     total, recon, proto, _, grads = trajectory_loss(model, model.params, q, steps, 1.0)
@@ -216,44 +217,103 @@ def test_cumsum_prefix_exactness():
         assert np.array_equal(rest_sums, sums[t:])
 
 
+def _flat(**arrays) -> FlatParams:
+    """A FlatParams holding ``arrays``, laid out in keyword order."""
+    params = FlatParams({name: np.shape(a) for name, a in arrays.items()})
+    for name, a in arrays.items():
+        params[name][...] = a
+    return params
+
+
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": np.array([1.0, -2.0])}
+    params = _flat(w=[1.0, -2.0])
     state = AdamState.init(params, lr=0.1)
-    out = adam_step(state, params, {"w": np.zeros(2)})
-    assert np.array_equal(out["w"], params["w"])
+    adam_step(state, params, params.zeros_like())
+    assert np.array_equal(params["w"], [1.0, -2.0])
 
 
 def test_adam_descends_on_quadratic():
-    params = {"t": np.array(1.0)}
+    params = _flat(t=1.0)
     state = AdamState.init(params, lr=0.1)
-    out = adam_step(state, params, {"t": np.array(2.0)})  # grad of t^2 at 1
-    assert float(out["t"]) < 1.0
+    adam_step(state, params, _flat(t=2.0))  # grad of t^2 at 1
+    assert float(params["t"]) < 1.0
 
 
 def test_adam_converges_to_quadratic_optimum():
     rng = np.random.RandomState(9)
     target = rng.randn(4)
-    params = {"t": np.zeros(4)}
+    params = _flat(t=np.zeros(4))
+    grads = params.zeros_like()
     state = AdamState.init(params, lr=0.05)
     for _ in range(200):
-        grads = {"t": 2.0 * (params["t"] - target)}
-        params = adam_step(state, params, grads)
+        grads["t"][...] = 2.0 * (params["t"] - target)
+        adam_step(state, params, grads)
     assert np.linalg.norm(params["t"] - target) < 1e-3
 
 
 def test_adam_rejects_nan_gradients():
-    params = {"w": np.ones(2)}
+    params = _flat(w=np.ones(2))
     state = AdamState.init(params, lr=0.1)
     with pytest.raises(DivergenceError, match="diverged"):
-        adam_step(state, params, {"w": np.array([np.nan, 0.0])})
+        adam_step(state, params, _flat(w=[np.nan, 0.0]))
+    # The check runs before any state changes.
+    assert state.step_count == 0
+    assert not state.m.any() and not state.v.any()
+    assert np.array_equal(params["w"], np.ones(2))
 
 
 def test_adam_weight_decay_is_decoupled():
-    params = {"w": np.array([2.0])}
-    plain = adam_step(AdamState.init(params, lr=0.1), params, {"w": np.array([1.0])})
-    decayed = adam_step(
-        AdamState.init(params, lr=0.1, weight_decay=0.5), params,
-        {"w": np.array([1.0])},
+    plain, decayed = _flat(w=[2.0]), _flat(w=[2.0])
+    adam_step(AdamState.init(plain, lr=0.1), plain, _flat(w=[1.0]))
+    adam_step(
+        AdamState.init(decayed, lr=0.1, weight_decay=0.5), decayed, _flat(w=[1.0])
     )
     assert decayed["w"][0] == pytest.approx(plain["w"][0] - 0.1 * 0.5 * 2.0)
 
+
+def _reference_adam(state, params, grads, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The dict-based update the flat one replaced: pack the named arrays
+    into fresh vectors, update, return new arrays. ``state`` is
+    {"t": step, "m": vector, "v": vector}."""
+    g = np.concatenate([grads[name].ravel() for name in params])
+    p = np.concatenate([params[name].ravel() for name in params])
+    state["t"] += 1
+    t, m, v = state["t"], state["m"], state["v"]
+    m *= beta1
+    m += (1.0 - beta1) * g
+    np.square(g, out=g)
+    v *= beta2
+    v += (1.0 - beta2) * g
+    denom = np.sqrt(v / (1.0 - beta2**t))
+    denom += eps
+    update = m / denom
+    update *= lr / (1.0 - beta1**t)
+    new = p - update
+    if weight_decay > 0.0:
+        new -= (lr * weight_decay) * p
+    out, offset = {}, 0
+    for name, arr in params.items():
+        out[name] = new[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return out
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_matches_the_dict_based_update_bit_for_bit(weight_decay):
+    rng = np.random.RandomState(12)
+    shapes = {"w": (7, 5), "b": (5,), "p": (11,)}
+    start = {name: rng.randn(*shape) for name, shape in shapes.items()}
+    params = _flat(**start)
+    grads = params.zeros_like()
+    state = AdamState.init(params, lr=3e-3, weight_decay=weight_decay)
+    ref = {k: v.copy() for k, v in start.items()}
+    ref_state = {"t": 0, "m": np.zeros(params.flat.size), "v": np.zeros(params.flat.size)}
+    for _ in range(50):
+        for name, shape in shapes.items():
+            grads[name][...] = rng.randn(*shape) * rng.choice([1e-3, 1.0, 1e3])
+        ref = _reference_adam(ref_state, ref, grads, 3e-3, weight_decay)
+        adam_step(state, params, grads)
+        for name in shapes:
+            assert params[name].tobytes() == ref[name].tobytes(), name
+    assert state.m.tobytes() == ref_state["m"].tobytes()
+    assert state.v.tobytes() == ref_state["v"].tobytes()

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,14 @@ class TestIngest:
         path = tmp_path / "bad.jsonl"
         path.write_bytes(b'{"id":"x","query":"q","steps":[]}\n')
         assert main(["ingest", "--traces", str(path)]) == 3
+
+    def test_non_utf8_line_exits_three_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b'{"id":"caf\xe9","query":"q","steps":[{"role":"r","output":"o"}]}\n')
+        assert main(["ingest", "--traces", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "invalid UTF-8" in err and "byte offset 10" in err
+        assert "Traceback" not in err
 
 
 class TestTrain:
@@ -284,6 +293,44 @@ class TestEval:
         direct = compute_metrics(rows)
         assert via_cli["auc_roc"] == pytest.approx(direct.auc_roc, abs=1e-12)
         assert via_cli["step_accuracy"] == pytest.approx(direct.step_accuracy)
+
+    def test_scores_mode_reads_ids_with_commas_and_quotes(
+        self, trained_checkpoint, tmp_path, capsys
+    ):
+        ckpt, _ = trained_checkpoint
+        ids = ["run,0", 'say "hi"', "plain-2"]
+        traces = str(tmp_path / "odd_ids.jsonl")
+        corpus = make_anomaly_corpus(3, seed=23, T=4)
+        save_trajectories(traces, [replace(t, id=i) for t, i in zip(corpus, ids)])
+        csv_path = str(tmp_path / "scores.csv")
+        assert main(["score", "--checkpoint", ckpt, "--traces", traces,
+                     "--out", csv_path]) == 0
+        lines = open(csv_path, "rb").read().decode().split("\n")
+        assert lines[1].startswith('"run,0",1,')
+        assert lines[5].startswith('"say ""hi""",1,')
+        assert lines[9].startswith("plain-2,1,")
+        via_csv, via_ckpt = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert main(["eval", "--scores", csv_path, "--traces", traces,
+                     "--out", via_csv]) == 0
+        assert main(["eval", "--checkpoint", ckpt, "--traces", traces,
+                     "--out", via_ckpt]) == 0
+        a, b = json.loads(open(via_csv).read()), json.loads(open(via_ckpt).read())
+        assert a["n_steps"] == 12
+        assert a["auc_roc"] == b["auc_roc"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("trajectory_id,t,flagged\nx,1,0\n", "missing column(s) score"),
+        ("trajectory_id,t,score,flagged\nx,one,0.5,0\n", ":2: missing or non-numeric"),
+        ("trajectory_id,t,score,flagged\nx,1,high,0\n", ":2: missing or non-numeric"),
+        ("trajectory_id,t,score,flagged\nx,1\n", ":2: missing or non-numeric"),
+    ], ids=["missing column", "non-numeric t", "non-numeric score", "short row"])
+    def test_malformed_scores_csv_exits_three(self, labeled_file, tmp_path, capsys,
+                                              text, message):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        assert main(["eval", "--scores", str(csv_path), "--traces", labeled_file]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_unlabeled_data_exits_three(self, trained_checkpoint, corpus_file, capsys):
         ckpt, _ = trained_checkpoint

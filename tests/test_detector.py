@@ -1,5 +1,7 @@
+import hashlib
 import logging
 import math
+import pickle
 import random
 
 import numpy as np
@@ -12,6 +14,7 @@ from masc.detector import (
     AnomalyVerdict,
     BackboneSpec,
     DetectorModel,
+    FlatParams,
     FrozenMixer,
     anomaly_score,
     detect,
@@ -27,7 +30,7 @@ from masc.embedding import EmbedderSpec, embed_trajectory
 from masc.errors import ConfigError, DataError, TransportError
 from masc.synthetic import make_normal_corpus, make_normal_trajectory, plant_anomaly
 from masc.training import TrainConfig, calibrate_threshold, train
-from tests.conftest import MALFORMED_REPLIES, SMALL_EMBEDDER
+from tests.conftest import MALFORMED_REPLIES, SMALL_EMBEDDER, views_tile
 
 EMB4 = EmbedderSpec(kind="hashing", dimension=4)
 
@@ -50,7 +53,7 @@ class TestEncodeContext:
 
     def test_zero_query_returns_bias(self):
         model = tiny_model()
-        model.params["fq_b"] = np.arange(6.0)
+        model.params["fq_b"][...] = np.arange(6.0)
         seq = projected_sequence(model.params, np.zeros(4), np.zeros((0, 8)))
         assert np.array_equal(seq[0], np.arange(6.0))
 
@@ -121,7 +124,7 @@ class TestUpdatePrototype:
         expected = row @ model.params["wv"]
         p_new = prototype_attention(model.params, rows, model.d)[0]
         assert np.allclose(p_new, expected, atol=1e-12)
-        model.params["p"] = np.random.RandomState(99).randn(8)
+        model.params["p"][...] = np.random.RandomState(99).randn(8)
         p_new = prototype_attention(model.params, rows, model.d)[0]
         assert np.allclose(p_new, expected, atol=1e-12)
 
@@ -259,7 +262,7 @@ class TestAnomalyScore:
         v2 = anomaly_score(model, 3.0 * x_hat, x, 1.0, 1.0)
         assert v2.proto_term == pytest.approx(v1.proto_term, abs=1e-12)
         assert v2.recon_term != pytest.approx(v1.recon_term)
-        model.params["p"] = 7.0 * model.params["p"]
+        model.params["p"][...] = 7.0 * model.params["p"]
         v3 = anomaly_score(model, x_hat, x, 1.0, 1.0)
         assert v3.proto_term == pytest.approx(v1.proto_term, abs=1e-12)
 
@@ -395,6 +398,65 @@ class TestRemoteBackbone:
     def test_spec_requires_endpoint(self):
         with pytest.raises(ConfigError):
             BackboneSpec(kind="remote_llm", hidden_dim=6)
+
+
+class TestFlatParams:
+    def test_rebinding_a_parameter_raises(self):
+        model = tiny_model()
+        with pytest.raises(TypeError):
+            model.params["p"] = np.zeros(8)
+        with pytest.raises(AttributeError):
+            model.params.flat = np.zeros(model.params.flat.size)
+
+    def test_in_place_write_reaches_the_buffer(self):
+        model = tiny_model()
+        model.params["p"][...] = 7.0
+        assert np.all(model.params.flat[-8:] == 7.0)
+        model.params.flat[:6] = -1.0
+        assert np.all(model.params["fq_w"].ravel()[:6] == -1.0)
+
+    def test_init_and_copy_are_views_into_one_buffer(self):
+        model = tiny_model(seed=2)
+        assert list(model.params) == list(PARAM_ORDER)
+        assert views_tile(model.params)
+        twin = model.copy()
+        assert views_tile(twin.params)
+        assert not np.shares_memory(twin.params.flat, model.params.flat)
+        assert twin.param_digest() == model.param_digest()
+        twin.params["p"][...] = 0.0
+        assert twin.param_digest() != model.param_digest()
+        clone = pickle.loads(pickle.dumps(model.params))
+        assert views_tile(clone) and np.array_equal(clone.flat, model.params.flat)
+
+    def test_digest_is_sha256_of_per_name_bytes(self, small_trained):
+        model, report, _ = small_trained
+        joined = b"".join(model.params[name].astype("<f8").tobytes() for name in PARAM_ORDER)
+        assert model.param_digest() == hashlib.sha256(joined).hexdigest()
+        assert report.param_digest == model.param_digest()
+
+    def test_gradients_fill_the_callers_buffer(self):
+        model = tiny_model(seed=6)
+        rng = np.random.RandomState(6)
+        q, steps = rng.randn(4), rng.randn(3, 8)
+        grads = model.params.zeros_like()
+        grads.flat[:] = np.nan  # every entry must be written
+        out = trajectory_loss(model, model.params, q, steps, 0.2, grads)[4]
+        assert out is grads
+        fresh = trajectory_loss(model, model.params, q, steps, 0.2)[4]
+        assert np.array_equal(grads.flat, fresh.flat)
+
+    def test_zero_gradients_overwrite_a_used_buffer(self):
+        # T = 1 leaves f_h without gradient; a zero prototype leaves the
+        # attention maps and p without gradient.
+        model = tiny_model(seed=7)
+        model.params["wv"][...] = 0.0
+        rng = np.random.RandomState(7)
+        grads = model.params.zeros_like()
+        grads.flat[:] = np.nan
+        trajectory_loss(model, model.params, rng.randn(4), rng.randn(1, 8), 0.5, grads)
+        for name in ("fh_w", "fh_b", "wk", "wv", "p", "wq"):
+            assert np.array_equal(grads[name], np.zeros_like(grads[name])), name
+        assert np.all(np.isfinite(grads.flat))
 
 
 def test_model_dim_invariant():

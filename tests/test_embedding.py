@@ -1,4 +1,6 @@
 import hashlib
+import logging
+import struct
 import threading
 
 import numpy as np
@@ -156,6 +158,22 @@ class TestVectorCache:
             fh.write(b"\x40\x00\x00\x00partial")
         reloaded = VectorCache(path)
         assert reloaded.get(cache_key("m", "a")) is not None
+
+    @pytest.mark.parametrize("record", [
+        struct.pack("<I", 20) + b"\x00" * 20,  # shorter than digest + dim
+        struct.pack("<I", 44) + b"\x11" * 32 + struct.pack("<I", 9) + b"\x00" * 8,
+    ], ids=["shorter than 36 bytes", "dim past the record's end"])
+    def test_malformed_record_is_skipped(self, tmp_path, caplog, record):
+        path = str(tmp_path / "cache.bin")
+        VectorCache(path).put(cache_key("m", "a"), np.ones(4))
+        with open(path, "ab") as fh:
+            fh.write(record)
+        VectorCache(path).put(cache_key("m", "b"), np.full(3, 2.0))
+        with caplog.at_level(logging.WARNING, logger="masc.embedding"):
+            reloaded = VectorCache(path)
+        assert np.array_equal(reloaded.get(cache_key("m", "a")), np.ones(4))
+        assert np.array_equal(reloaded.get(cache_key("m", "b")), np.full(3, 2.0))
+        assert any("skipping" in r.message for r in caplog.records)
 
     def test_concurrent_writers(self, tmp_path):
         cache = VectorCache(str(tmp_path / "cache.bin"))

@@ -49,6 +49,12 @@ class TestParse:
         assert err.value.byte_offset is not None
         assert "byte offset" in str(err.value)
 
+    def test_non_utf8_byte_reports_its_offset(self):
+        with pytest.raises(TraceParseError) as err:
+            parse_trajectory(b'{"id":"x\xff","query":"q","steps":[]}')
+        assert err.value.byte_offset == 8
+        assert "UTF-8" in str(err.value)
+
     def test_key_order_does_not_matter(self):
         a = parse_trajectory(b'{"id":"x","query":"q","steps":[{"role":"r","output":"o"}]}')
         b = parse_trajectory(b'{"steps":[{"output":"o","role":"r"}],"query":"q","id":"x"}')

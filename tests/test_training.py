@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from masc.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
-from masc.detector import BackboneSpec, detect, score_trajectory
+from masc.detector import PARAM_ORDER, BackboneSpec, detect, score_trajectory
 from masc.embedding import EmbedderSpec, embed_trajectory
 from masc.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from masc.synthetic import make_normal_corpus
 from masc.trace import Step, Trajectory
 from masc.training import PROFILES, Calibration, TrainConfig, calibrate_threshold, train
+from tests.conftest import views_tile
 
 EMB = EmbedderSpec(kind="hashing", dimension=16)
 
@@ -193,6 +194,43 @@ class TestCheckpoint:
                 assert a.score == b.score
                 assert a.flagged == b.flagged
         assert digest == save_checkpoint(loaded, cal2, str(tmp_path / "again.ckpt"))
+
+    def test_payload_is_the_per_name_bytes(self, small_trained, tmp_path):
+        model, _, _ = small_trained
+        path = str(tmp_path / "model.ckpt")
+        digest = save_checkpoint(model, None, path)
+        blob = open(path, "rb").read()
+        joined = b"".join(model.params[name].astype("<f8").tobytes() for name in PARAM_ORDER)
+        assert blob.endswith(joined)
+        (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
+        assert len(blob) == len(MAGIC) + 4 + header_len + len(joined)
+        assert digest == model.param_digest()
+
+    def test_loaded_params_are_views_into_one_buffer(self, small_trained, tmp_path):
+        model, _, _ = small_trained
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, None, path)
+        loaded, _ = load_checkpoint(path)
+        assert list(loaded.params) == list(PARAM_ORDER)
+        assert views_tile(loaded.params)
+        assert loaded.params.flat.flags.writeable
+        loaded.params["p"][...] = 0.0
+        assert not loaded.params.flat[-model.d:].any()
+
+    def test_permuted_param_order_is_corrupt(self, small_trained, tmp_path):
+        model, _, _ = small_trained
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, None, path)
+        blob = open(path, "rb").read()
+        (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
+        start = len(MAGIC) + 4
+        header = json.loads(blob[start : start + header_len])
+        header["param_order"] = header["param_order"][::-1]
+        text = json.dumps(header).encode()
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<I", len(text)) + text + blob[start + header_len :])
+        with pytest.raises(CheckpointError, match="parameter order"):
+            load_checkpoint(path)
 
     def test_truncated_file_is_corrupt(self, small_trained, tmp_path):
         model, _, _ = small_trained
