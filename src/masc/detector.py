@@ -168,6 +168,9 @@ def causal_context(
     return np.concatenate([sums * inv, x], axis=1), sums
 
 
+_DRAW_ROWS = 32  # rows of a mixer matrix drawn at a time
+
+
 class FrozenMixer:
     """Seeded stack of frozen causal mixing blocks."""
 
@@ -180,8 +183,16 @@ class FrozenMixer:
         for _ in range(spec.layers):
             fan_in = 2 * in_dim
             bound = 1.0 / math.sqrt(fan_in)
-            matrix = rng.uniform(-bound, bound, size=(spec.hidden_dim, fan_in))
-            self.matrices_t.append(np.ascontiguousarray(matrix.T))
+            # Drawn as a (hidden_dim, fan_in) matrix, row by row in blocks and
+            # stored transposed; the stream is sequential, so the values equal
+            # one whole draw's, without its transient full-size copy.
+            matrix_t = np.empty((fan_in, spec.hidden_dim))
+            for row in range(0, spec.hidden_dim, _DRAW_ROWS):
+                block = rng.uniform(
+                    -bound, bound, size=(min(_DRAW_ROWS, spec.hidden_dim - row), fan_in)
+                )
+                matrix_t[:, row : row + block.shape[0]] = block.T
+            self.matrices_t.append(matrix_t)
             in_dim = spec.hidden_dim
 
     def run(
@@ -552,14 +563,46 @@ def _checked_inputs(
     return np.asarray(q_vec, dtype=np.float64), step_embs
 
 
-def _safe_cos(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine with the zero-norm guard: degenerate vectors count as cos 0."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        logger.warning("zero-norm vector in cosine; treating cos as 0")
-        return 0.0
-    return float(a @ b) / (na * nb)
+def _verdicts(
+    x_hats: np.ndarray,
+    step_matrix: np.ndarray,
+    p: np.ndarray,
+    alpha: float,
+    beta: float,
+    delta: float | None = None,
+    t0: int | None = None,
+) -> list[AnomalyVerdict]:
+    """One verdict per row of (x_hats, step_matrix), the rows being steps
+    t0, t0 + 1, ...; with ``delta`` None, unthresholded and without t.
+
+    A prediction or a prototype of zero norm counts as cos 0, with a
+    warning. Why the batch equals scoring each row alone, bit for bit: see
+    ``score_trajectory``.
+    """
+    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
+        raise ConfigError("alpha and beta must be >= 0 and not both zero")
+    squared = x_hats - step_matrix
+    squared *= squared
+    recon = np.sum(squared, axis=1).tolist()
+    p_norm = float(np.linalg.norm(p))
+    out = []
+    for i, (x_hat, recon_term) in enumerate(zip(x_hats, recon)):
+        x_norm = math.sqrt(x_hat.dot(x_hat))
+        if x_norm == 0.0 or p_norm == 0.0:
+            logger.warning("zero-norm vector in cosine; treating cos as 0")
+            cos = 0.0
+        else:
+            cos = float(x_hat.dot(p)) / (x_norm * p_norm)
+        proto_term = 1.0 - cos
+        score = alpha * recon_term + beta * proto_term
+        if delta is None:
+            out.append(AnomalyVerdict(score, recon_term, proto_term, alpha, beta))
+        else:
+            out.append(AnomalyVerdict(
+                score, recon_term, proto_term, alpha, beta,
+                delta, bool(score > delta), t0 + i,
+            ))
+    return out
 
 
 def anomaly_score(
@@ -570,21 +613,9 @@ def anomaly_score(
     beta: float,
 ) -> AnomalyVerdict:
     """Score one step without applying a threshold."""
-    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
-        raise ConfigError("alpha and beta must be >= 0 and not both zero")
-    recon_term = float(np.sum((x_hat - x) ** 2))
-    proto_term = 1.0 - _safe_cos(x_hat, model.params["p"])
-    return AnomalyVerdict(
-        score=alpha * recon_term + beta * proto_term,
-        recon_term=recon_term,
-        proto_term=proto_term,
-        alpha=alpha,
-        beta=beta,
-    )
-
-
-def _thresholded(verdict: AnomalyVerdict, delta: float, t: int) -> AnomalyVerdict:
-    return replace(verdict, delta=delta, flagged=bool(verdict.score > delta), t=t)
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    return _verdicts(x_hat[None, :], x[None, :], model.params["p"], alpha, beta)[0]
 
 
 def detect(
@@ -625,15 +656,20 @@ def score_trajectory(
     with the stream's and with the verdict on the trajectory cut at t (see
     ``FrozenMixer.run``). A query of dimension other than d_e, or a step of
     dimension other than d, raises ConfigError.
+
+    The verdicts, too, come from whole-trajectory arrays: the squared
+    prediction errors of all T steps in one row-wise reduction, and the
+    prototype's norm once. Each row's reduction sums in the same order as a
+    one-row call, so every verdict equals ``anomaly_score`` on that step bit
+    for bit. The two dot products per row (the prediction with itself and
+    with the prototype) stay per-row calls: one matrix-vector product over
+    all rows sums in another order and moves last bits.
     """
     if len(step_embs) == 0:
         raise DataError("empty trajectory")
     q_vec, step_matrix = _checked_inputs(model, q_vec, step_embs)
     x_hats, _ = predictions_tensor(model, model.params, q_vec, step_matrix)
-    return [
-        _thresholded(anomaly_score(model, x_hat, step, alpha, beta), delta, t)
-        for t, (x_hat, step) in enumerate(zip(x_hats, step_matrix), start=1)
-    ]
+    return _verdicts(x_hats, step_matrix, model.params["p"], alpha, beta, delta, 1)
 
 
 class DetectorStream:
@@ -695,8 +731,10 @@ class DetectorStream:
     ) -> AnomalyVerdict:
         """Verdict on the pending step t = (committed steps) + 1."""
         step = self._checked_step(step_emb)
-        verdict = anomaly_score(self.model, self._prediction(), step, alpha, beta)
-        return _thresholded(verdict, delta, self._length)
+        return _verdicts(
+            self._prediction()[None, :], step[None, :], self.model.params["p"],
+            alpha, beta, delta, self._length,
+        )[0]
 
     def commit(self, step_emb: np.ndarray) -> None:
         """Append a step to the history the next prediction reads."""

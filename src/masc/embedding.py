@@ -13,6 +13,20 @@ Two embedder kinds are supported:
 
 Step embeddings are the concatenation [role_embedding ; output_embedding],
 role half first, giving vectors of dimension 2 * d_e.
+
+A batch of texts embeds as one (n, d_e) matrix. With the hashing kind, each
+token's bucket and sign come from a per-dimension memo (token -> ``2 *
+bucket + sign bit``), so a token is hashed once however often roles and
+templates repeat it. The memo is emptied whenever it reaches ``MEMO_LIMIT``
+tokens, which bounds its memory. The whole batch then accumulates in one
+``np.bincount`` and is normalized row by row. This equals embedding each
+text on its own bit for bit: every entry and every squared norm is a small
+integer, and sums of small integers are exact in any order.
+
+A trajectory's texts are embedded in the order [query, role_1, output_1,
+role_2, output_2, ...], so rows 1 .. 2T of the matrix, read two at a time,
+are already the [role ; output] step embeddings: the (T, 2 * d_e) step
+matrix is a reshape, not a concatenation per step.
 """
 
 from __future__ import annotations
@@ -33,7 +47,7 @@ from .transport import new_session, post_json
 
 logger = logging.getLogger(__name__)
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")  # a token: a maximal lowercase alphanumeric run
 
 # One record: u32 payload length | 32-byte key digest | u32 dim | dim float64 LE.
 _RECORD_HEAD = struct.Struct("<I")
@@ -62,23 +76,58 @@ class EmbedderSpec:
             raise ConfigError("remote embedder requires endpoint and model_name")
 
 
+# Token memo of the hashing kind, one per dimension: token -> 2 * bucket +
+# sign bit (1 for -1). Emptied when it reaches MEMO_LIMIT tokens.
+MEMO_LIMIT = 1 << 14
+_MEMOS: dict[int, dict[str, int]] = {}
+_MEMO_LOCK = threading.Lock()
+
+
+def _token_code(token: str, dim: int) -> int:
+    digest = hashlib.blake2b(
+        token.encode("utf-8"), digest_size=8, key=dim.to_bytes(8, "little")
+    ).digest()
+    h = int.from_bytes(digest, "little")
+    return 2 * (h % dim) + (h >> 63)
+
+
+def _hashing_matrix(texts: list[str], dim: int) -> np.ndarray:
+    """(len(texts), dim) matrix of hashing embeddings, one row per text."""
+    memo = _MEMOS.setdefault(dim, {})
+    slots: list[int] = []  # row * dim + bucket, one per token
+    negative: list[int] = []  # 1 where the token adds -1
+    offset = 0
+    for text in texts:
+        for token in _TOKEN.findall(text.lower()):
+            code = memo.get(token)
+            if code is None:
+                code = _token_code(token, dim)
+                with _MEMO_LOCK:
+                    if len(memo) >= MEMO_LIMIT:
+                        memo.clear()
+                    memo[token] = code
+            slots.append(offset + (code >> 1))
+            negative.append(code & 1)
+        offset += dim
+    weights = np.array(negative, dtype=np.float64)
+    weights *= -2.0
+    weights += 1.0
+    # Without any token, bincount ignores the weights and returns integers.
+    matrix = np.bincount(
+        np.array(slots, dtype=np.intp), weights=weights, minlength=offset
+    ).astype(np.float64, copy=False).reshape(len(texts), dim)
+    # Integer entries: any summation order gives the exact squared norm.
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    norms[norms == 0.0] = 1.0
+    matrix /= norms[:, None]
+    return matrix
+
+
 def hashing_embed(text: str, dim: int) -> np.ndarray:
     """Deterministic feature-hashing embedding, L2-normalized."""
     if not text:
         raise DataError("cannot embed empty text")
-    v = np.zeros(dim, dtype=np.float64)
-    key = dim.to_bytes(8, "little")
-    for token in _TOKEN_SPLIT.split(text.lower()):
-        if not token:
-            continue
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
-        h = int.from_bytes(digest, "little")
-        sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-        v[h % dim] += sign
-    norm = float(np.linalg.norm(v))
-    if norm > 0.0:
-        v /= norm
-    return v
+    return _hashing_matrix([text], dim)[0]
 
 
 class VectorCache:
@@ -160,21 +209,25 @@ class RemoteEmbedder:
             if self.cache is not None:
                 hit = self.cache.get(cache_key(spec.model_name, text))
                 if hit is not None:
-                    out[i] = hit
+                    out[i] = self._checked(hit, "embedding cache")
                     continue
             missing.append(i)
         if missing:
             vectors = self._post([texts[i] for i in missing])
             for i, vec in zip(missing, vectors):
-                if vec.shape != (spec.dimension,):
-                    raise ConfigError(
-                        f"embedding service returned a vector of shape {vec.shape}, "
-                        f"expected dimension {spec.dimension}"
-                    )
+                self._checked(vec, "embedding service")
                 if self.cache is not None:
                     self.cache.put(cache_key(spec.model_name, texts[i]), vec)
                 out[i] = vec
         return [v for v in out]  # type: ignore[misc]
+
+    def _checked(self, vec: np.ndarray, source: str) -> np.ndarray:
+        if vec.shape != (self.spec.dimension,):
+            raise ConfigError(
+                f"{source} returned a vector of shape {vec.shape}, "
+                f"expected dimension {self.spec.dimension}"
+            )
+        return vec
 
     def _post(self, texts: list[str]) -> list[np.ndarray]:
         spec = self.spec
@@ -206,25 +259,31 @@ def _remote_backend(spec: EmbedderSpec) -> RemoteEmbedder:
         return backend
 
 
-def embed_texts(spec: EmbedderSpec, texts: list[str]) -> list[np.ndarray]:
-    """Embed a batch of texts; one request for remote backends."""
+def _text_matrix(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
+    """(len(texts), d_e) matrix of embeddings; one request for remote backends."""
     for text in texts:
         if not text:
             raise DataError("cannot embed empty text")
     if spec.kind == "hashing":
-        return [hashing_embed(t, spec.dimension) for t in texts]
-    return _remote_backend(spec).embed_batch(texts)
+        return _hashing_matrix(texts, spec.dimension)
+    if not texts:
+        return np.zeros((0, spec.dimension))
+    return np.stack(_remote_backend(spec).embed_batch(texts))
+
+
+def embed_texts(spec: EmbedderSpec, texts: list[str]) -> list[np.ndarray]:
+    """Embed a batch of texts; one request for remote backends."""
+    return list(_text_matrix(spec, texts))
 
 
 def embed_text(spec: EmbedderSpec, text: str) -> np.ndarray:
     """Embed one text into a d_e vector."""
-    return embed_texts(spec, [text])[0]
+    return _text_matrix(spec, [text])[0]
 
 
 def embed_step(spec: EmbedderSpec, role: str, output: str) -> np.ndarray:
     """Concatenated [role ; output] embedding of dimension 2 * d_e."""
-    role_vec, out_vec = embed_texts(spec, [role, output])
-    return np.concatenate([role_vec, out_vec])
+    return _text_matrix(spec, [role, output]).reshape(-1)
 
 
 def query_text(trajectory: Trajectory, with_gt: bool) -> str:
@@ -236,21 +295,19 @@ def query_text(trajectory: Trajectory, with_gt: bool) -> str:
 
 def embed_trajectory(
     spec: EmbedderSpec, trajectory: Trajectory, with_gt: bool = False
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Embed the query and every step of a trajectory.
 
-    Returns (query vector of d_e, one step embedding of 2*d_e per step, in
-    execution order). Either everything embeds or the error propagates;
-    partial results are never returned.
+    Returns (query vector of d_e, (T, 2*d_e) matrix whose row t is step t's
+    embedding, in execution order). Either everything embeds or the error
+    propagates; partial results are never returned.
     """
     texts = [query_text(trajectory, with_gt)]
     for step in trajectory.steps:
         texts.append(step.role)
         texts.append(step.output)
-    vectors = embed_texts(spec, texts)
-    q_vec = vectors[0]
-    steps = [
-        np.concatenate([vectors[1 + 2 * i], vectors[2 + 2 * i]])
-        for i in range(len(trajectory.steps))
-    ]
-    return q_vec, steps
+    matrix = _text_matrix(spec, texts)
+    steps = matrix[1:].reshape(len(trajectory.steps), 2 * spec.dimension)
+    # A copy: a view of row 0 would keep the whole batch matrix alive for as
+    # long as the caller holds the query vector.
+    return matrix[0].copy(), steps

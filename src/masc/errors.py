@@ -14,13 +14,15 @@ class DataError(MascError):
 
 
 class TraceParseError(DataError):
-    """Malformed trace line. Carries the byte offset of the failure."""
+    """Malformed trace line. Carries the byte offset of the failure and the
+    message without it (``reason``)."""
 
     def __init__(self, message: str, byte_offset: int | None = None):
+        self.reason = message
+        self.byte_offset = byte_offset
         if byte_offset is not None:
             message = f"{message} (byte offset {byte_offset})"
         super().__init__(message)
-        self.byte_offset = byte_offset
 
 
 class TraceValidationError(DataError):

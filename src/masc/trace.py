@@ -156,7 +156,12 @@ def serialize_trajectory(trajectory: Trajectory) -> bytes:
 
 
 def load_trajectories(path: str, strict: bool = False) -> list[Trajectory]:
-    """Read a JSONL trace file; blank lines are skipped."""
+    """Read a JSONL trace file; blank lines are skipped.
+
+    A bad line raises the parser's error, of the same type, with the message
+    prefixed by ``path:lineno``; a TraceParseError keeps its ``byte_offset``,
+    counted from the start of that line.
+    """
     out = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -164,6 +169,10 @@ def load_trajectories(path: str, strict: bool = False) -> list[Trajectory]:
                 continue
             try:
                 out.append(parse_trajectory(line, strict=strict))
+            except TraceParseError as exc:
+                raise TraceParseError(
+                    f"{path}:{lineno}: {exc.reason}", exc.byte_offset
+                ) from exc
             except DataError as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     return out

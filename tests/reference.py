@@ -1,0 +1,70 @@
+"""Loop references for the batched inference paths.
+
+``hashing_embed_reference`` is the token-by-token hashing embedding and
+``verdicts_reference`` the step-by-step scoring (one ``anomaly_score``-style
+verdict per step, then the threshold applied with ``dataclasses.replace``)
+that the batched versions in ``masc.embedding`` and ``masc.detector``
+replaced. The batched versions must equal them bit for bit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+import re
+from dataclasses import replace
+
+import numpy as np
+
+from masc.detector import AnomalyVerdict
+
+logger = logging.getLogger("masc.detector")
+
+_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+
+
+def hashing_embed_reference(text: str, dim: int) -> np.ndarray:
+    """One text: accumulate +/-1 per token into ``hash % dim``, L2-normalize."""
+    v = np.zeros(dim, dtype=np.float64)
+    key = dim.to_bytes(8, "little")
+    for token in _TOKEN_SPLIT.split(text.lower()):
+        if not token:
+            continue
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
+        h = int.from_bytes(digest, "little")
+        sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
+        v[h % dim] += sign
+    norm = float(np.linalg.norm(v))
+    if norm > 0.0:
+        v /= norm
+    return v
+
+
+def _safe_cos(a: np.ndarray, b: np.ndarray) -> float:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        logger.warning("zero-norm vector in cosine; treating cos as 0")
+        return 0.0
+    return float(a @ b) / (na * nb)
+
+
+def anomaly_score_reference(x_hat, x, p, alpha, beta) -> AnomalyVerdict:
+    recon_term = float(np.sum((x_hat - x) ** 2))
+    proto_term = 1.0 - _safe_cos(x_hat, p)
+    return AnomalyVerdict(
+        score=alpha * recon_term + beta * proto_term,
+        recon_term=recon_term,
+        proto_term=proto_term,
+        alpha=alpha,
+        beta=beta,
+    )
+
+
+def verdicts_reference(x_hats, step_matrix, p, alpha, beta, delta, t0=1):
+    """Thresholded verdicts for rows t0, t0 + 1, ... scored one at a time."""
+    out = []
+    for t, (x_hat, x) in enumerate(zip(x_hats, step_matrix), start=t0):
+        v = anomaly_score_reference(x_hat, x, p, alpha, beta)
+        out.append(replace(v, delta=delta, flagged=bool(v.score > delta), t=t))
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -238,6 +239,24 @@ class TestScore:
         empty.write_bytes(b"")
         assert main(["score", "--checkpoint", ckpt, "--traces", str(empty)]) == 3
         assert "no trajectories" in capsys.readouterr().err
+
+    def test_golden_digest(self, tmp_path, capsys):
+        """SHA-256 of the score CSV of a checkpoint trained on the committed
+        fixture with the training golden's flags, calibrated at the median;
+        the digest is committed, so a missing file fails."""
+        fixture = str(GOLDEN_DIR / "train_fixture.jsonl")
+        golden = GOLDEN_DIR / "score_digest.txt"
+        assert golden.exists(), f"missing {golden}"
+        ckpt, out = str(tmp_path / "golden.ckpt"), tmp_path / "scores.csv"
+        assert main(["train", "--traces", fixture, "--checkpoint", ckpt,
+                     "--epochs", "3", "--lr", "1e-3", "--hidden", "16",
+                     "--dim", "8", "--seed", "13"]) == 0
+        assert main(["calibrate", "--checkpoint", ckpt, "--traces", fixture,
+                     "--quantile", "0.5"]) == 0
+        assert main(["score", "--checkpoint", ckpt, "--traces", fixture,
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == golden.read_text().strip()
 
     def test_corrupt_checkpoint_exits_two(self, tmp_path, corpus_file, capsys):
         bad = tmp_path / "bad.ckpt"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 import math
@@ -14,8 +15,10 @@ from masc.detector import (
     AnomalyVerdict,
     BackboneSpec,
     DetectorModel,
+    DetectorStream,
     FlatParams,
     FrozenMixer,
+    _verdicts,
     anomaly_score,
     detect,
     misalignment_loss,
@@ -31,6 +34,7 @@ from masc.errors import ConfigError, DataError, TransportError
 from masc.synthetic import make_normal_corpus, make_normal_trajectory, plant_anomaly
 from masc.training import TrainConfig, calibrate_threshold, train
 from tests.conftest import MALFORMED_REPLIES, SMALL_EMBEDDER, views_tile
+from tests.reference import anomaly_score_reference, verdicts_reference
 
 EMB4 = EmbedderSpec(kind="hashing", dimension=4)
 
@@ -495,3 +499,79 @@ def test_detect_agrees_with_score_trajectory(d_e, d_h, layers, T, seed):
         assert single.recon_term == pytest.approx(batch[t - 1].recon_term, rel=1e-12, abs=0.0)
         # 1 - cos lies in [0, 2]; near 0 a relative bound would be meaningless.
         assert single.proto_term == pytest.approx(batch[t - 1].proto_term, rel=0.0, abs=1e-12)
+
+
+def _bits(verdicts) -> list[str]:
+    """Field reprs: a float's repr round-trips its exact bits and its type."""
+    return [repr(dataclasses.astuple(v)) for v in verdicts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    T=st.integers(1, 40),
+    d=st.integers(1, 48),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([1e-3, 1.0, 37.0]),
+    zero_row=st.booleans(),
+    alpha=st.sampled_from([0.0, 0.5, 1.0, 2]),
+    beta=st.sampled_from([0.25, 1.0, 3]),
+    delta=st.sampled_from([-1.0, 0.0, 1.5, math.inf]),
+)
+def test_batched_verdicts_equal_per_step_scoring(
+    T, d, seed, scale, zero_row, alpha, beta, delta
+):
+    rng = np.random.RandomState(seed)
+    x_hats = scale * rng.randn(T, d)
+    if zero_row:
+        x_hats[rng.randint(T)] = 0.0
+    steps, p = rng.randn(T, d), rng.randn(d)
+    expected = verdicts_reference(x_hats, steps, p, alpha, beta, delta)
+    assert _bits(_verdicts(x_hats, steps, p, alpha, beta, delta, 1)) == _bits(expected)
+    assert _bits(_verdicts(x_hats[:1], steps[:1], p, alpha, beta)) == _bits(
+        [anomaly_score_reference(x_hats[0], steps[0], p, alpha, beta)]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d_e=st.integers(1, 8),
+    d_h=st.integers(1, 24),
+    T=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_public_scoring_paths_equal_per_step_scoring(d_e, d_h, T, seed):
+    model = DetectorModel.init(
+        EmbedderSpec(kind="hashing", dimension=d_e), d_h=d_h,
+        backbone=BackboneSpec(hidden_dim=d_h, layers=2, seed=seed), seed=seed,
+    )
+    rng = np.random.RandomState(seed)
+    q, steps = rng.randn(d_e), rng.randn(T, 2 * d_e)
+    p = model.params["p"]
+    x_hats, _ = predictions_tensor(model, model.params, q, steps)
+    expected = verdicts_reference(x_hats, steps, p, 1.0, 0.5, 2.0)
+    assert _bits(score_trajectory(model, q, steps, 1.0, 0.5, 2.0)) == _bits(expected)
+    assert _bits([anomaly_score(model, x_hats[-1], steps[-1], 1.0, 0.5)]) == _bits(
+        [anomaly_score_reference(x_hats[-1], steps[-1], p, 1.0, 0.5)]
+    )
+    stream = DetectorStream(model, q)
+    for t, step in enumerate(steps, start=1):
+        prediction = stream._prediction()
+        assert _bits([stream.score(step, 1.0, 0.5, 2.0)]) == _bits(
+            verdicts_reference(prediction[None, :], step[None, :], p, 1.0, 0.5, 2.0, t)
+        )
+        stream.commit(step)
+
+
+def test_zero_prototype_counts_cos_zero_and_warns(caplog):
+    model = tiny_model(seed=4)
+    model.params["p"][...] = 0.0
+    rng = np.random.RandomState(4)
+    q, steps = rng.randn(4), rng.randn(5, 8)
+    x_hats, _ = predictions_tensor(model, model.params, q, steps)
+    with caplog.at_level(logging.WARNING):
+        verdicts = score_trajectory(model, q, steps, 1.0, 1.0)
+    assert [v.proto_term for v in verdicts] == [1.0] * 5
+    warnings = [r for r in caplog.records if "zero-norm" in r.message]
+    assert len(warnings) == 5
+    expected = verdicts_reference(x_hats, steps, model.params["p"], 1.0, 1.0, math.inf)
+    assert _bits(verdicts) == _bits(expected)

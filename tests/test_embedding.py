@@ -1,11 +1,16 @@
 import hashlib
 import logging
 import struct
+import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import masc.embedding as embedding
 from masc.embedding import (
     EmbedderSpec,
     VectorCache,
@@ -19,6 +24,7 @@ from masc.embedding import (
 from masc.errors import ConfigError, DataError, TransportError
 from masc.trace import Step, Trajectory
 from tests.conftest import MALFORMED_REPLIES
+from tests.reference import hashing_embed_reference
 
 HASHING = EmbedderSpec(kind="hashing", dimension=64)
 
@@ -82,6 +88,91 @@ class TestHashingEmbedder:
         assert np.allclose(one, twice_raw)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Words with repeats, non-ASCII letters (separators to the tokenizer), digits
+# and punctuation; "!!!"-like texts have no token at all.
+_WORDS = st.sampled_from([
+    "the", "The", "cat", "42", "x1", "naïve", "Ünïcödé", "日本語", "!!!", "--", "a_b", "ß",
+])
+_TEXTS = st.one_of(
+    st.lists(_WORDS, min_size=1, max_size=12).map(" ".join),
+    st.text(min_size=1, max_size=40),
+)
+
+
+class TestBatchedHashingEqualsTokenLoop:
+    """The batched, memoized hashing path against the token-by-token loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_TEXTS, min_size=1, max_size=6), dim=st.integers(1, 128))
+    def test_batch_equals_loop(self, texts, dim):
+        matrix = embedding._hashing_matrix(texts, dim)
+        assert matrix.shape == (len(texts), dim)
+        for row, text in zip(matrix, texts):
+            assert _same_bits(row, hashing_embed_reference(text, dim))
+        assert _same_bits(hashing_embed(texts[0], dim), hashing_embed_reference(texts[0], dim))
+
+    def test_text_without_tokens_is_zero(self):
+        for dim in (1, 7, 64):
+            assert _same_bits(hashing_embed("!!!", dim), np.zeros(dim))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_tokens=st.integers(1, 60),
+        limit=st.integers(1, 16),
+        dim=st.integers(1, 128),
+        salt=st.integers(0, 10**6),
+    )
+    def test_more_distinct_tokens_than_the_memo_holds(self, n_tokens, limit, dim, salt):
+        # Three texts over n_tokens distinct tokens; a text may have none.
+        texts = [
+            " ".join(f"w{salt}x{i}" for i in range(j, n_tokens, 3)) or "!" for j in range(3)
+        ]
+        # A fresh memo: entries stored under the module's limit may exceed
+        # the patched one until the next miss.
+        with mock.patch.object(embedding, "MEMO_LIMIT", limit), \
+                mock.patch.dict(embedding._MEMOS, clear=True):
+            matrix = embedding._hashing_matrix(texts + texts, dim)
+            assert len(embedding._MEMOS[dim]) <= limit
+        for row, text in zip(matrix, texts + texts):
+            assert _same_bits(row, hashing_embed_reference(text, dim))
+
+    def test_memo_bound_at_the_module_limit(self):
+        dim = 7
+        text = " ".join(f"t{i}" for i in range(embedding.MEMO_LIMIT + 100))
+        assert _same_bits(hashing_embed(text, dim), hashing_embed_reference(text, dim))
+        assert len(embedding._MEMOS[dim]) <= embedding.MEMO_LIMIT
+
+    def test_threads_share_the_memo_without_breaking_its_bound(self):
+        limit, dim = 32, 16
+        texts = [[f"thread{k} tok{i} shared{i % 5}" for i in range(200)] for k in range(4)]
+        results: dict[int, np.ndarray] = {}
+
+        def work(k):
+            results[k] = embedding._hashing_matrix(texts[k], dim)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(embedding, "MEMO_LIMIT", limit), \
+                    mock.patch.dict(embedding._MEMOS, clear=True):
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert len(embedding._MEMOS[dim]) <= limit
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(4):
+            for row, text in zip(results[k], texts[k]):
+                assert _same_bits(row, hashing_embed_reference(text, dim))
+
+
 class TestStepEmbedding:
     def test_same_text_gives_identical_halves(self):
         v = embed_step(HASHING, "a", "a")
@@ -124,6 +215,20 @@ class TestTrajectoryEmbedding:
         a = embed_trajectory(HASHING, _traj(gt="42"), with_gt=True)
         b = embed_trajectory(HASHING, _traj(gt="42"), with_gt=False)
         assert not np.array_equal(a[0], b[0])
+
+    def test_step_rows_equal_per_text_embeddings(self):
+        trajectory = _traj(gt="42")
+        q, steps = embed_trajectory(HASHING, trajectory, with_gt=True)
+        assert steps.shape == (3, 128)
+        assert _same_bits(q, hashing_embed_reference("solve the task\nanswer: 42", 64))
+        for row, step in zip(steps, trajectory.steps):
+            assert _same_bits(row, embed_step(HASHING, step.role, step.output))
+            assert _same_bits(row[:64], hashing_embed_reference(step.role, 64))
+            assert _same_bits(row[64:], hashing_embed_reference(step.output, 64))
+
+    def test_query_vector_does_not_keep_the_batch_alive(self):
+        q, _ = embed_trajectory(HASHING, _traj())
+        assert q.base is None or q.base.size == HASHING.dimension
 
     def test_pure_function_of_inputs(self):
         def digest():
@@ -245,6 +350,27 @@ class TestRemoteEmbedder:
             second = embed_text(spec, "same text")
             assert np.array_equal(first, second)
             assert len(stub.requests) == 1
+
+    def test_cached_vector_of_another_dimension_is_config_error(self, stub_service, tmp_path):
+        # The cache is keyed by model and text, not by dimension.
+        cache_path = str(tmp_path / "c.bin")
+        VectorCache(cache_path).put(cache_key("m", "x"), np.ones(6))
+        with stub_service(dimension=4) as stub:
+            spec = EmbedderSpec(kind="remote", dimension=4, endpoint=stub.endpoint,
+                                model_name="m", cache_path=cache_path)
+            with pytest.raises(ConfigError, match="embedding cache .* dimension 4"):
+                embed_texts(spec, ["x", "y"])
+
+    def test_trajectory_rows_stack_the_service_vectors(self, stub_service):
+        with stub_service(dimension=4) as stub:
+            spec = EmbedderSpec(kind="remote", dimension=4,
+                                endpoint=stub.endpoint, model_name="m")
+            q, steps = embed_trajectory(spec, _traj())
+            assert len(stub.requests) == 1
+            vecs = embed_texts(spec, ["solve the task", "planner", "make a plan"])
+            assert np.array_equal(q, vecs[0])
+            assert steps.shape == (3, 8)
+            assert np.array_equal(steps[0], np.concatenate(vecs[1:]))
 
 
 def test_spec_validation():

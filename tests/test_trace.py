@@ -147,6 +147,36 @@ class TestFiles:
         with pytest.raises(DataError, match=":2:"):
             load_trajectories(str(path))
 
+    def test_non_utf8_line_keeps_type_and_offset(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(
+            serialize_trajectory(make_traj(0))
+            + b'{"id":"caf\xe9","query":"q","steps":[{"role":"r","output":"o"}]}\n'
+        )
+        with pytest.raises(TraceParseError) as err:
+            load_trajectories(str(path))
+        assert err.value.byte_offset == 10
+        assert str(err.value) == (
+            f"{path}:2: invalid UTF-8: invalid continuation byte (byte offset 10)"
+        )
+
+    def test_malformed_json_line_keeps_type_and_offset(self, tmp_path):
+        line = b'{"id": "x", "query": }'
+        with pytest.raises(TraceParseError) as direct:
+            parse_trajectory(line)
+        path = tmp_path / "broken.jsonl"
+        path.write_bytes(serialize_trajectory(make_traj(0)) + line + b"\n")
+        with pytest.raises(TraceParseError) as err:
+            load_trajectories(str(path))
+        assert err.value.byte_offset == direct.value.byte_offset == 21
+        assert str(err.value) == f"{path}:2: {direct.value}"
+
+    def test_validation_error_keeps_its_type(self, tmp_path):
+        path = tmp_path / "empty_steps.jsonl"
+        path.write_bytes(b'\n{"id":"x","query":"q","steps":[]}\n')
+        with pytest.raises(TraceValidationError, match=r":2: empty steps$"):
+            load_trajectories(str(path))
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_bytes(serialize_trajectory(make_traj(0)) + b"\n" +
