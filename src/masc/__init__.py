@@ -7,17 +7,13 @@ from .detector import (
     BackboneSpec,
     DetectorModel,
     DetectorStream,
-    anomaly_score,
-    detect,
     score_trajectory,
 )
 from .embedding import (
     EmbedderSpec,
     embed_step,
     embed_text,
-    embed_texts,
     embed_trajectory,
-    hashing_embed,
 )
 from .trace import (
     DatasetSplit,
@@ -91,21 +87,17 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "Trajectory",
-    "anomaly_score",
     "apply_correction",
     "auc_roc",
     "batch_experiment",
     "build_correction_prompt",
     "calibrate_threshold",
     "compute_metrics",
-    "detect",
     "embed_step",
     "embed_text",
-    "embed_texts",
     "embed_trajectory",
     "embedding_distance_diagnostics",
     "error_position_histogram",
-    "hashing_embed",
     "inject_fault",
     "load_checkpoint",
     "load_trajectories",

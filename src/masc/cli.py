@@ -1,9 +1,10 @@
 """Command-line entry point: ingest, train, calibrate, score, eval, diag, simulate.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
-Flag precedence for training configuration: explicit flags > --config file
-(JSON or TOML) > profile defaults. Reports embed the effective configuration
-and the tool version.
+Exit codes: 0 success, 2 configuration error, 3 data error or a file that
+cannot be read or written, 4 numeric failure. Flag precedence for training
+configuration: explicit flags > --config file (JSON, or TOML on Python 3.11
+and later) > profile defaults. Reports embed the effective configuration and
+the tool version.
 """
 
 from __future__ import annotations
@@ -13,10 +14,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -30,13 +28,17 @@ from .errors import (
     MascError,
 )
 from .evaluation import ScoredStep, compute_metrics, embedding_distance_diagnostics
-from .experiment import ExperimentConfig, MascSettings, batch_experiment
+from .experiment import (
+    ExperimentConfig,
+    MascSettings,
+    batch_experiment,
+    dump_cell_traces,
+)
 from .simulator import FaultSpec
 from .trace import (
     error_position_histogram,
     load_trajectories,
     save_trajectories,
-    serialize_trajectory,
 )
 from .training import PROFILES, TrainConfig, calibrate_threshold, train
 
@@ -160,8 +162,13 @@ def _load_config_file(path: str) -> dict:
     object whose keys are known and whose values have the right types."""
     try:
         if path.endswith(".toml"):
-            import tomllib
-
+            try:
+                import tomllib
+            except ImportError:  # new in Python 3.11
+                raise ConfigError(
+                    f"config file {path}: TOML configs need Python 3.11 or later; "
+                    "use JSON"
+                ) from None
             with open(path, "rb") as fh:
                 settings = tomllib.load(fh)
         else:
@@ -482,9 +489,7 @@ def cmd_simulate(args) -> int:
     if args.csv:
         _write_text(args.csv, report.to_csv())
     if args.dump_traces:
-        from .experiment import dump_cell_traces
-
-        dump_cell_traces(config, report, args.dump_traces)
+        dump_cell_traces(report, args.dump_traces)
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -511,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MascError as exc:

@@ -64,10 +64,6 @@ class CorrectionRequest:
     history: tuple[tuple[str, str], ...]  # (role, output) for steps 1..t-1
     flagged_output: str
 
-    @property
-    def instruction(self) -> str:
-        return build_correction_prompt(self)
-
 
 @dataclass(frozen=True)
 class CorrectionResult:

@@ -29,7 +29,7 @@ pass gives the same verdicts as scoring each prefix separately, to rounding:
 a one-row product takes BLAS's matrix-vector path, so the two can differ in
 the last bit.
 
-Three ways to score, one forward pass (``FrozenMixer.run``):
+Two ways to score, one forward pass (``FrozenMixer.run``):
 
 - ``score_trajectory``: every step of a recorded trajectory in one batched
   pass; ``train`` runs the same pass and ``trajectory_loss`` adds the one
@@ -39,8 +39,6 @@ Three ways to score, one forward pass (``FrozenMixer.run``):
   without changing state; ``commit`` pushes the kept step's row through the
   blocks, continuing from each block's carried prefix sum, so a turn costs
   the same at step 3 and step 300.
-- ``detect``: a one-off query, the last verdict of ``score_trajectory`` on
-  a prefix.
 """
 
 from __future__ import annotations
@@ -569,11 +567,11 @@ def _verdicts(
     p: np.ndarray,
     alpha: float,
     beta: float,
-    delta: float | None = None,
-    t0: int | None = None,
+    delta: float,
+    t0: int,
 ) -> list[AnomalyVerdict]:
     """One verdict per row of (x_hats, step_matrix), the rows being steps
-    t0, t0 + 1, ...; with ``delta`` None, unthresholded and without t.
+    t0, t0 + 1, ..., each thresholded at ``delta``.
 
     A prediction or a prototype of zero norm counts as cos 0, with a
     warning. Why the batch equals scoring each row alone, bit for bit: see
@@ -595,49 +593,11 @@ def _verdicts(
             cos = float(x_hat.dot(p)) / (x_norm * p_norm)
         proto_term = 1.0 - cos
         score = alpha * recon_term + beta * proto_term
-        if delta is None:
-            out.append(AnomalyVerdict(score, recon_term, proto_term, alpha, beta))
-        else:
-            out.append(AnomalyVerdict(
-                score, recon_term, proto_term, alpha, beta,
-                delta, bool(score > delta), t0 + i,
-            ))
+        out.append(AnomalyVerdict(
+            score, recon_term, proto_term, alpha, beta,
+            delta, bool(score > delta), t0 + i,
+        ))
     return out
-
-
-def anomaly_score(
-    model: DetectorModel,
-    x_hat: np.ndarray,
-    x: np.ndarray,
-    alpha: float,
-    beta: float,
-) -> AnomalyVerdict:
-    """Score one step without applying a threshold."""
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    return _verdicts(x_hat[None, :], x[None, :], model.params["p"], alpha, beta)[0]
-
-
-def detect(
-    model: DetectorModel,
-    q_vec: np.ndarray,
-    step_embs,
-    t: int,
-    alpha: float,
-    beta: float,
-    delta: float,
-) -> AnomalyVerdict:
-    """One-off query: score step t against its history and apply the threshold.
-
-    This is the last verdict of ``score_trajectory`` on steps 1..t; later
-    steps are not read. It encodes the whole prefix, so a run that scores
-    every step as it arrives uses ``DetectorStream`` instead. Dimension
-    mismatches raise ConfigError as in ``score_trajectory``.
-    """
-    q_vec, step_matrix = _checked_inputs(model, q_vec, step_embs)
-    if not (1 <= t <= step_matrix.shape[0]):
-        raise DataError(f"step index {t} out of range 1..{step_matrix.shape[0]}")
-    return score_trajectory(model, q_vec, step_matrix[:t], alpha, beta, delta)[-1]
 
 
 def score_trajectory(
@@ -660,10 +620,11 @@ def score_trajectory(
     The verdicts, too, come from whole-trajectory arrays: the squared
     prediction errors of all T steps in one row-wise reduction, and the
     prototype's norm once. Each row's reduction sums in the same order as a
-    one-row call, so every verdict equals ``anomaly_score`` on that step bit
-    for bit. The two dot products per row (the prediction with itself and
-    with the prototype) stay per-row calls: one matrix-vector product over
-    all rows sums in another order and moves last bits.
+    one-row call, so every verdict equals that step scored alone (a one-row
+    batch, as ``DetectorStream.score`` makes) bit for bit. The two dot
+    products per row (the prediction with itself and with the prototype)
+    stay per-row calls: one matrix-vector product over all rows sums in
+    another order and moves last bits.
     """
     if len(step_embs) == 0:
         raise DataError("empty trajectory")

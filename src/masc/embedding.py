@@ -2,17 +2,21 @@
 
 Two embedder kinds are supported:
 
-* ``hashing`` -- a deterministic, dependency-free feature hashing scheme used
-  by the test and acceptance suites. Tokens are lowercased, split on
-  non-alphanumerics, hashed with a 64-bit keyed blake2b (keyed by the target
-  dimension), and accumulated as +/-1 into ``hash % dim``; the vector is then
-  L2-normalized, so every embedding has norm <= 1.
+* ``hashing`` -- a deterministic, dependency-free feature hashing scheme, the
+  default of the CLI and of the test and acceptance suites. Tokens are
+  lowercased, split on non-alphanumerics, hashed with a 64-bit keyed blake2b
+  (keyed by the target dimension), and accumulated as +/-1 into
+  ``hash % dim``; the vector is then L2-normalized, so every embedding has
+  norm <= 1.
 * ``remote`` -- a JSON-over-HTTP client (POST {endpoint}/embed) so any
   embedding service can be adapted. Responses are cached on disk keyed by
   SHA-256 of (model_name, text).
 
 Step embeddings are the concatenation [role_embedding ; output_embedding],
-role half first, giving vectors of dimension 2 * d_e.
+role half first, giving vectors of dimension 2 * d_e. There are three entry
+points, all through one batch function (``_text_matrix``): ``embed_text``
+for one text, ``embed_step`` for one step and ``embed_trajectory`` for a
+whole trajectory.
 
 A batch of texts embeds as one (n, d_e) matrix. With the hashing kind, each
 token's bucket and sign come from a per-dimension memo (token -> ``2 *
@@ -121,13 +125,6 @@ def _hashing_matrix(texts: list[str], dim: int) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     matrix /= norms[:, None]
     return matrix
-
-
-def hashing_embed(text: str, dim: int) -> np.ndarray:
-    """Deterministic feature-hashing embedding, L2-normalized."""
-    if not text:
-        raise DataError("cannot embed empty text")
-    return _hashing_matrix([text], dim)[0]
 
 
 class VectorCache:
@@ -269,11 +266,6 @@ def _text_matrix(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
     if not texts:
         return np.zeros((0, spec.dimension))
     return np.stack(_remote_backend(spec).embed_batch(texts))
-
-
-def embed_texts(spec: EmbedderSpec, texts: list[str]) -> list[np.ndarray]:
-    """Embed a batch of texts; one request for remote backends."""
-    return list(_text_matrix(spec, texts))
 
 
 def embed_text(spec: EmbedderSpec, text: str) -> np.ndarray:

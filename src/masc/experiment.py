@@ -8,9 +8,8 @@ clean-run-text oracle corrector unless a custom policy is supplied.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .detector import BackboneSpec, DetectorModel
 from .embedding import EmbedderSpec
@@ -28,7 +27,7 @@ from .simulator import (
     Topology,
     run_seed,
 )
-from .trace import Trajectory
+from .trace import Trajectory, save_trajectories
 from .training import Calibration, TrainConfig, calibrate_threshold, train
 
 
@@ -115,9 +114,6 @@ class ExperimentReport:
                 f"{c.flagged},{c.interventions}"
             )
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _topology(config: ExperimentConfig, kind: str, fixture_index: int) -> Topology:
@@ -268,18 +264,12 @@ def _run_cell(
     return [one(item) for item in items]
 
 
-def dump_cell_traces(
-    config: ExperimentConfig, report: ExperimentReport, path: str
-):
+def dump_cell_traces(report: ExperimentReport, path: str):
     """Write every retained run trajectory as JSONL, ids prefixed by cell."""
-    from dataclasses import replace as dc_replace
-
-    from .trace import save_trajectories
-
     out = []
     for key, trajectories in sorted(report.runs.items()):
         for trajectory in trajectories:
-            out.append(dc_replace(trajectory, id=f"{key}/{trajectory.id}"))
+            out.append(replace(trajectory, id=f"{key}/{trajectory.id}"))
     save_trajectories(path, out)
 
 

@@ -18,7 +18,6 @@ step labels are never read by this path.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -97,9 +96,6 @@ class TrainReport:
             "n_trajectories": self.n_trajectories,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 @dataclass(frozen=True)
 class Calibration:
@@ -148,10 +144,10 @@ def train(
         with_gt=cfg.with_gt,
     )
     prepared = [_strip_labels(t, cfg.exclude_labeled_steps) for t in train_set]
-    embedded = []
-    for trajectory in prepared:
-        q_vec, step_embs = embed_trajectory(cfg.embedder, trajectory, with_gt=cfg.with_gt)
-        embedded.append((q_vec, np.stack(step_embs)))
+    embedded = [
+        embed_trajectory(cfg.embedder, trajectory, with_gt=cfg.with_gt)
+        for trajectory in prepared
+    ]
     adam = AdamState.init(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     grads = model.params.zeros_like()
     report = TrainReport(n_trajectories=len(prepared))

@@ -1,10 +1,10 @@
 """Loop references for the batched inference paths.
 
 ``hashing_embed_reference`` is the token-by-token hashing embedding and
-``verdicts_reference`` the step-by-step scoring (one ``anomaly_score``-style
-verdict per step, then the threshold applied with ``dataclasses.replace``)
-that the batched versions in ``masc.embedding`` and ``masc.detector``
-replaced. The batched versions must equal them bit for bit.
+``verdicts_reference`` the step-by-step scoring (one unthresholded verdict
+per step, then the threshold applied with ``dataclasses.replace``) that the
+batched versions in ``masc.embedding`` and ``masc.detector`` replaced. The
+batched versions must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _safe_cos(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (na * nb)
 
 
-def anomaly_score_reference(x_hat, x, p, alpha, beta) -> AnomalyVerdict:
+def _unthresholded_verdict(x_hat, x, p, alpha, beta) -> AnomalyVerdict:
     recon_term = float(np.sum((x_hat - x) ** 2))
     proto_term = 1.0 - _safe_cos(x_hat, p)
     return AnomalyVerdict(
@@ -65,6 +65,6 @@ def verdicts_reference(x_hats, step_matrix, p, alpha, beta, delta, t0=1):
     """Thresholded verdicts for rows t0, t0 + 1, ... scored one at a time."""
     out = []
     for t, (x_hat, x) in enumerate(zip(x_hats, step_matrix), start=t0):
-        v = anomaly_score_reference(x_hat, x, p, alpha, beta)
+        v = _unthresholded_verdict(x_hat, x, p, alpha, beta)
         out.append(replace(v, delta=delta, flagged=bool(v.score > delta), t=t))
     return out

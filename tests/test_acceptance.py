@@ -21,7 +21,6 @@ from masc.correction import ScriptedPolicy, apply_correction, parse_correction_r
 from masc.detector import (
     BackboneSpec,
     DetectorModel,
-    detect,
     misalignment_loss,
     predictions_tensor,
     prototype_attention,
@@ -428,8 +427,8 @@ def test_criterion_10_determinism_persistence(tmp_path):
         q = rng.randn(model.d_e)
         steps = [rng.randn(model.d) for _ in range(4)]
         for t in range(1, 5):
-            a = detect(model, q, steps, t, 1.0, 1.0, calibration.delta)
-            b = detect(clone, q, steps, t, 1.0, 1.0, clone_cal.delta)
+            a = score_trajectory(model, q, steps[:t], 1.0, 1.0, calibration.delta)[-1]
+            b = score_trajectory(clone, q, steps[:t], 1.0, 1.0, clone_cal.delta)[-1]
             assert a.score == b.score
             assert a.recon_term == b.recon_term
             assert a.proto_term == b.proto_term

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -102,6 +103,11 @@ class TestIngest:
         assert "invalid UTF-8" in err and "byte offset 10" in err
         assert "Traceback" not in err
 
+    def test_directory_exits_three_without_traceback(self, tmp_path, capsys):
+        assert main(["ingest", "--traces", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestTrain:
     def test_writes_checkpoint_and_report(self, trained_checkpoint):
@@ -172,6 +178,21 @@ class TestTrain:
             assert code == 2, name
             assert "error:" in capsys.readouterr().err
 
+    def test_toml_config_without_tomllib_exits_two(
+        self, corpus_file, tmp_path, capsys, monkeypatch
+    ):
+        # Python 3.10 has no tomllib; an import of a None entry fails the same way.
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        config = tmp_path / "settings.toml"
+        config.write_text("epochs = 2\n")
+        ckpt = tmp_path / "x.ckpt"
+        assert main(["train", "--traces", corpus_file, "--checkpoint", str(ckpt),
+                     "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Python 3.11" in err
+        assert "Traceback" not in err
+        assert not ckpt.exists()
+
     def test_out_of_range_config_exits_two(self, corpus_file, tmp_path, capsys):
         for name, text in {"epochs.json": '{"epochs": 0}', "lr.json": '{"lr": 0}',
                            "lambda.json": '{"lambda": -1}'}.items():
@@ -232,6 +253,15 @@ class TestScore:
         lines = a.decode().strip().split("\n")
         assert lines[0] == "trajectory_id,t,score,recon_term,proto_term,flagged"
         assert len(lines) - 1 == 12 * 4  # sum of T_i
+
+    def test_out_to_a_directory_exits_three_without_traceback(
+        self, trained_checkpoint, corpus_file, tmp_path, capsys
+    ):
+        ckpt, _ = trained_checkpoint
+        assert main(["score", "--checkpoint", ckpt, "--traces", corpus_file,
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_empty_trace_file_exits_three(self, trained_checkpoint, tmp_path, capsys):
         ckpt, _ = trained_checkpoint

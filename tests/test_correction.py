@@ -36,7 +36,6 @@ class TestPrompt:
     def test_deterministic_bytes(self):
         r = req()
         assert build_correction_prompt(r) == build_correction_prompt(r)
-        assert r.instruction == build_correction_prompt(r)
 
     def test_contains_protocol_key(self):
         assert '"correction_needed"' in build_correction_prompt(req())

@@ -19,8 +19,6 @@ from masc.detector import (
     FlatParams,
     FrozenMixer,
     _verdicts,
-    anomaly_score,
-    detect,
     misalignment_loss,
     predictions_tensor,
     projected_sequence,
@@ -34,7 +32,7 @@ from masc.errors import ConfigError, DataError, TransportError
 from masc.synthetic import make_normal_corpus, make_normal_trajectory, plant_anomaly
 from masc.training import TrainConfig, calibrate_threshold, train
 from tests.conftest import MALFORMED_REPLIES, SMALL_EMBEDDER, views_tile
-from tests.reference import anomaly_score_reference, verdicts_reference
+from tests.reference import verdicts_reference
 
 EMB4 = EmbedderSpec(kind="hashing", dimension=4)
 
@@ -85,7 +83,10 @@ class TestEncodeContext:
             with pytest.raises(ConfigError):
                 score_trajectory(model, q, steps, 1.0, 1.0)
             with pytest.raises(ConfigError):
-                detect(model, q, steps, 1, 1.0, 1.0, 1.0)
+                stream = DetectorStream(model, q)
+                for step in steps:
+                    stream.score(step, 1.0, 1.0, 1.0)
+                    stream.commit(step)
 
 
 class TestPredictNext:
@@ -112,6 +113,11 @@ class TestPredictNext:
         forward = predictions_tensor(model, model.params, q, steps)[0][-1]
         permuted = predictions_tensor(model, model.params, q, steps[[1, 0, 2, 3]])[0][-1]
         assert not np.array_equal(forward, permuted)
+
+
+def one_verdict(model, x_hat, x, alpha, beta):
+    """The verdict on one step, unthresholded (delta = inf)."""
+    return _verdicts(x_hat[None, :], x[None, :], model.params["p"], alpha, beta, math.inf, 1)[0]
 
 
 class TestUpdatePrototype:
@@ -194,7 +200,7 @@ class TestLosses:
         assert misalignment_loss(np.zeros((1, 2)), p)[0] == pytest.approx(1.0)
         model = tiny_model()
         with caplog.at_level(logging.WARNING):
-            verdict = anomaly_score(model, np.zeros(8), np.ones(8), 1.0, 1.0)
+            verdict = one_verdict(model, np.zeros(8), np.ones(8), 1.0, 1.0)
         assert verdict.proto_term == 1.0
         assert any("zero-norm" in r.message for r in caplog.records)
 
@@ -220,7 +226,7 @@ class TestAnomalyScore:
     def test_perfect_prediction_scores_zero(self):
         model = tiny_model()
         p = model.params["p"]
-        v = anomaly_score(model, p, p, alpha=1.0, beta=1.0)
+        v = one_verdict(model, p, p, alpha=1.0, beta=1.0)
         assert v.score == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_recon_analytic(self):
@@ -228,7 +234,7 @@ class TestAnomalyScore:
         x = np.zeros(8)
         x_hat = np.zeros(8)
         x_hat[0] = 2.0
-        v = anomaly_score(model, x_hat, x, alpha=1.0, beta=0.0)
+        v = one_verdict(model, x_hat, x, alpha=1.0, beta=0.0)
         assert v.recon_term == pytest.approx(4.0, abs=1e-15)
         assert v.score == pytest.approx(4.0, abs=1e-15)
 
@@ -237,7 +243,7 @@ class TestAnomalyScore:
         rng = np.random.RandomState(8)
         x_hat, x = rng.randn(8), rng.randn(8)
         p = model.params["p"]
-        v = anomaly_score(model, x_hat, x, alpha=0.5, beta=0.5)
+        v = one_verdict(model, x_hat, x, alpha=0.5, beta=0.5)
         cos = (x_hat @ p) / (np.linalg.norm(x_hat) * np.linalg.norm(p))
         oracle = 0.5 * float(np.sum((x_hat - x) ** 2)) + 0.5 * (1.0 - cos)
         assert v.score == pytest.approx(oracle, abs=1e-12)
@@ -247,35 +253,35 @@ class TestAnomalyScore:
         rng = np.random.RandomState(9)
         for _ in range(20):
             a, b = float(rng.uniform(0, 2)), float(rng.uniform(0, 2)) + 1e-3
-            v = anomaly_score(model, rng.randn(8), rng.randn(8), a, b)
+            v = one_verdict(model, rng.randn(8), rng.randn(8), a, b)
             assert v.score == a * v.recon_term + b * v.proto_term
 
     def test_monotone_in_alpha_and_beta(self):
         model = tiny_model(seed=10)
         rng = np.random.RandomState(10)
         x_hat, x = rng.randn(8), rng.randn(8)
-        base = anomaly_score(model, x_hat, x, 1.0, 1.0).score
-        assert anomaly_score(model, x_hat, x, 2.0, 1.0).score >= base
-        assert anomaly_score(model, x_hat, x, 1.0, 2.0).score >= base
+        base = one_verdict(model, x_hat, x, 1.0, 1.0).score
+        assert one_verdict(model, x_hat, x, 2.0, 1.0).score >= base
+        assert one_verdict(model, x_hat, x, 1.0, 2.0).score >= base
 
     def test_proto_term_scale_invariant_recon_not(self):
         model = tiny_model(seed=11)
         rng = np.random.RandomState(11)
         x_hat, x = rng.randn(8), rng.randn(8)
-        v1 = anomaly_score(model, x_hat, x, 1.0, 1.0)
-        v2 = anomaly_score(model, 3.0 * x_hat, x, 1.0, 1.0)
+        v1 = one_verdict(model, x_hat, x, 1.0, 1.0)
+        v2 = one_verdict(model, 3.0 * x_hat, x, 1.0, 1.0)
         assert v2.proto_term == pytest.approx(v1.proto_term, abs=1e-12)
         assert v2.recon_term != pytest.approx(v1.recon_term)
         model.params["p"][...] = 7.0 * model.params["p"]
-        v3 = anomaly_score(model, x_hat, x, 1.0, 1.0)
+        v3 = one_verdict(model, x_hat, x, 1.0, 1.0)
         assert v3.proto_term == pytest.approx(v1.proto_term, abs=1e-12)
 
     def test_invalid_weights(self):
         model = tiny_model()
         with pytest.raises(ConfigError):
-            anomaly_score(model, np.ones(8), np.ones(8), 0.0, 0.0)
+            one_verdict(model, np.ones(8), np.ones(8), 0.0, 0.0)
         with pytest.raises(ConfigError):
-            anomaly_score(model, np.ones(8), np.ones(8), -1.0, 1.0)
+            one_verdict(model, np.ones(8), np.ones(8), -1.0, 1.0)
 
 
 def embedded(trajectory, spec=SMALL_EMBEDDER):
@@ -287,45 +293,43 @@ class TestDetect:
         model, _, corpus = small_trained
         q, se = embedded(corpus[0])
         for t in range(1, len(se) + 1):
-            assert detect(model, q, se, t, 1.0, 1.0, math.inf).flagged is False
+            assert score_trajectory(model, q, se[:t], 1.0, 1.0, math.inf)[-1].flagged is False
 
     def test_negative_delta_always_flags(self, small_trained):
         model, _, corpus = small_trained
         q, se = embedded(corpus[0])
         for t in range(1, len(se) + 1):
-            v = detect(model, q, se, t, 1.0, 1.0, -1.0)
+            v = score_trajectory(model, q, se[:t], 1.0, 1.0, -1.0)[-1]
             assert v.flagged is True
             assert v.score >= 0.0
 
     def test_first_step_operability(self, small_trained):
         model, _, corpus = small_trained
         q, se = embedded(corpus[0])
-        v = detect(model, q, se, 1, 1.0, 1.0, math.inf)
+        v = score_trajectory(model, q, se[:1], 1.0, 1.0, math.inf)[-1]
         assert np.isfinite(v.score)
 
     def test_causality_by_truncation(self, small_trained):
+        # Step t's verdict reads no later step: rewriting the steps after t
+        # leaves it unchanged bit for bit. (A pass over the cut trajectory
+        # agrees only to rounding; see test_detect_agrees_with_score_trajectory.)
         model, _, corpus = small_trained
         q, se = embedded(corpus[1])
+        rng = np.random.RandomState(1)
+        full = score_trajectory(model, q, se, 1.0, 1.0, 0.5)
         for t in range(1, len(se) + 1):
-            full = detect(model, q, se, t, 1.0, 1.0, 0.5)
-            truncated = detect(model, q, se[:t], t, 1.0, 1.0, 0.5)
-            assert full.score == truncated.score
-            assert full.flagged == truncated.flagged
-
-    def test_out_of_range_step(self, small_trained):
-        model, _, corpus = small_trained
-        q, se = embedded(corpus[0])
-        with pytest.raises(DataError):
-            detect(model, q, se, 0, 1.0, 1.0, 1.0)
-        with pytest.raises(DataError):
-            detect(model, q, se, len(se) + 1, 1.0, 1.0, 1.0)
+            rewritten = se.copy()
+            rewritten[t:] = rng.randn(len(se) - t, model.d)
+            verdict = score_trajectory(model, q, rewritten, 1.0, 1.0, 0.5)[t - 1]
+            assert full[t - 1].score == verdict.score
+            assert full[t - 1].flagged == verdict.flagged
 
     def test_score_trajectory_equals_per_step_detect(self, small_trained):
         model, _, corpus = small_trained
         q, se = embedded(corpus[2])
         batch = score_trajectory(model, q, se, 1.0, 1.0, 0.9)
         for t, v in enumerate(batch, start=1):
-            single = detect(model, q, se, t, 1.0, 1.0, 0.9)
+            single = score_trajectory(model, q, se[:t], 1.0, 1.0, 0.9)[-1]
             assert v.score == single.score
             assert v.recon_term == single.recon_term
             assert v.proto_term == single.proto_term
@@ -494,7 +498,7 @@ def test_detect_agrees_with_score_trajectory(d_e, d_h, layers, T, seed):
     q, steps = rng.randn(d_e), rng.randn(T, 2 * d_e)
     batch = score_trajectory(model, q, steps, 1.0, 1.0)
     for t in range(1, T + 1):
-        single = detect(model, q, steps, t, 1.0, 1.0, math.inf)
+        single = score_trajectory(model, q, steps[:t], 1.0, 1.0, math.inf)[-1]
         assert single.score == pytest.approx(batch[t - 1].score, rel=1e-12, abs=0.0)
         assert single.recon_term == pytest.approx(batch[t - 1].recon_term, rel=1e-12, abs=0.0)
         # 1 - cos lies in [0, 2]; near 0 a relative bound would be meaningless.
@@ -527,8 +531,8 @@ def test_batched_verdicts_equal_per_step_scoring(
     steps, p = rng.randn(T, d), rng.randn(d)
     expected = verdicts_reference(x_hats, steps, p, alpha, beta, delta)
     assert _bits(_verdicts(x_hats, steps, p, alpha, beta, delta, 1)) == _bits(expected)
-    assert _bits(_verdicts(x_hats[:1], steps[:1], p, alpha, beta)) == _bits(
-        [anomaly_score_reference(x_hats[0], steps[0], p, alpha, beta)]
+    assert _bits(_verdicts(x_hats[:1], steps[:1], p, alpha, beta, delta, T)) == _bits(
+        verdicts_reference(x_hats[:1], steps[:1], p, alpha, beta, delta, T)
     )
 
 
@@ -550,8 +554,8 @@ def test_public_scoring_paths_equal_per_step_scoring(d_e, d_h, T, seed):
     x_hats, _ = predictions_tensor(model, model.params, q, steps)
     expected = verdicts_reference(x_hats, steps, p, 1.0, 0.5, 2.0)
     assert _bits(score_trajectory(model, q, steps, 1.0, 0.5, 2.0)) == _bits(expected)
-    assert _bits([anomaly_score(model, x_hats[-1], steps[-1], 1.0, 0.5)]) == _bits(
-        [anomaly_score_reference(x_hats[-1], steps[-1], p, 1.0, 0.5)]
+    assert _bits(_verdicts(x_hats[-1:], steps[-1:], p, 1.0, 0.5, 2.0, T)) == _bits(
+        verdicts_reference(x_hats[-1:], steps[-1:], p, 1.0, 0.5, 2.0, T)
     )
     stream = DetectorStream(model, q)
     for t, step in enumerate(steps, start=1):

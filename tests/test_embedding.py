@@ -17,9 +17,7 @@ from masc.embedding import (
     cache_key,
     embed_step,
     embed_text,
-    embed_texts,
     embed_trajectory,
-    hashing_embed,
 )
 from masc.errors import ConfigError, DataError, TransportError
 from masc.trace import Step, Trajectory
@@ -29,13 +27,18 @@ from tests.reference import hashing_embed_reference
 HASHING = EmbedderSpec(kind="hashing", dimension=64)
 
 
+def hashed(text: str, dim: int) -> np.ndarray:
+    """One text through the hashing embedder of dimension ``dim``."""
+    return embed_text(EmbedderSpec(dimension=dim), text)
+
+
 class TestHashingEmbedder:
     def test_deterministic(self):
-        assert np.array_equal(hashing_embed("abc", 64), hashing_embed("abc", 64))
+        assert np.array_equal(hashed("abc", 64), hashed("abc", 64))
 
     def test_empty_text_rejected(self):
         with pytest.raises(DataError):
-            hashing_embed("", 64)
+            hashed("", 64)
         with pytest.raises(DataError):
             embed_text(HASHING, "")
 
@@ -44,17 +47,17 @@ class TestHashingEmbedder:
         words = ["alpha", "beta", "gamma", "delta", "run", "jump", "42"]
         for _ in range(50):
             text = " ".join(words[i] for i in rng.randint(0, len(words), size=6))
-            assert np.linalg.norm(hashing_embed(text, 32)) <= 1.0 + 1e-12
+            assert np.linalg.norm(hashed(text, 32)) <= 1.0 + 1e-12
 
     def test_case_and_punctuation_insensitive(self):
         assert np.array_equal(
-            hashing_embed("The Cat, sat!", 64), hashing_embed("the cat sat", 64)
+            hashed("The Cat, sat!", 64), hashed("the cat sat", 64)
         )
 
     def test_dimension_seeds_the_hash(self):
         # same token must not land in the "same" bucket pattern across dims
-        a32 = hashing_embed("anchor", 32)
-        a64 = hashing_embed("anchor", 64)
+        a32 = hashed("anchor", 32)
+        a64 = hashed("anchor", 64)
         assert np.nonzero(a32)[0][0] != np.nonzero(a64)[0][0] or True  # layouts differ
         assert a32.shape == (32,) and a64.shape == (64,)
 
@@ -75,15 +78,15 @@ class TestHashingEmbedder:
             base = " ".join(base_words[i] for i in rng.randint(0, 15, size=4))
             related = base + " " + base_words[int(rng.randint(0, 15))]
             unrelated = " ".join(unrelated_words[i] for i in rng.randint(0, 10, size=4))
-            b = hashing_embed(base, 64)
-            cos_rel = float(b @ hashing_embed(related, 64))
-            cos_unrel = float(b @ hashing_embed(unrelated, 64))
+            b = hashed(base, 64)
+            cos_rel = float(b @ hashed(related, 64))
+            cos_unrel = float(b @ hashed(unrelated, 64))
             wins += cos_rel > cos_unrel
         assert wins >= 45
 
     def test_identical_tokens_accumulate(self):
-        one = hashing_embed("word", 32)
-        twice_raw = hashing_embed("word word", 32)
+        one = hashed("word", 32)
+        twice_raw = hashed("word word", 32)
         # same direction after normalization
         assert np.allclose(one, twice_raw)
 
@@ -113,11 +116,11 @@ class TestBatchedHashingEqualsTokenLoop:
         assert matrix.shape == (len(texts), dim)
         for row, text in zip(matrix, texts):
             assert _same_bits(row, hashing_embed_reference(text, dim))
-        assert _same_bits(hashing_embed(texts[0], dim), hashing_embed_reference(texts[0], dim))
+        assert _same_bits(hashed(texts[0], dim), hashing_embed_reference(texts[0], dim))
 
     def test_text_without_tokens_is_zero(self):
         for dim in (1, 7, 64):
-            assert _same_bits(hashing_embed("!!!", dim), np.zeros(dim))
+            assert _same_bits(hashed("!!!", dim), np.zeros(dim))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -143,7 +146,7 @@ class TestBatchedHashingEqualsTokenLoop:
     def test_memo_bound_at_the_module_limit(self):
         dim = 7
         text = " ".join(f"t{i}" for i in range(embedding.MEMO_LIMIT + 100))
-        assert _same_bits(hashing_embed(text, dim), hashing_embed_reference(text, dim))
+        assert _same_bits(hashed(text, dim), hashing_embed_reference(text, dim))
         assert len(embedding._MEMOS[dim]) <= embedding.MEMO_LIMIT
 
     def test_threads_share_the_memo_without_breaking_its_bound(self):
@@ -301,7 +304,7 @@ class TestRemoteEmbedder:
         with stub_service(dimension=8) as stub:
             spec = EmbedderSpec(kind="remote", dimension=8,
                                 endpoint=stub.endpoint, model_name="mini")
-            vecs = embed_texts(spec, ["hello", "world"])
+            vecs = embedding._text_matrix(spec, ["hello", "world"])
             assert len(vecs) == 2
             assert vecs[0].shape == (8,)
             assert stub.requests[0]["body"]["model"] == "mini"
@@ -331,7 +334,7 @@ class TestRemoteEmbedder:
             spec = EmbedderSpec(kind="remote", dimension=4,
                                 endpoint=stub.endpoint, model_name="m")
             with pytest.raises(TransportError, match="malformed reply"):
-                embed_texts(spec, ["one", "two"])
+                embedding._text_matrix(spec, ["one", "two"])
             assert len(stub.requests) == 3
 
     def test_dimension_mismatch_is_fatal(self, stub_service):
@@ -359,7 +362,7 @@ class TestRemoteEmbedder:
             spec = EmbedderSpec(kind="remote", dimension=4, endpoint=stub.endpoint,
                                 model_name="m", cache_path=cache_path)
             with pytest.raises(ConfigError, match="embedding cache .* dimension 4"):
-                embed_texts(spec, ["x", "y"])
+                embedding._text_matrix(spec, ["x", "y"])
 
     def test_trajectory_rows_stack_the_service_vectors(self, stub_service):
         with stub_service(dimension=4) as stub:
@@ -367,7 +370,7 @@ class TestRemoteEmbedder:
                                 endpoint=stub.endpoint, model_name="m")
             q, steps = embed_trajectory(spec, _traj())
             assert len(stub.requests) == 1
-            vecs = embed_texts(spec, ["solve the task", "planner", "make a plan"])
+            vecs = embedding._text_matrix(spec, ["solve the task", "planner", "make a plan"])
             assert np.array_equal(q, vecs[0])
             assert steps.shape == (3, 8)
             assert np.array_equal(steps[0], np.concatenate(vecs[1:]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from masc.correction import ScriptedPolicy
-from masc.detector import BackboneSpec, DetectorModel, detect, score_trajectory
+from masc.detector import BackboneSpec, DetectorModel, score_trajectory
 from masc.embedding import EmbedderSpec, embed_step, embed_trajectory
 from masc.errors import ConfigError, DataError
 from masc.experiment import (
@@ -358,9 +358,9 @@ class TestMascInLoop:
             )
             expected = score_trajectory(model, q, committed, 1.0, 1.0)
             # The faulted step was scored on its own text, before the commit.
-            expected[report.fault_step - 1] = detect(
-                model, q, faulted, report.fault_step, 1.0, 1.0, -1.0
-            )
+            expected[report.fault_step - 1] = score_trajectory(
+                model, q, faulted[: report.fault_step], 1.0, 1.0, -1.0
+            )[-1]
         for got, want in zip(report.verdicts, expected):
             assert got.t == want.t
             assert got.score == pytest.approx(want.score, rel=1e-12, abs=0.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from masc.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
-from masc.detector import PARAM_ORDER, BackboneSpec, detect, score_trajectory
+from masc.detector import PARAM_ORDER, BackboneSpec, score_trajectory
 from masc.embedding import EmbedderSpec, embed_trajectory
 from masc.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from masc.synthetic import make_normal_corpus
@@ -189,8 +189,8 @@ class TestCheckpoint:
             q = rng.randn(model.d_e)
             se = [rng.randn(model.d) for _ in range(3)]
             for t in range(1, 4):
-                a = detect(model, q, se, t, 1.0, 1.0, calibration.delta)
-                b = detect(loaded, q, se, t, 1.0, 1.0, cal2.delta)
+                a = score_trajectory(model, q, se[:t], 1.0, 1.0, calibration.delta)[-1]
+                b = score_trajectory(loaded, q, se[:t], 1.0, 1.0, cal2.delta)[-1]
                 assert a.score == b.score
                 assert a.flagged == b.flagged
         assert digest == save_checkpoint(loaded, cal2, str(tmp_path / "again.ckpt"))
