@@ -38,7 +38,10 @@ Two ways to score, one forward pass (``FrozenMixer.run``):
 - ``DetectorStream``: in-loop detection. ``score`` judges the pending step
   without changing state; ``commit`` pushes the kept step's row through the
   blocks, continuing from each block's carried prefix sum, so a turn costs
-  the same at step 3 and step 300.
+  the same at step 3 and step 300: four matrix-vector products with the
+  default two blocks (the f_h projection, one per block, the f_theta head)
+  and a few vector operations. The model's parameters must not change
+  while a stream is open.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import weakref
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 
@@ -157,11 +161,21 @@ def causal_context(
     of a prefix's context, or of a continuation's, equal the matching rows
     of the full context bit for bit.
     """
+    n, k = x.shape
+    if prefix_sum is not None and n == 1:
+        # One row, as a stream commits: the sum is the single addition the
+        # two-row cumsum makes, and the context is written into one
+        # contiguous (1, 2k) row, the shape the concatenate gives, so the
+        # block's product takes the same BLAS path.
+        total = prefix_sum + x[0]
+        context = np.empty((1, 2 * k))
+        np.multiply(total, 1.0 / (count + 1), out=context[0, :k])
+        context[0, k:] = x[0]
+        return context, total[None, :]
     if prefix_sum is None:
         sums = np.cumsum(x, axis=0)
     else:
         sums = np.cumsum(np.concatenate([prefix_sum[None, :], x]), axis=0)[1:]
-    n = x.shape[0]
     inv = (1.0 / np.arange(count + 1, count + n + 1, dtype=np.float64))[:, None]
     return np.concatenate([sums * inv, x], axis=1), sums
 
@@ -237,6 +251,11 @@ class FrozenMixer:
             # the golden training digest pins.
             grad = np.array(grad)
         return grad
+
+
+# One frozen mixer per (BackboneSpec, d_h): shared while any model holds it,
+# freed when none does. Two threads that race build the same matrices.
+_MIXERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class RemoteBackbone:
@@ -328,8 +347,14 @@ class DetectorModel:
         return _param_shapes(self.d_e, self.d_h, self.backbone.hidden_dim)
 
     def mixer(self) -> FrozenMixer:
+        """The frozen mixer for this model's (backbone, d_h), shared by every
+        model with the same pair; its matrices are never written."""
         if self._mixer is None:
-            self._mixer = FrozenMixer(self.backbone, self.d_h)
+            key = (self.backbone, self.d_h)
+            mixer = _MIXERS.get(key)
+            if mixer is None:
+                mixer = _MIXERS[key] = FrozenMixer(self.backbone, self.d_h)
+            self._mixer = mixer
         return self._mixer
 
     def remote(self) -> RemoteBackbone:
@@ -565,13 +590,15 @@ def _verdicts(
     x_hats: np.ndarray,
     step_matrix: np.ndarray,
     p: np.ndarray,
+    p_norm: float,
     alpha: float,
     beta: float,
     delta: float,
     t0: int,
 ) -> list[AnomalyVerdict]:
     """One verdict per row of (x_hats, step_matrix), the rows being steps
-    t0, t0 + 1, ..., each thresholded at ``delta``.
+    t0, t0 + 1, ..., each thresholded at ``delta``; ``p_norm`` is
+    ``float(np.linalg.norm(p))``, which the caller computes once.
 
     A prediction or a prototype of zero norm counts as cos 0, with a
     warning. Why the batch equals scoring each row alone, bit for bit: see
@@ -582,7 +609,6 @@ def _verdicts(
     squared = x_hats - step_matrix
     squared *= squared
     recon = np.sum(squared, axis=1).tolist()
-    p_norm = float(np.linalg.norm(p))
     out = []
     for i, (x_hat, recon_term) in enumerate(zip(x_hats, recon)):
         x_norm = math.sqrt(x_hat.dot(x_hat))
@@ -630,7 +656,10 @@ def score_trajectory(
         raise DataError("empty trajectory")
     q_vec, step_matrix = _checked_inputs(model, q_vec, step_embs)
     x_hats, _ = predictions_tensor(model, model.params, q_vec, step_matrix)
-    return _verdicts(x_hats, step_matrix, model.params["p"], alpha, beta, delta, 1)
+    p = model.params["p"]
+    return _verdicts(
+        x_hats, step_matrix, p, float(np.linalg.norm(p)), alpha, beta, delta, 1
+    )
 
 
 class DetectorStream:
@@ -638,9 +667,15 @@ class DetectorStream:
 
     The stream holds the projected query and, with the frozen mixer, each
     block's running input sum and the hidden state after the last committed
-    step, so a turn costs one f_h row through the blocks whatever the
-    history's length. With a remote backbone it keeps the projected rows and
-    sends one /encode request per scored step.
+    step. So a turn costs the same whatever the history's length: one
+    matrix-vector product for the f_h row, one per block and one for the
+    f_theta head, four with the default two blocks. With a remote backbone
+    it keeps the projected rows and sends one /encode request per scored
+    step.
+
+    The model's parameters must stay frozen for the stream's lifetime: the
+    projected query, the carried sums, the hidden state and the prototype's
+    norm (taken once, when the stream opens) all come from them.
 
     ``score`` judges a pending step against the committed history and
     leaves the stream unchanged; the prediction it compares with is computed
@@ -655,6 +690,7 @@ class DetectorStream:
         if np.shape(q_vec) != (model.d_e,):
             raise ConfigError(f"query vector must have dimension {model.d_e}")
         self.model = model
+        self._p_norm = float(np.linalg.norm(model.params["p"]))
         self._length = 0  # rows encoded: the query plus the committed steps
         self._sums: list[np.ndarray | None] = [None] * model.backbone.layers
         self._state: np.ndarray | None = None  # last row's hidden state
@@ -694,7 +730,7 @@ class DetectorStream:
         step = self._checked_step(step_emb)
         return _verdicts(
             self._prediction()[None, :], step[None, :], self.model.params["p"],
-            alpha, beta, delta, self._length,
+            self._p_norm, alpha, beta, delta, self._length,
         )[0]
 
     def commit(self, step_emb: np.ndarray) -> None:

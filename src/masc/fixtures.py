@@ -124,10 +124,13 @@ def _solver(query: str, visible: list[tuple[str, str]], t: int) -> str:
 
 
 def _checker(query: str, visible: list[tuple[str, str]], t: int) -> str:
+    # The latest claim: the last match in the latest output that has one.
     claim = None
-    for _, output in visible:
-        for match in CLAIM_PATTERN.finditer(output):
-            claim = match.group(1)
+    for _, output in reversed(visible):
+        claims = CLAIM_PATTERN.findall(output)
+        if claims:
+            claim = claims[-1]
+            break
     if claim is not None:
         return f"checked claim {claim}. ANSWER: {claim}"
     a, op1, b, op2, c = _parse_task(query, visible)

@@ -10,7 +10,9 @@ a ``DetectorStream`` scores every produced output against the shared
 history before it is committed; flagged outputs go through the correction
 agent, and the corrected text is what the stream commits and what lands in
 the history that later agents see. A turn's detection cost does not grow
-with the length of the history.
+with the length of the history, and neither does its bookkeeping: each
+agent's visible (role, output) list is kept as the run goes, one append per
+committed turn and watching agent, and handed to the agent as a copy.
 """
 
 from __future__ import annotations
@@ -262,10 +264,11 @@ def run_trajectory(
     start = time.monotonic()
     turn_order = schedule(topology)
     adjacent = edges(topology)
-    visibility = {
-        i: {i}.union(*(edge for edge in adjacent if i in edge))
+    # The agents that see emitter i: i itself and its graph neighbors.
+    watchers = [
+        sorted({i}.union(*(edge for edge in adjacent if i in edge)))
         for i in range(topology.n_agents)
-    }
+    ]
     callables = [_agent_callable(spec) for spec in agents]
     report = RunReport(trajectory=None, expected_answer=expected_answer)
     if fault is not None:
@@ -273,18 +276,16 @@ def run_trajectory(
             fault, turn_order, topology.n_agents
         )
     history: list[tuple[int, str, str]] = []  # (agent index, role, output)
+    seen: list[list[tuple[str, str]]] = [[] for _ in range(topology.n_agents)]
     if masc is not None:
         stream = DetectorStream(masc.model, embed_text(masc.model.embedder, query))
 
     for t, agent_idx in enumerate(turn_order, start=1):
         spec = agents[agent_idx]
-        visible = [
-            (role, output)
-            for emitter, role, output in history
-            if emitter in visibility[agent_idx]
-        ]
         try:
-            output = callables[agent_idx](query, visible, t)
+            # A copy: an agent that keeps or mutates its argument changes
+            # nothing the run shows later turns.
+            output = callables[agent_idx](query, list(seen[agent_idx]), t)
         except TransportError as exc:
             report.aborted = True
             report.error = str(exc)
@@ -312,6 +313,8 @@ def run_trajectory(
                     step_emb = embed_step(masc.model.embedder, spec.role, output)
             stream.commit(step_emb)
         history.append((agent_idx, spec.role, output))
+        for watcher in watchers[agent_idx]:
+            seen[watcher].append((spec.role, output))
 
     if history:
         report.trajectory = Trajectory(

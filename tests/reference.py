@@ -1,10 +1,13 @@
-"""Loop references for the batched inference paths.
+"""References for the batched and in-loop paths.
 
 ``hashing_embed_reference`` is the token-by-token hashing embedding and
 ``verdicts_reference`` the step-by-step scoring (one unthresholded verdict
 per step, then the threshold applied with ``dataclasses.replace``) that the
-batched versions in ``masc.embedding`` and ``masc.detector`` replaced. The
-batched versions must equal them bit for bit.
+batched versions in ``masc.embedding`` and ``masc.detector`` replaced.
+``continuation_reference`` is the concatenate-and-cumsum continuation of a
+causal context that ``causal_context``'s one-row continuation replaced, and
+``checker_reference`` the fixture checker that scanned every visible output
+forward. The replacements must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from masc.detector import AnomalyVerdict
+from masc.fixtures import CLAIM_PATTERN, _apply, _parse_task
 
 logger = logging.getLogger("masc.detector")
 
@@ -68,3 +72,25 @@ def verdicts_reference(x_hats, step_matrix, p, alpha, beta, delta, t0=1):
         v = _unthresholded_verdict(x_hat, x, p, alpha, beta)
         out.append(replace(v, delta=delta, flagged=bool(v.score > delta), t=t))
     return out
+
+
+def continuation_reference(x, prefix_sum, count):
+    """Context rows and running sums for ``x`` continuing ``count`` earlier
+    rows whose sum is ``prefix_sum``."""
+    sums = np.cumsum(np.concatenate([prefix_sum[None, :], x]), axis=0)[1:]
+    n = x.shape[0]
+    inv = (1.0 / np.arange(count + 1, count + n + 1, dtype=np.float64))[:, None]
+    return np.concatenate([sums * inv, x], axis=1), sums
+
+
+def checker_reference(query, visible, t):
+    """The fixture checker: repeats the last claim of all visible outputs."""
+    claim = None
+    for _, output in visible:
+        for match in CLAIM_PATTERN.finditer(output):
+            claim = match.group(1)
+    if claim is not None:
+        return f"checked claim {claim}. ANSWER: {claim}"
+    a, op1, b, op2, c = _parse_task(query, visible)
+    result = _apply(op2.lower(), _apply(op1.lower(), int(a), int(b)), int(c))
+    return f"no claim visible; computed {result}. ANSWER: {result}"

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import hashlib
 import logging
 import math
 import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from masc.detector import (
     FlatParams,
     FrozenMixer,
     _verdicts,
+    causal_context,
     misalignment_loss,
     predictions_tensor,
     projected_sequence,
@@ -32,7 +35,7 @@ from masc.errors import ConfigError, DataError, TransportError
 from masc.synthetic import make_normal_corpus, make_normal_trajectory, plant_anomaly
 from masc.training import TrainConfig, calibrate_threshold, train
 from tests.conftest import MALFORMED_REPLIES, SMALL_EMBEDDER, views_tile
-from tests.reference import verdicts_reference
+from tests.reference import continuation_reference, verdicts_reference
 
 EMB4 = EmbedderSpec(kind="hashing", dimension=4)
 
@@ -117,7 +120,10 @@ class TestPredictNext:
 
 def one_verdict(model, x_hat, x, alpha, beta):
     """The verdict on one step, unthresholded (delta = inf)."""
-    return _verdicts(x_hat[None, :], x[None, :], model.params["p"], alpha, beta, math.inf, 1)[0]
+    p = model.params["p"]
+    return _verdicts(
+        x_hat[None, :], x[None, :], p, float(np.linalg.norm(p)), alpha, beta, math.inf, 1
+    )[0]
 
 
 class TestUpdatePrototype:
@@ -363,6 +369,52 @@ class TestFrozenBackbone:
         for ma, mb in zip(a.matrices_t, b.matrices_t):
             assert np.array_equal(ma, mb)
 
+    def test_models_with_one_spec_share_one_mixer(self):
+        spec = BackboneSpec(hidden_dim=10, layers=2, seed=78)
+        a = DetectorModel.init(EMB4, d_h=10, backbone=spec, seed=1)
+        b = DetectorModel.init(EMB4, d_h=10, backbone=spec, seed=2)
+        assert a.mixer() is b.mixer() is a.copy().mixer()
+        other = DetectorModel.init(EMB4, d_h=10, backbone=dataclasses.replace(spec, seed=79))
+        assert other.mixer() is not a.mixer()
+        fresh = FrozenMixer(spec, 10)
+        for shared, own in zip(a.mixer().matrices_t, fresh.matrices_t):
+            assert shared.tobytes() == own.tobytes()
+
+    def test_a_mixer_no_model_holds_is_freed(self):
+        spec = BackboneSpec(hidden_dim=10, layers=2, seed=80)
+        ref = weakref.ref(DetectorModel.init(EMB4, d_h=10, backbone=spec).mixer())
+        gc.collect()
+        assert ref() is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    k=st.integers(1, 24),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([1e-3, 1.0, 37.0]),
+    from_zero=st.booleans(),
+)
+def test_one_row_continuation_equals_the_full_pass(n, k, seed, scale, from_zero):
+    # A stream's pass: the first row from no prefix (or from a zero sum at
+    # count 0), then one row at a time from the carried sum. Every context
+    # row and running sum must equal the full pass's and the
+    # concatenate-and-cumsum continuation's bit for bit.
+    x = scale * np.random.RandomState(seed).randn(n, k)
+    full, full_sums = causal_context(x)
+    context, sums = causal_context(x[:1])
+    running = np.zeros(k)
+    for i in range(n):
+        if i or from_zero:
+            expected = continuation_reference(x[i : i + 1], running, i)
+            context, sums = causal_context(x[i : i + 1], running, i)
+            assert np.array_equal(context, expected[0])
+            assert np.array_equal(sums, expected[1])
+        assert context.shape == (1, 2 * k) and context.flags.c_contiguous
+        assert np.array_equal(context, full[i : i + 1])
+        assert np.array_equal(sums, full_sums[i : i + 1])
+        running = sums[-1]
+
 
 def remote_spec(endpoint):
     return BackboneSpec(kind="remote_llm", hidden_dim=6, endpoint=endpoint,
@@ -529,9 +581,10 @@ def test_batched_verdicts_equal_per_step_scoring(
     if zero_row:
         x_hats[rng.randint(T)] = 0.0
     steps, p = rng.randn(T, d), rng.randn(d)
+    p_norm = float(np.linalg.norm(p))
     expected = verdicts_reference(x_hats, steps, p, alpha, beta, delta)
-    assert _bits(_verdicts(x_hats, steps, p, alpha, beta, delta, 1)) == _bits(expected)
-    assert _bits(_verdicts(x_hats[:1], steps[:1], p, alpha, beta, delta, T)) == _bits(
+    assert _bits(_verdicts(x_hats, steps, p, p_norm, alpha, beta, delta, 1)) == _bits(expected)
+    assert _bits(_verdicts(x_hats[:1], steps[:1], p, p_norm, alpha, beta, delta, T)) == _bits(
         verdicts_reference(x_hats[:1], steps[:1], p, alpha, beta, delta, T)
     )
 
@@ -554,7 +607,8 @@ def test_public_scoring_paths_equal_per_step_scoring(d_e, d_h, T, seed):
     x_hats, _ = predictions_tensor(model, model.params, q, steps)
     expected = verdicts_reference(x_hats, steps, p, 1.0, 0.5, 2.0)
     assert _bits(score_trajectory(model, q, steps, 1.0, 0.5, 2.0)) == _bits(expected)
-    assert _bits(_verdicts(x_hats[-1:], steps[-1:], p, 1.0, 0.5, 2.0, T)) == _bits(
+    p_norm = float(np.linalg.norm(p))
+    assert _bits(_verdicts(x_hats[-1:], steps[-1:], p, p_norm, 1.0, 0.5, 2.0, T)) == _bits(
         verdicts_reference(x_hats[-1:], steps[-1:], p, 1.0, 0.5, 2.0, T)
     )
     stream = DetectorStream(model, q)

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masc.correction import ScriptedPolicy
 from masc.detector import BackboneSpec, DetectorModel, score_trajectory
@@ -14,6 +17,7 @@ from masc.experiment import (
     train_suite_detector,
 )
 from masc.fixtures import (
+    _checker,
     fixture_agents,
     make_fixture,
     make_fixture_suite,
@@ -34,6 +38,7 @@ from masc.simulator import (
 )
 from masc.trace import serialize_trajectory
 from tests.conftest import MALFORMED_REPLIES
+from tests.reference import checker_reference
 
 
 class TestTopology:
@@ -404,3 +409,115 @@ class TestBatchExperiment:
         sa = {k: [serialize_trajectory(t) for t in v] for k, v in a.runs.items()}
         sb = {k: [serialize_trajectory(t) for t in v] for k, v in b.runs.items()}
         assert sa == sb
+
+
+class Recorder:
+    """Agents that store a copy of every ``visible`` list they receive.
+
+    With ``mutate``, each agent also appends to the list it was given, and
+    empties every list handed out at earlier turns.
+    """
+
+    def __init__(self, mutate=False):
+        self.mutate = mutate
+        self.calls = []  # (agent index, t, visible as received)
+        self._given = []
+
+    def agents(self, n):
+        return [
+            AgentSpec(role=f"role{i}", template=self._act(i)) for i in range(n)
+        ]
+
+    def _act(self, i):
+        def act(query, visible, t):
+            self.calls.append((i, t, list(visible)))
+            if self.mutate:
+                for earlier in self._given:
+                    earlier.clear()
+                visible.append(("intruder", "junk"))
+                self._given.append(visible)
+            return f"agent {i} at turn {t} says {t * 7}"
+
+        return act
+
+
+def comprehension_visible(topology, trajectory):
+    """Per turn, (agent, t, visible) as the run built it from the whole
+    history: the outputs of the agent and its graph neighbors."""
+    adjacent = edges(topology)
+    visibility = {
+        i: {i}.union(*(edge for edge in adjacent if i in edge))
+        for i in range(topology.n_agents)
+    }
+    history = [
+        (agent, step.role, step.output)
+        for agent, step in zip(schedule(topology), trajectory.steps)
+    ]
+    return [
+        (agent, t, [(role, out) for e, role, out in history[: t - 1] if e in visibility[agent]])
+        for t, agent in enumerate(schedule(topology), start=1)
+    ]
+
+
+class TestVisibility:
+    @pytest.mark.parametrize("kind", ["chain", "complete", "random"])
+    @pytest.mark.parametrize("n_agents", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    @pytest.mark.parametrize("mutate", [False, True])
+    def test_visible_lists_match_the_history_comprehension(
+        self, kind, n_agents, rounds, mutate
+    ):
+        topology = Topology(kind, n_agents, edge_seed=10 * n_agents + rounds, rounds=rounds)
+        recorder = Recorder(mutate)
+        report = run_trajectory(
+            recorder.agents(n_agents), topology, "query",
+            fault=FaultSpec(seed=n_agents + rounds),
+        )
+        assert len(report.trajectory.steps) == n_agents * rounds
+        assert recorder.calls == comprehension_visible(topology, report.trajectory)
+
+    def test_corrected_outputs_are_what_later_turns_see(self):
+        def reply(req, prompt):
+            t = len(req.history) + 1
+            if t % 2:
+                return json.dumps({"correction_needed": "No", "final_response": ""})
+            return json.dumps({"correction_needed": "Yes", "final_response": f"fixed {t}"})
+
+        model = DetectorModel.init(
+            EmbedderSpec(kind="hashing", dimension=4), d_h=6,
+            backbone=BackboneSpec(hidden_dim=6),
+        )
+        hook = MascHook(
+            model=model, alpha=1.0, beta=1.0, delta=-math.inf, policy=ScriptedPolicy(reply)
+        )
+        topology = Topology("random", 4, edge_seed=3, rounds=2)
+        recorder = Recorder(mutate=True)
+        report = run_trajectory(
+            recorder.agents(4), topology, "query", fault=FaultSpec(seed=1), masc=hook
+        )
+        outputs = [step.output for step in report.trajectory.steps]
+        assert report.interventions == 4
+        assert outputs[1::2] == ["fixed 2", "fixed 4", "fixed 6", "fixed 8"]
+        assert recorder.calls == comprehension_visible(topology, report.trajectory)
+
+
+@st.composite
+def visible_histories(draw):
+    """(role, output) lists whose outputs hold 0-3 claims among filler."""
+    filler = st.sampled_from([
+        "ok", "claim", "reclaim", "claimed 4", "-", "ANSWER: 9", "then 12",
+        "plan: start 3; then add 4; then multiply by 2",
+    ])
+    visible = []
+    for _ in range(draw(st.integers(0, 6))):
+        claims = draw(st.lists(st.integers(-99, 99), max_size=3))
+        pieces = [f"claim {c}" for c in claims] + draw(st.lists(filler, max_size=4))
+        output = " ".join(draw(st.permutations(pieces)))
+        visible.append((draw(st.sampled_from(["decomposer", "solver", "checker"])), output))
+    return visible
+
+
+@settings(max_examples=300, deadline=None)
+@given(visible=visible_histories(), t=st.integers(1, 9))
+def test_checker_matches_the_forward_scan(visible, t):
+    assert _checker(FIXTURE.query, visible, t) == checker_reference(FIXTURE.query, visible, t)
