@@ -3,7 +3,10 @@
 Exit codes: 0 success, 2 configuration error, 3 data error or a file that
 cannot be read or written, 4 numeric failure. Flag precedence for training
 configuration: explicit flags > --config file (JSON, or TOML on Python 3.11
-and later) > profile defaults. Reports embed the effective configuration and
+and later) > profile defaults. A setting no flag, file or profile gives takes
+its default from the config dataclasses (``TrainConfig``, ``EmbedderSpec``,
+``BackboneSpec``, ``ExperimentConfig``, ``MascSettings``, ``FaultSpec``), the
+only place a default is written. Reports embed the effective configuration and
 the tool version.
 """
 
@@ -15,6 +18,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -28,13 +32,7 @@ from .errors import (
     MascError,
 )
 from .evaluation import ScoredStep, compute_metrics, embedding_distance_diagnostics
-from .experiment import (
-    ExperimentConfig,
-    MascSettings,
-    batch_experiment,
-    dump_cell_traces,
-)
-from .simulator import FaultSpec
+from .experiment import ExperimentConfig, batch_experiment, dump_cell_traces
 from .trace import (
     error_position_histogram,
     load_trajectories,
@@ -46,6 +44,27 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+
+def _index_or(*names: str):
+    """An argparse type: an integer index, or one of ``names``."""
+
+    def parse(value: str) -> int | str:
+        if value in names:
+            return value
+        try:
+            return int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an index or {' or '.join(map(repr, names))}, got {value!r}"
+            ) from None
+
+    return parse
+
+
+def _given(**values) -> dict:
+    """The keyword arguments that are not None: the settings a run gives."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,9 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="set the threshold from normal scores")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--traces", required=True, help="normal-only calibration traces")
-    p.add_argument("--quantile", type=float, default=0.99)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--quantile", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
     p.add_argument("--out", help="output checkpoint (defaults to in-place)")
     p.add_argument("--strict", action="store_true")
 
@@ -113,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diag", help="embedding distance and error-position diagnostics")
     p.add_argument("--traces", required=True, help="labeled JSONL trace file")
-    p.add_argument("--dim", type=int, default=64, help="hashing embedder dimension")
+    p.add_argument("--dim", type=int, help="hashing embedder dimension")
     p.add_argument("--bins", type=int, default=5)
     p.add_argument("--out", help="JSON output path (default stdout)")
     p.add_argument("--strict", action="store_true")
@@ -123,24 +142,22 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["chain", "complete", "random", "all"])
     p.add_argument("--fault", default="both", choices=["on", "off", "both"])
     p.add_argument("--masc", default="both", choices=["on", "off", "both"])
-    p.add_argument("--fixtures", type=int, default=50)
-    p.add_argument("--agents", type=int, default=3)
-    p.add_argument("--rounds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-agent", default="1",
+    p.add_argument("--fixtures", type=int)
+    p.add_argument("--agents", type=int)
+    p.add_argument("--rounds", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--target-agent", type=_index_or("random"),
                    help="fault target: agent index or 'random'")
-    p.add_argument("--step-selector", default="uniform",
+    p.add_argument("--step-selector", type=_index_or("uniform", "early"),
                    help="'uniform', 'early', or a fixed step index")
-    p.add_argument("--corruption", default="misleading_template",
-                   choices=["misleading_template", "scramble"])
+    p.add_argument("--corruption", choices=["misleading_template", "scramble"])
     p.add_argument("--delta", type=float, help="override calibrated threshold")
-    p.add_argument("--quantile", type=float, default=0.99)
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.2)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--quantile", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--hidden", type=int)
     p.add_argument("--out", help="JSON report path (default stdout)")
     p.add_argument("--csv", help="CSV report path")
     p.add_argument("--dump-traces", help="dump per-run trajectories as JSONL here")
@@ -192,45 +209,23 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_train_config(args) -> TrainConfig:
-    settings: dict = {
-        "epochs": 10, "lr": 1e-4, "weight_decay": 0.0, "lam": 0.2, "seed": 0,
-        "d_h": 384, "layers": 2, "dim": 64, "with_gt": False,
-        "exclude_labeled_steps": False,
-    }
-    if args.profile:
-        settings.update(PROFILES[args.profile])
+    settings = dict(PROFILES[args.profile]) if args.profile else {}
     if args.config:
         file_settings = _load_config_file(args.config)
         if "lambda" in file_settings:
             file_settings["lam"] = file_settings.pop("lambda")
         settings.update(file_settings)
-    for key in ("epochs", "lr", "weight_decay", "lam", "seed", "with_gt",
-                "exclude_labeled_steps"):
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    if args.hidden is not None:
-        settings["d_h"] = args.hidden
-    if args.layers is not None:
-        settings["layers"] = args.layers
-    if args.dim is not None:
-        settings["dim"] = args.dim
-    embedder = EmbedderSpec(kind="hashing", dimension=settings["dim"])
-    backbone = BackboneSpec(
-        hidden_dim=settings["d_h"], layers=settings["layers"],
-        seed=settings["seed"],
-    )
-    return TrainConfig(
-        epochs=settings["epochs"],
-        lr=settings["lr"],
-        weight_decay=settings["weight_decay"],
-        lam=settings["lam"],
-        seed=settings["seed"],
-        d_h=settings["d_h"],
-        embedder=embedder,
-        backbone=backbone,
-        with_gt=settings["with_gt"],
-        exclude_labeled_steps=settings["exclude_labeled_steps"],
+    settings.update(_given(
+        epochs=args.epochs, lr=args.lr, weight_decay=args.weight_decay,
+        lam=args.lam, seed=args.seed, d_h=args.hidden, layers=args.layers,
+        dim=args.dim, with_gt=args.with_gt,
+        exclude_labeled_steps=args.exclude_labeled_steps,
+    ))
+    embedder = EmbedderSpec(**_given(dimension=settings.pop("dim", None)))
+    layers = _given(layers=settings.pop("layers", None))
+    cfg = TrainConfig(embedder=embedder, **settings)
+    return replace(
+        cfg, backbone=BackboneSpec(hidden_dim=cfg.d_h, seed=cfg.seed, **layers)
     )
 
 
@@ -289,8 +284,8 @@ def cmd_calibrate(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     trajectories = load_trajectories(args.traces, strict=args.strict)
     calibration = calibrate_threshold(
-        model, trajectories, quantile=args.quantile,
-        alpha=args.alpha, beta=args.beta,
+        model, trajectories,
+        **_given(quantile=args.quantile, alpha=args.alpha, beta=args.beta),
     )
     out_path = args.out or args.checkpoint
     save_checkpoint(model, calibration, out_path)
@@ -425,7 +420,7 @@ def cmd_eval(args) -> int:
 
 def cmd_diag(args) -> int:
     trajectories = load_trajectories(args.traces, strict=args.strict)
-    embedder = EmbedderSpec(kind="hashing", dimension=args.dim)
+    embedder = EmbedderSpec(**_given(dimension=args.dim))
     raw = embedding_distance_diagnostics(trajectories, embedder)
     augmented = embedding_distance_diagnostics(
         trajectories, embedder, augment_nearest_neighbor=True
@@ -439,43 +434,31 @@ def cmd_diag(args) -> int:
         "n_error_steps": raw.n_error,
         "error_position_histogram": histogram,
         "bins": args.bins,
-        "embedder_dim": args.dim,
+        "embedder_dim": embedder.dimension,
     }
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    topologies = (
-        ("chain", "complete", "random") if args.topology == "all" else (args.topology,)
-    )
-    try:
-        target = int(args.target_agent)
-    except ValueError:
-        target = args.target_agent
-        if target != "random":
-            raise ConfigError("--target-agent must be an index or 'random'")
-    try:
-        selector: int | str = int(args.step_selector)
-    except ValueError:
-        selector = args.step_selector
-        if selector not in ("uniform", "early"):
-            raise ConfigError("--step-selector must be an index, 'uniform', or 'early'")
+    topologies = None if args.topology == "all" else (args.topology,)
     config = ExperimentConfig(
-        topologies=topologies,
-        n_fixtures=args.fixtures,
-        n_agents=args.agents,
-        rounds=args.rounds,
-        seed=args.seed,
-        fault=FaultSpec(
-            target_agent=target, step_selector=selector, corruption=args.corruption
-        ),
-        masc=MascSettings(
-            quantile=args.quantile, epochs=args.epochs, lr=args.lr, lam=args.lam,
-            d_e=args.dim, d_h=args.hidden, delta_override=args.delta,
+        **_given(
+            topologies=topologies, n_fixtures=args.fixtures, n_agents=args.agents,
+            rounds=args.rounds, seed=args.seed,
         ),
         with_masc_cells=args.masc in ("on", "both"),
-        jobs=args.jobs,
+    )
+    config = replace(
+        config,
+        fault=replace(config.fault, **_given(
+            target_agent=args.target_agent, step_selector=args.step_selector,
+            corruption=args.corruption,
+        )),
+        masc=replace(config.masc, **_given(
+            quantile=args.quantile, epochs=args.epochs, lr=args.lr, lam=args.lam,
+            d_e=args.dim, d_h=args.hidden, delta_override=args.delta,
+        )),
     )
     report = batch_experiment(config)
     wanted_faults = {"on": [True], "off": [False], "both": [False, True]}[args.fault]

@@ -63,6 +63,7 @@ class CorrectionRequest:
     query: str
     history: tuple[tuple[str, str], ...]  # (role, output) for steps 1..t-1
     flagged_output: str
+    t: int = 0  # the flagged step's 1-based index; 0 when not known
 
 
 @dataclass(frozen=True)
@@ -98,38 +99,18 @@ def build_correction_prompt(req: CorrectionRequest) -> str:
     )
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _first_json_object(text: str) -> dict | None:
-    """Extract the first top-level JSON object embedded in free text."""
+    """Extract the first top-level JSON object embedded in free text: the
+    first ``{`` at which a whole object decodes."""
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        obj = json.loads(text[start : i + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(obj, dict):
-                        return obj
-                    break
-        start = text.find("{", start + 1)
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except json.JSONDecodeError:
+            start = text.find("{", start + 1)
     return None
 
 

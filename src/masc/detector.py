@@ -156,28 +156,26 @@ def causal_context(
     """Per position i: [mean(x_1..x_i) ; x_i], the mixer block input, and the
     running sums x_1 + .. + x_i.
 
-    With ``prefix_sum``, the sum of ``count`` earlier rows, the positions
-    continue after those rows. Cumulative sums are sequential, so the rows
-    of a prefix's context, or of a continuation's, equal the matching rows
-    of the full context bit for bit.
+    With ``prefix_sum``, the sum of ``count`` earlier rows, ``x`` must be one
+    row, which continues after those rows, as a stream commits. Cumulative
+    sums are sequential, so the rows of a prefix's context, or of a
+    continuation's, equal the matching rows of the full context bit for bit.
     """
     n, k = x.shape
-    if prefix_sum is not None and n == 1:
-        # One row, as a stream commits: the sum is the single addition the
-        # two-row cumsum makes, and the context is written into one
-        # contiguous (1, 2k) row, the shape the concatenate gives, so the
-        # block's product takes the same BLAS path.
-        total = prefix_sum + x[0]
-        context = np.empty((1, 2 * k))
-        np.multiply(total, 1.0 / (count + 1), out=context[0, :k])
-        context[0, k:] = x[0]
-        return context, total[None, :]
     if prefix_sum is None:
         sums = np.cumsum(x, axis=0)
-    else:
-        sums = np.cumsum(np.concatenate([prefix_sum[None, :], x]), axis=0)[1:]
-    inv = (1.0 / np.arange(count + 1, count + n + 1, dtype=np.float64))[:, None]
-    return np.concatenate([sums * inv, x], axis=1), sums
+        inv = (1.0 / np.arange(1, n + 1, dtype=np.float64))[:, None]
+        return np.concatenate([sums * inv, x], axis=1), sums
+    if n != 1:
+        raise ValueError(f"a prefix is continued by exactly one row, got {n}")
+    # The sum is the single addition the two-row cumsum makes, and the
+    # context is written into one contiguous (1, 2k) row, the shape the
+    # concatenate gives, so the block's product takes the same BLAS path.
+    total = prefix_sum + x[0]
+    context = np.empty((1, 2 * k))
+    np.multiply(total, 1.0 / (count + 1), out=context[0, :k])
+    context[0, k:] = x[0]
+    return context, total[None, :]
 
 
 _DRAW_ROWS = 32  # rows of a mixer matrix drawn at a time
@@ -221,8 +219,10 @@ class FrozenMixer:
         length-t prefix agrees with row t of the full pass to rounding (not
         bit for bit: a one-row product takes a matrix-vector BLAS path).
 
-        ``sums`` continues an earlier pass over ``count`` rows: entry k is
-        the sum of the rows block k has read (None before the first row).
+        ``sums`` carries a stream across calls: entry k is the sum of the
+        rows block k has read (None before the first row). Once an entry is
+        set, ``sequence`` must be the one row that follows the ``count``
+        rows already read (``causal_context`` raises ValueError otherwise).
         The pass starts from those sums and leaves each entry holding the
         sum over ``sequence`` too.
         """

@@ -8,7 +8,6 @@ clean-run-text oracle corrector unless a custom policy is supplied.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .detector import BackboneSpec, DetectorModel
@@ -36,11 +35,11 @@ class MascSettings:
     alpha: float = 1.0
     beta: float = 1.0
     quantile: float = 0.99
-    epochs: int = 40
+    epochs: int = 150
     lr: float = 3e-3
     lam: float = 0.2
-    d_e: int = 24
-    d_h: int = 48
+    d_e: int = 64
+    d_h: int = 256
     layers: int = 2
     delta_override: float | None = None
 
@@ -57,7 +56,6 @@ class ExperimentConfig:
     )
     masc: MascSettings = field(default_factory=MascSettings)
     with_masc_cells: bool = True
-    jobs: int = 1
 
 
 @dataclass
@@ -248,20 +246,15 @@ def _run_cell(
     fault: FaultSpec | None,
     masc_factory=None,
 ) -> list[RunReport]:
-    def one(indexed) -> RunReport:
-        i, fixture = indexed
-        return run_fixture(
+    return [
+        run_fixture(
             fixture,
             _topology(config, kind, i),
             fault=_fault_for(config, kind, i) if fault is not None else None,
             masc=masc_factory(fixture) if masc_factory is not None else None,
         )
-
-    items = list(enumerate(fixtures))
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(one, items))
-    return [one(item) for item in items]
+        for i, fixture in enumerate(fixtures)
+    ]
 
 
 def dump_cell_traces(report: ExperimentReport, path: str):
@@ -297,5 +290,4 @@ def _config_dict(config: ExperimentConfig) -> dict:
             "layers": config.masc.layers,
         },
         "with_masc_cells": config.with_masc_cells,
-        "jobs": config.jobs,
     }

@@ -153,15 +153,14 @@ def fixture_agents() -> list[AgentSpec]:
 def oracle_corrector(clean_outputs: list[str]) -> ScriptedPolicy:
     """Upper-bound corrector: rewrites a flagged step to its clean-run text.
 
-    Isolates detector quality from corrector quality; the step index is
-    recovered from the request's history length.
+    Isolates detector quality from corrector quality; the step is the
+    request's ``t``.
     """
 
     def reply(req, prompt: str) -> str:
-        t = len(req.history) + 1
-        if 1 <= t <= len(clean_outputs):
+        if 1 <= req.t <= len(clean_outputs):
             return json.dumps(
-                {"correction_needed": "Yes", "final_response": clean_outputs[t - 1]}
+                {"correction_needed": "Yes", "final_response": clean_outputs[req.t - 1]}
             )
         return json.dumps({"correction_needed": "No", "final_response": ""})
 

@@ -303,6 +303,7 @@ def run_trajectory(
                     query=query,
                     history=tuple((role, out) for _, role, out in history),
                     flagged_output=output,
+                    t=t,
                 )
                 outcome = apply_correction(masc.policy, verdict, req)
                 if outcome.failed:

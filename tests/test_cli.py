@@ -8,11 +8,19 @@ from pathlib import Path
 import pytest
 
 from masc.cli import main
+from masc.detector import BackboneSpec
 from masc.evaluation import ScoredStep, compute_metrics
+from masc.experiment import ExperimentConfig, MascSettings
+from masc.simulator import FaultSpec
 from masc.synthetic import make_anomaly_corpus, make_normal_corpus
 from masc.trace import save_trajectories
+from masc.training import TrainConfig
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+
+class Built(Exception):
+    """Raised by a stand-in to stop a command once it has built its config."""
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +71,19 @@ class TestParsing:
             main(["train", "--checkpoint", "x"])
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+    def test_simulate_has_no_jobs_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--jobs", "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--target-agent", "first"),
+                                             ("--step-selector", "late")])
+    def test_bad_fault_selector_exits_two(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", flag, value])
+        assert exc.value.code == 2
+        assert "expected an index" in capsys.readouterr().err
 
     def test_unknown_topology_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -220,6 +241,33 @@ class TestTrain:
             assert code == 2, name
             assert "must be finite" in capsys.readouterr().err
             assert not ckpt.exists()
+
+    @staticmethod
+    def _config(monkeypatch, corpus_file, tmp_path, argv) -> TrainConfig:
+        def stop(cfg, trajectories):
+            raise Built(cfg)
+
+        monkeypatch.setattr("masc.cli.train", stop)
+        with pytest.raises(Built) as exc:
+            main(["train", "--traces", corpus_file, "--checkpoint",
+                  str(tmp_path / "x.ckpt")] + argv)
+        return exc.value.args[0]
+
+    def test_no_flags_build_the_dataclass_defaults(self, corpus_file, tmp_path,
+                                                   monkeypatch):
+        defaults = TrainConfig()
+        assert self._config(monkeypatch, corpus_file, tmp_path, []) == replace(
+            defaults, backbone=BackboneSpec(hidden_dim=defaults.d_h, seed=defaults.seed)
+        )
+
+    def test_flags_override_the_dataclass_defaults(self, corpus_file, tmp_path,
+                                                   monkeypatch):
+        cfg = self._config(monkeypatch, corpus_file, tmp_path, [
+            "--profile", "auto", "--layers", "3", "--dim", "12", "--seed", "4",
+        ])
+        assert (cfg.epochs, cfg.lr, cfg.lam, cfg.d_h, cfg.seed) == (5, 5e-5, 0.3, 384, 4)
+        assert cfg.embedder.dimension == 12
+        assert cfg.backbone == BackboneSpec(hidden_dim=384, layers=3, seed=4)
 
     def test_golden_digest(self, tmp_path, capsys):
         """Training digest on the committed fixture corpus, recorded at the
@@ -419,6 +467,33 @@ class TestDiag:
 
 
 class TestSimulate:
+    @staticmethod
+    def _config(monkeypatch, argv) -> ExperimentConfig:
+        def stop(config):
+            raise Built(config)
+
+        monkeypatch.setattr("masc.cli.batch_experiment", stop)
+        with pytest.raises(Built) as exc:
+            main(["simulate"] + argv)
+        return exc.value.args[0]
+
+    def test_no_sweep_flags_build_the_dataclass_defaults(self, monkeypatch):
+        assert self._config(monkeypatch, []) == ExperimentConfig()
+
+    def test_sweep_flags_reach_the_config(self, monkeypatch):
+        config = self._config(monkeypatch, [
+            "--topology", "chain", "--masc", "off", "--fixtures", "7", "--seed", "3",
+            "--target-agent", "random", "--step-selector", "2",
+            "--corruption", "scramble", "--epochs", "9", "--dim", "16",
+            "--delta", "inf",
+        ])
+        assert config == ExperimentConfig(
+            topologies=("chain",), n_fixtures=7, seed=3, with_masc_cells=False,
+            fault=FaultSpec(target_agent="random", step_selector=2,
+                            corruption="scramble"),
+            masc=MascSettings(epochs=9, d_e=16, delta_override=float("inf")),
+        )
+
     def test_clean_chain_accuracy_one(self, tmp_path, capsys):
         out = str(tmp_path / "sim.json")
         assert main(["simulate", "--topology", "chain", "--fault", "off",

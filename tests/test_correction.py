@@ -2,11 +2,14 @@ import json
 import logging
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from masc.correction import (
     CorrectionRequest,
     RemoteChatPolicy,
     ScriptedPolicy,
+    _first_json_object,
     apply_correction,
     build_correction_prompt,
     parse_correction_response,
@@ -95,6 +98,24 @@ class TestParse:
     def test_nested_braces_in_strings(self):
         raw = '{"correction_needed": "Yes", "final_response": "use {x} and {y}"}'
         assert parse_correction_response(raw, "o").final_response == "use {x} and {y}"
+
+    @given(
+        obj=st.dictionaries(
+            st.text(),
+            st.recursive(
+                st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+                lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+                max_leaves=10,
+            ),
+        ),
+        before=st.text(st.characters(exclude_characters="{}")),
+        after=st.text(st.characters(exclude_characters="{}")),
+        indent=st.sampled_from([None, 2]),
+    )
+    def test_object_in_brace_free_text_is_found(self, obj, before, after, indent):
+        text = before + json.dumps(obj, indent=indent) + after
+        assert _first_json_object(text) == obj
 
     def test_boolean_values_accepted(self):
         raw = '{"correction_needed": false, "final_response": "whatever"}'

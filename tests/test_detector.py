@@ -416,6 +416,12 @@ def test_one_row_continuation_equals_the_full_pass(n, k, seed, scale, from_zero)
         running = sums[-1]
 
 
+@pytest.mark.parametrize("n", [0, 2, 3])
+def test_a_prefix_is_continued_by_one_row_only(n):
+    with pytest.raises(ValueError, match="exactly one row"):
+        causal_context(np.ones((n, 4)), np.zeros(4), 5)
+
+
 def remote_spec(endpoint):
     return BackboneSpec(kind="remote_llm", hidden_dim=6, endpoint=endpoint,
                         model_name="llm")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masc.correction import ScriptedPolicy
+from masc.correction import CorrectionRequest, ScriptedPolicy
 from masc.detector import BackboneSpec, DetectorModel, score_trajectory
 from masc.embedding import EmbedderSpec, embed_step, embed_trajectory
 from masc.errors import ConfigError, DataError
@@ -330,6 +330,15 @@ class TestMascInLoop:
         assert report.interventions <= report.flagged
         assert hook.policy.calls == report.flagged
 
+    def test_every_request_carries_its_step_index(self, suite_detector):
+        fixtures, clean, model, calibration = suite_detector
+        seen = []
+        policy = ScriptedPolicy(lambda req, prompt: seen.append(req) or "no json")
+        hook = MascHook(model=model, alpha=1.0, beta=1.0, delta=-1.0, policy=policy)
+        report = run_fixture(fixtures[0], Topology("chain", 3, rounds=2), masc=hook)
+        steps = [req.t for req in seen]
+        assert steps == [v.t for v in report.verdicts] == [1, 2, 3, 4, 5, 6]
+        assert steps == [len(req.history) + 1 for req in seen]
 
     def test_remote_backbone_encodes_once_per_turn(self, stub_service):
         # Every step is flagged and the oracle rewrites only the faulted one,
@@ -372,6 +381,13 @@ class TestMascInLoop:
             assert got.proto_term == pytest.approx(want.proto_term, rel=0.0, abs=1e-12)
 
 
+def test_oracle_corrector_reads_the_step_index():
+    clean = ["plan", "solve", "check"]
+    req = CorrectionRequest(role="checker", query="q", history=(), flagged_output="x", t=3)
+    reply = json.loads(oracle_corrector(clean).reply(req, ""))
+    assert reply == {"correction_needed": "Yes", "final_response": "check"}
+
+
 class TestBatchExperiment:
     def test_small_sweep_structure(self):
         config = ExperimentConfig(
@@ -396,19 +412,6 @@ class TestBatchExperiment:
         csv_text = report.to_csv()
         assert csv_text.startswith("topology,condition,masc,accuracy")
         assert len(csv_text.strip().split("\n")) == 5
-
-    def test_jobs_parallelism_matches_serial(self):
-        base = ExperimentConfig(
-            topologies=("chain",), n_fixtures=5, seed=3, with_masc_cells=False
-        )
-        parallel = ExperimentConfig(
-            topologies=("chain",), n_fixtures=5, seed=3, with_masc_cells=False, jobs=4
-        )
-        a, b = batch_experiment(base), batch_experiment(parallel)
-        assert [c.accuracy for c in a.cells] == [c.accuracy for c in b.cells]
-        sa = {k: [serialize_trajectory(t) for t in v] for k, v in a.runs.items()}
-        sb = {k: [serialize_trajectory(t) for t in v] for k, v in b.runs.items()}
-        assert sa == sb
 
 
 class Recorder:
