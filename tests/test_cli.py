@@ -527,6 +527,19 @@ class TestSimulate:
 
         assert strip(dump_off, "chain/faulted/off") == strip(dump_inf, "chain/faulted/masc")
 
+    def test_golden_digest(self, tmp_path):
+        """SHA-256 of the JSON, CSV and --dump-traces bytes, in that order, of
+        a small sweep over every cell; the digest is committed, so a missing
+        file fails."""
+        golden = GOLDEN_DIR / "simulate_digest.txt"
+        assert golden.exists(), f"missing {golden}"
+        paths = [tmp_path / name for name in ("sim.json", "cells.csv", "runs.jsonl")]
+        assert main(["simulate", "--fixtures", "6", "--seed", "5", "--epochs", "20",
+                     "--dim", "16", "--hidden", "32", "--out", str(paths[0]),
+                     "--csv", str(paths[1]), "--dump-traces", str(paths[2])]) == 0
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+        assert digest == golden.read_text().strip()
+
     def test_csv_report(self, tmp_path):
         csv_path = str(tmp_path / "cells.csv")
         assert main(["simulate", "--topology", "chain", "--fault", "off",
