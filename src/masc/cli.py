@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="metrics JSON output path (default stdout)")
     p.add_argument("--hist", help="write score histogram CSV here")
     p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, help="override the checkpoint's alpha")
+    p.add_argument("--beta", type=float, help="override the checkpoint's beta")
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("diag", help="embedding distance and error-position diagnostics")
@@ -160,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int)
     p.add_argument("--out", help="JSON report path (default stdout)")
     p.add_argument("--csv", help="CSV report path")
-    p.add_argument("--dump-traces", help="dump per-run trajectories as JSONL here")
+    p.add_argument("--dump-traces",
+                   help="dump the runs of the cells the report shows as JSONL here")
 
     return parser
 
@@ -345,18 +346,13 @@ def cmd_score(args) -> int:
 _SCORE_COLUMNS = ("trajectory_id", "t", "score", "flagged")
 
 
-def _scored_steps_from_csv(path: str, trajectories) -> list[ScoredStep]:
-    """Rows of a ``masc score`` CSV joined with the traces' step labels.
+def _scores_from_csv(path: str) -> list[tuple[str, int, float, bool]]:
+    """The (trajectory id, t, score, flagged) rows of a ``masc score`` CSV.
 
     A missing column, a short row, a non-numeric field or an unreadable file
     raises DataError naming the file and line.
     """
-    labels = {
-        (t.id, i): s.label
-        for t in trajectories
-        for i, s in enumerate(t.steps, start=1)
-    }
-    out = []
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -365,25 +361,17 @@ def _scored_steps_from_csv(path: str, trajectories) -> list[ScoredStep]:
                 raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
             for row in reader:
                 try:
-                    t, score = int(row["t"]), float(row["score"])
-                    flagged = bool(int(row["flagged"]))
+                    rows.append((
+                        row["trajectory_id"], int(row["t"]), float(row["score"]),
+                        bool(int(row["flagged"])),
+                    ))
                 except (TypeError, ValueError) as exc:
                     raise DataError(
                         f"{path}:{reader.line_num}: missing or non-numeric field ({exc})"
                     ) from exc
-                key = (row["trajectory_id"], t)
-                label = labels.get(key)
-                if label is None:
-                    raise DataError(f"no label for step {key}")
-                out.append(
-                    ScoredStep(
-                        trajectory_id=key[0], t=t, score=score, label=label,
-                        flagged=flagged,
-                    )
-                )
         except (csv.Error, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: unreadable CSV ({exc})") from exc
-    return out
+    return rows
 
 
 def cmd_eval(args) -> int:
@@ -391,24 +379,28 @@ def cmd_eval(args) -> int:
     if args.scores is None and args.checkpoint is None:
         raise ConfigError("eval needs --scores or --checkpoint")
     if args.scores:
-        scored = _scored_steps_from_csv(args.scores, trajectories)
+        rows = _scores_from_csv(args.scores)
     else:
         model, calibration = load_checkpoint(args.checkpoint)
-        scored = []
-        for trajectory, v in _score_rows(
-            model, calibration, trajectories, args.alpha, args.beta, None
-        ):
-            label = trajectory.steps[v.t - 1].label
-            if label is None:
-                raise DataError(
-                    f"unlabeled step {v.t} in trajectory {trajectory.id!r}"
-                )
-            scored.append(
-                ScoredStep(
-                    trajectory_id=trajectory.id, t=v.t, score=v.score,
-                    label=label, flagged=v.flagged,
-                )
+        rows = [
+            (trajectory.id, v.t, v.score, v.flagged)
+            for trajectory, v in _score_rows(
+                model, calibration, trajectories, args.alpha, args.beta, None
             )
+        ]
+    labels = {
+        (t.id, i): s.label
+        for t in trajectories
+        for i, s in enumerate(t.steps, start=1)
+    }
+    scored = []
+    for trajectory_id, t, score, flagged in rows:
+        label = labels.get((trajectory_id, t))
+        if label is None:
+            raise DataError(f"no label for step {(trajectory_id, t)}")
+        scored.append(ScoredStep(
+            trajectory_id=trajectory_id, t=t, score=score, label=label, flagged=flagged,
+        ))
     report = compute_metrics(scored, bins=args.bins if args.hist else None)
     if args.hist:
         _write_text(args.hist, report.histogram.to_csv())
@@ -461,12 +453,13 @@ def cmd_simulate(args) -> int:
         )),
     )
     report = batch_experiment(config)
-    wanted_faults = {"on": [True], "off": [False], "both": [False, True]}[args.fault]
-    wanted_masc = {"on": [True], "off": [False], "both": [False, True]}[args.masc]
+    shown = {"on": (True,), "off": (False,), "both": (False, True)}
     report.cells = [
         c for c in report.cells
-        if c.faulted in wanted_faults and c.masc_on in wanted_masc
+        if c.faulted in shown[args.fault] and c.masc_on in shown[args.masc]
     ]
+    keys = {c.key() for c in report.cells}
+    report.runs = {key: runs for key, runs in report.runs.items() if key in keys}
     payload = report.to_dict()
     payload["version"] = __version__
     if args.csv:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from .detector import AnomalyVerdict
 from .transport import chat, new_session
@@ -85,17 +85,18 @@ class CorrectionOutcome:
     result: CorrectionResult | None = None
 
 
+def render_transcript(pairs: Iterable[tuple[str, str]]) -> str:
+    """One ``[role] output`` line per (role, output) pair; ``(none)`` if none."""
+    return "\n".join(f"[{role}] {output}" for role, output in pairs) or "(none)"
+
+
 def build_correction_prompt(req: CorrectionRequest) -> str:
     """Render the canonical recovery prompt, byte-deterministic."""
-    if req.history:
-        context = "\n".join(f"[{role}] {output}" for role, output in req.history)
-    else:
-        context = "(none)"
     return PROMPT_TEMPLATE.format(
         role=req.role,
         query=req.query,
         flagged_output=req.flagged_output,
-        context=context,
+        context=render_transcript(req.history),
     )
 
 

@@ -2,30 +2,19 @@
 
 For cells with detection enabled, a detector is trained on the suite's clean
 trajectories (pooled across topologies), the threshold is calibrated on the
-same normal-only scores, and flagged steps are repaired by the
-clean-run-text oracle corrector unless a custom policy is supplied.
+same normal-only scores, and flagged steps are repaired by the oracle
+corrector, which rewrites a flagged step to the clean run's text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .detector import BackboneSpec, DetectorModel
 from .embedding import EmbedderSpec
 from .errors import DataError
-from .fixtures import (
-    ArithmeticFixture,
-    make_fixture_suite,
-    oracle_corrector,
-    run_fixture,
-)
-from .simulator import (
-    FaultSpec,
-    MascHook,
-    RunReport,
-    Topology,
-    run_seed,
-)
+from .fixtures import make_fixture_suite, oracle_corrector, run_fixture
+from .simulator import FaultSpec, MascHook, Topology, run_seed
 from .trace import Trajectory, save_trajectories
 from .training import Calibration, TrainConfig, calibrate_threshold, train
 
@@ -114,39 +103,18 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _topology(config: ExperimentConfig, kind: str, fixture_index: int) -> Topology:
-    edge_seed = run_seed(config.seed, f"edges:{kind}:{fixture_index}")
-    return Topology(
-        kind=kind,
-        n_agents=config.n_agents,
-        edge_seed=edge_seed,
-        rounds=config.rounds,
-    )
-
-
-def _fault_for(config: ExperimentConfig, kind: str, fixture_index: int) -> FaultSpec:
-    return FaultSpec(
-        target_agent=config.fault.target_agent,
-        step_selector=config.fault.step_selector,
-        corruption=config.fault.corruption,
-        seed=run_seed(config.seed, f"fault:{kind}:{fixture_index}"),
-    )
-
-
 def train_suite_detector(
     config: ExperimentConfig, clean_trajectories: list[Trajectory]
 ) -> tuple[DetectorModel, Calibration]:
     """Fit a detector on the suite's clean runs and calibrate its threshold."""
     m = config.masc
-    embedder = EmbedderSpec(kind="hashing", dimension=m.d_e)
     cfg = TrainConfig(
         epochs=m.epochs,
         lr=m.lr,
-        weight_decay=0.0,
         lam=m.lam,
         seed=config.seed,
         d_h=m.d_h,
-        embedder=embedder,
+        embedder=EmbedderSpec(dimension=m.d_e),
         backbone=BackboneSpec(hidden_dim=m.d_h, layers=m.layers, seed=config.seed),
     )
     model, _ = train(cfg, clean_trajectories)
@@ -162,54 +130,48 @@ def batch_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise DataError("need at least one fixture")
     fixtures = make_fixture_suite(config.n_fixtures, seed=config.seed)
 
-    clean_reports: dict[str, list[RunReport]] = {}
-    for kind in config.topologies:
-        clean_reports[kind] = _run_cell(config, fixtures, kind, None, None)
+    def run_cell(kind: str, faulted: bool, hooks: list[MascHook] | None):
+        reports = []
+        for i, fixture in enumerate(fixtures):
+            # Each run draws its edges and its fault from its own seed stream.
+            edge_seed = run_seed(config.seed, f"edges:{kind}:{i}")
+            fault = replace(config.fault, seed=run_seed(config.seed, f"fault:{kind}:{i}"))
+            reports.append(run_fixture(
+                fixture,
+                Topology(kind, config.n_agents, edge_seed, config.rounds),
+                fault=fault if faulted else None,
+                masc=hooks[i] if hooks else None,
+            ))
+        return reports
 
-    model = calibration = None
-    clean_outputs: dict[tuple[str, str], list[str]] = {}
+    clean = {kind: run_cell(kind, False, None) for kind in config.topologies}
+    variants = [(False, False), (True, False)]
+    masc_hooks = {}
     if config.with_masc_cells:
-        pooled = [
-            r.trajectory
-            for reports in clean_reports.values()
-            for r in reports
-            if r.trajectory is not None
-        ]
+        variants += [(False, True), (True, True)]
+        pooled = [r.trajectory for reports in clean.values() for r in reports]
         model, calibration = train_suite_detector(config, pooled)
-        for kind, reports in clean_reports.items():
-            for fixture, r in zip(fixtures, reports):
-                clean_outputs[(kind, fixture.fixture_id)] = [
-                    s.output for s in r.trajectory.steps
-                ]
-
-    def masc_hook(kind: str, fixture: ArithmeticFixture) -> MascHook:
         m = config.masc
-        delta = m.delta_override if m.delta_override is not None else calibration.delta
-        return MascHook(
-            model=model,
-            alpha=m.alpha,
-            beta=m.beta,
-            delta=delta,
-            policy=oracle_corrector(clean_outputs[(kind, fixture.fixture_id)]),
-        )
-
-    cells: list[CellResult] = []
-    cell_runs: dict[str, list[Trajectory]] = {}
-    for kind in config.topologies:
-        variants = [(False, False), (True, False)]
-        if config.with_masc_cells:
-            variants += [(False, True), (True, True)]
-        for faulted, masc_on in variants:
-            if not faulted and not masc_on:
-                reports = clean_reports[kind]
-            else:
-                reports = _run_cell(
-                    config,
-                    fixtures,
-                    kind,
-                    fault=config.fault if faulted else None,
-                    masc_factory=(lambda f, k=kind: masc_hook(k, f)) if masc_on else None,
+        delta = calibration.delta if m.delta_override is None else m.delta_override
+        masc_hooks = {
+            kind: [
+                MascHook(
+                    model=model, alpha=m.alpha, beta=m.beta, delta=delta,
+                    policy=oracle_corrector([s.output for s in r.trajectory.steps]),
                 )
+                for r in reports
+            ]
+            for kind, reports in clean.items()
+        }
+
+    report = ExperimentReport(cells=[], deltas={}, config=_config_dict(config))
+    for kind in config.topologies:
+        accuracy = {}
+        for faulted, masc_on in variants:
+            if faulted or masc_on:
+                reports = run_cell(kind, faulted, masc_hooks[kind] if masc_on else None)
+            else:
+                reports = clean[kind]
             cell = CellResult(
                 topology=kind,
                 faulted=faulted,
@@ -219,42 +181,19 @@ def batch_experiment(config: ExperimentConfig) -> ExperimentReport:
                 flagged=sum(r.flagged for r in reports),
                 interventions=sum(r.interventions for r in reports),
             )
-            cells.append(cell)
-            cell_runs[cell.key()] = [
-                r.trajectory for r in reports if r.trajectory is not None
-            ]
-
-    report = ExperimentReport(
-        cells=cells, deltas={}, config=_config_dict(config), runs=cell_runs
-    )
-    for kind in config.topologies:
-        clean = report.cell(kind, False, False).accuracy
-        faulted = report.cell(kind, True, False).accuracy
-        deltas = {"clean": clean, "faulted": faulted, "fault_drop": clean - faulted}
+            report.cells.append(cell)
+            report.runs[cell.key()] = [r.trajectory for r in reports]
+            accuracy[faulted, masc_on] = cell.accuracy
+        deltas = {
+            "clean": accuracy[False, False],
+            "faulted": accuracy[True, False],
+            "fault_drop": accuracy[False, False] - accuracy[True, False],
+        }
         if config.with_masc_cells:
-            recovered = report.cell(kind, True, True).accuracy
-            deltas["masc_faulted"] = recovered
-            deltas["masc_recovery"] = recovered - faulted
+            deltas["masc_faulted"] = accuracy[True, True]
+            deltas["masc_recovery"] = accuracy[True, True] - accuracy[True, False]
         report.deltas[kind] = deltas
     return report
-
-
-def _run_cell(
-    config: ExperimentConfig,
-    fixtures: list[ArithmeticFixture],
-    kind: str,
-    fault: FaultSpec | None,
-    masc_factory=None,
-) -> list[RunReport]:
-    return [
-        run_fixture(
-            fixture,
-            _topology(config, kind, i),
-            fault=_fault_for(config, kind, i) if fault is not None else None,
-            masc=masc_factory(fixture) if masc_factory is not None else None,
-        )
-        for i, fixture in enumerate(fixtures)
-    ]
 
 
 def dump_cell_traces(report: ExperimentReport, path: str):
@@ -267,27 +206,9 @@ def dump_cell_traces(report: ExperimentReport, path: str):
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
-    return {
-        "topologies": list(config.topologies),
-        "n_fixtures": config.n_fixtures,
-        "n_agents": config.n_agents,
-        "rounds": config.rounds,
-        "seed": config.seed,
-        "fault": {
-            "target_agent": config.fault.target_agent,
-            "step_selector": config.fault.step_selector,
-            "corruption": config.fault.corruption,
-        },
-        "masc": {
-            "alpha": config.masc.alpha,
-            "beta": config.masc.beta,
-            "quantile": config.masc.quantile,
-            "epochs": config.masc.epochs,
-            "lr": config.masc.lr,
-            "lambda": config.masc.lam,
-            "d_e": config.masc.d_e,
-            "d_h": config.masc.d_h,
-            "layers": config.masc.layers,
-        },
-        "with_masc_cells": config.with_masc_cells,
-    }
+    """The settings the report echoes: each run draws its own fault seed, the
+    threshold override is left out, and ``lam`` is written ``lambda``."""
+    echo = asdict(config)
+    del echo["fault"]["seed"], echo["masc"]["delta_override"]
+    echo["masc"]["lambda"] = echo["masc"].pop("lam")
+    return echo

@@ -25,7 +25,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .correction import CorrectionPolicy, CorrectionRequest, apply_correction
+from .correction import (
+    CorrectionPolicy,
+    CorrectionRequest,
+    apply_correction,
+    render_transcript,
+)
 from .detector import AnomalyVerdict, DetectorModel, DetectorStream
 from .embedding import embed_step, embed_text
 from .errors import ConfigError, DataError, TransportError
@@ -226,11 +231,10 @@ class RemoteChatAgent:
         self._session = new_session()
 
     def act(self, query: str, visible: list[tuple[str, str]], t: int) -> str:
-        transcript = "\n".join(f"[{role}] {output}" for role, output in visible)
         prompt = (
             f"You are {self.spec.role} in a multi-agent collaboration.\n"
             f"Task: {query}\n"
-            f"Visible context:\n{transcript if transcript else '(none)'}\n"
+            f"Visible context:\n{render_transcript(visible)}\n"
             f"Respond with your contribution for step {t}."
         )
         return chat(self._session, self.spec.endpoint, self.spec.model_name, prompt)

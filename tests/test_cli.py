@@ -415,6 +415,28 @@ class TestEval:
         assert a["n_steps"] == 12
         assert a["auc_roc"] == b["auc_roc"]
 
+    def test_checkpoint_mode_scores_as_score_does(self, tmp_path):
+        """With a checkpoint calibrated away from alpha = beta = 1, scoring
+        inside eval and scoring with `masc score` give the same metrics."""
+        normal, labeled = str(tmp_path / "normal.jsonl"), str(tmp_path / "labeled.jsonl")
+        save_trajectories(normal, make_normal_corpus(30, seed=1, T=6))
+        save_trajectories(labeled, make_anomaly_corpus(20, seed=2, T=6))
+        ckpt, scores = str(tmp_path / "model.ckpt"), str(tmp_path / "scores.csv")
+        assert main(["train", "--traces", normal, "--checkpoint", ckpt,
+                     "--report", str(tmp_path / "report.json"), "--epochs", "2",
+                     "--lr", "1e-3", "--hidden", "32", "--dim", "16", "--seed", "1"]) == 0
+        assert main(["calibrate", "--checkpoint", ckpt, "--traces", normal,
+                     "--alpha", "3", "--beta", "0.5"]) == 0
+        assert main(["score", "--checkpoint", ckpt, "--traces", labeled,
+                     "--out", scores]) == 0
+        outputs = []
+        for source in (["--scores", scores], ["--checkpoint", ckpt]):
+            out, hist = tmp_path / "metrics.json", tmp_path / "hist.csv"
+            assert main(["eval", "--traces", labeled, "--out", str(out),
+                         "--hist", str(hist)] + source) == 0
+            outputs.append((json.loads(out.read_text()), hist.read_text()))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("text, message", [
         ("trajectory_id,t,flagged\nx,1,0\n", "missing column(s) score"),
         ("trajectory_id,t,score,flagged\nx,one,0.5,0\n", ":2: missing or non-numeric"),
@@ -539,6 +561,21 @@ class TestSimulate:
                      "--csv", str(paths[1]), "--dump-traces", str(paths[2])]) == 0
         digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
         assert digest == golden.read_text().strip()
+
+    @pytest.mark.parametrize("flags", [
+        ["--topology", "random", "--fault", "off", "--masc", "off"],
+        ["--fault", "on", "--masc", "both"],
+        ["--fault", "both", "--masc", "on"],
+    ], ids=["random clean off", "faulted only", "masc only"])
+    def test_dump_holds_only_the_shown_cells(self, tmp_path, flags):
+        out, dump = tmp_path / "sim.json", tmp_path / "runs.jsonl"
+        assert main(["simulate", "--fixtures", "3", "--epochs", "5", "--dim", "16",
+                     "--hidden", "32", "--out", str(out), "--dump-traces", str(dump)]
+                    + flags) == 0
+        shown = set(json.loads(out.read_text())["cells"])
+        dumped = {json.loads(line)["id"].rsplit("/", 1)[0]
+                  for line in dump.read_text().splitlines()}
+        assert dumped == shown
 
     def test_csv_report(self, tmp_path):
         csv_path = str(tmp_path / "cells.csv")

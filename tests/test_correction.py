@@ -13,6 +13,7 @@ from masc.correction import (
     apply_correction,
     build_correction_prompt,
     parse_correction_response,
+    render_transcript,
 )
 from masc.detector import AnomalyVerdict
 from masc.errors import TransportError
@@ -53,6 +54,10 @@ class TestPrompt:
     def test_empty_history_renders_none_marker(self):
         text = build_correction_prompt(req(history=()))
         assert "(none)" in text
+
+    def test_transcript_is_one_line_per_step(self):
+        assert render_transcript([("a", "x y"), ("b", "")]) == "[a] x y\n[b] "
+        assert render_transcript([]) == "(none)"
 
 
 class TestParse:

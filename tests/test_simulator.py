@@ -228,6 +228,8 @@ class TestRunTrajectory:
         assert report.trajectory.steps[1].output == "x = 7"
         prompt = stub.requests[0]["body"]["messages"][0]["content"]
         assert "You are solver" in prompt and FIXTURE.query in prompt
+        plan = report.trajectory.steps[0].output
+        assert f"Visible context:\n[decomposer] {plan}\nRespond" in prompt
 
     @pytest.mark.parametrize(
         "raw", [*MALFORMED_REPLIES.values(), b'{"content": null}'],
