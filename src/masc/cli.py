@@ -143,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault", default="both", choices=["on", "off", "both"])
     p.add_argument("--masc", default="both", choices=["on", "off", "both"])
     p.add_argument("--fixtures", type=int)
-    p.add_argument("--agents", type=int)
     p.add_argument("--rounds", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--target-agent", type=_index_or("random"),
@@ -436,8 +435,8 @@ def cmd_simulate(args) -> int:
     topologies = None if args.topology == "all" else (args.topology,)
     config = ExperimentConfig(
         **_given(
-            topologies=topologies, n_fixtures=args.fixtures, n_agents=args.agents,
-            rounds=args.rounds, seed=args.seed,
+            topologies=topologies, n_fixtures=args.fixtures, rounds=args.rounds,
+            seed=args.seed,
         ),
         with_masc_cells=args.masc in ("on", "both"),
     )

@@ -40,8 +40,8 @@ Two ways to score, one forward pass (``FrozenMixer.run``):
   blocks, continuing from each block's carried prefix sum, so a turn costs
   the same at step 3 and step 300: four matrix-vector products with the
   default two blocks (the f_h projection, one per block, the f_theta head)
-  and a few vector operations. The model's parameters must not change
-  while a stream is open.
+  and a few vector operations, all written into rows the stream allocates
+  once. The model's parameters must not change while a stream is open.
 """
 
 from __future__ import annotations
@@ -150,32 +150,15 @@ class BackboneSpec:
             raise ConfigError("remote_llm backbone requires endpoint and model_name")
 
 
-def causal_context(
-    x: np.ndarray, prefix_sum: np.ndarray | None = None, count: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per position i: [mean(x_1..x_i) ; x_i], the mixer block input, and the
-    running sums x_1 + .. + x_i.
-
-    With ``prefix_sum``, the sum of ``count`` earlier rows, ``x`` must be one
-    row, which continues after those rows, as a stream commits. Cumulative
-    sums are sequential, so the rows of a prefix's context, or of a
-    continuation's, equal the matching rows of the full context bit for bit.
-    """
-    n, k = x.shape
-    if prefix_sum is None:
-        sums = np.cumsum(x, axis=0)
-        inv = (1.0 / np.arange(1, n + 1, dtype=np.float64))[:, None]
-        return np.concatenate([sums * inv, x], axis=1), sums
-    if n != 1:
-        raise ValueError(f"a prefix is continued by exactly one row, got {n}")
-    # The sum is the single addition the two-row cumsum makes, and the
-    # context is written into one contiguous (1, 2k) row, the shape the
-    # concatenate gives, so the block's product takes the same BLAS path.
-    total = prefix_sum + x[0]
-    context = np.empty((1, 2 * k))
-    np.multiply(total, 1.0 / (count + 1), out=context[0, :k])
-    context[0, k:] = x[0]
-    return context, total[None, :]
+def causal_context(x: np.ndarray) -> np.ndarray:
+    """Per position i of an (n, k) sequence: [mean(x_1..x_i) ; x_i], the
+    mixer block input. The cumulative sum is sequential, so the rows of a
+    prefix's context equal the matching rows of the full context bit for
+    bit, as do the rows a stream builds one at a time (``FrozenMixer.run``
+    with a carry)."""
+    n = x.shape[0]
+    inv = (1.0 / np.arange(1, n + 1, dtype=np.float64))[:, None]
+    return np.concatenate([np.cumsum(x, axis=0) * inv, x], axis=1)
 
 
 _DRAW_ROWS = 32  # rows of a mixer matrix drawn at a time
@@ -205,10 +188,19 @@ class FrozenMixer:
             self.matrices_t.append(matrix_t)
             in_dim = spec.hidden_dim
 
+    def carry(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Buffers a stream allocates once, per block: the running sum of the
+        rows the block has read, its (1, 2 * in) context row and its
+        (1, hidden_dim) output row."""
+        return [
+            (np.empty(m.shape[0] // 2), np.empty((1, m.shape[0])), np.empty((1, m.shape[1])))
+            for m in self.matrices_t
+        ]
+
     def run(
         self,
         sequence: np.ndarray,
-        sums: list[np.ndarray | None] | None = None,
+        carry: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
         count: int = 0,
     ) -> list[np.ndarray]:
         """Encode an (n, input_dim) sequence; returns every block's output.
@@ -219,22 +211,37 @@ class FrozenMixer:
         length-t prefix agrees with row t of the full pass to rounding (not
         bit for bit: a one-row product takes a matrix-vector BLAS path).
 
-        ``sums`` carries a stream across calls: entry k is the sum of the
-        rows block k has read (None before the first row). Once an entry is
-        set, ``sequence`` must be the one row that follows the ``count``
-        rows already read (``causal_context`` raises ValueError otherwise).
-        The pass starts from those sums and leaves each entry holding the
-        sum over ``sequence`` too.
+        ``carry`` (from ``carry()``) continues a stream across calls: then
+        ``sequence`` must be the one row that follows the ``count`` rows
+        already read (ValueError otherwise). Each block adds its input row
+        to its running sum, writes its context row (the running mean, then
+        the input row: equal to the full context's row bit for bit) and its
+        output row in place, and the outputs returned are those buffers.
         """
-        outputs = []
-        x = sequence
-        for k, matrix_t in enumerate(self.matrices_t):
-            context, running = causal_context(x, None if sums is None else sums[k], count)
-            if sums is not None:
-                sums[k] = running[-1]
-            x = np.tanh(context @ matrix_t)
-            outputs.append(x)
-        return outputs
+        if carry is None:
+            outputs = []
+            x = sequence
+            for matrix_t in self.matrices_t:
+                x = np.tanh(causal_context(x) @ matrix_t)
+                outputs.append(x)
+            return outputs
+        if sequence.shape[0] != 1:
+            raise ValueError(f"a prefix is continued by exactly one row, got {sequence.shape[0]}")
+        x = sequence[0]
+        for matrix_t, (total, context, out) in zip(self.matrices_t, carry):
+            k = total.shape[0]
+            if count:
+                np.add(total, x, out=total)
+            else:
+                total[...] = x
+            np.multiply(total, 1.0 / (count + 1), out=context[0, :k])
+            context[0, k:] = x
+            # A contiguous (1, 2k) row, as the full context's: the product
+            # takes the same BLAS path as a one-row pass without a carry.
+            np.matmul(context, matrix_t, out=out)
+            np.tanh(out, out=out)
+            x = out[0]
+        return [out for _, _, out in carry]
 
     def backward(self, outputs: list[np.ndarray], grad: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the input sequence, given ``run``'s outputs and the
@@ -586,6 +593,41 @@ def _checked_inputs(
     return np.asarray(q_vec, dtype=np.float64), step_embs
 
 
+def _check_weights(alpha: float, beta: float) -> None:
+    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
+        raise ConfigError("alpha and beta must be >= 0 and not both zero")
+
+
+def _verdict(
+    x_hat: np.ndarray,
+    recon_term: float,
+    p: np.ndarray,
+    p_norm: float,
+    alpha: float,
+    beta: float,
+    delta: float,
+    t: int,
+) -> AnomalyVerdict:
+    """Step t's verdict from its prediction and its squared prediction
+    error, thresholded at ``delta``; ``p_norm`` is
+    ``float(np.linalg.norm(p))``, which the caller computes once.
+
+    A prediction or a prototype of zero norm counts as cos 0, with a
+    warning.
+    """
+    x_norm = math.sqrt(x_hat.dot(x_hat))
+    if x_norm == 0.0 or p_norm == 0.0:
+        logger.warning("zero-norm vector in cosine; treating cos as 0")
+        cos = 0.0
+    else:
+        cos = float(x_hat.dot(p)) / (x_norm * p_norm)
+    proto_term = 1.0 - cos
+    score = alpha * recon_term + beta * proto_term
+    return AnomalyVerdict(
+        score, recon_term, proto_term, alpha, beta, delta, bool(score > delta), t
+    )
+
+
 def _verdicts(
     x_hats: np.ndarray,
     step_matrix: np.ndarray,
@@ -597,33 +639,17 @@ def _verdicts(
     t0: int,
 ) -> list[AnomalyVerdict]:
     """One verdict per row of (x_hats, step_matrix), the rows being steps
-    t0, t0 + 1, ..., each thresholded at ``delta``; ``p_norm`` is
-    ``float(np.linalg.norm(p))``, which the caller computes once.
-
-    A prediction or a prototype of zero norm counts as cos 0, with a
-    warning. Why the batch equals scoring each row alone, bit for bit: see
-    ``score_trajectory``.
+    t0, t0 + 1, ... (see ``_verdict``). Why the batch equals scoring each
+    row alone, bit for bit: see ``score_trajectory``.
     """
-    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
-        raise ConfigError("alpha and beta must be >= 0 and not both zero")
+    _check_weights(alpha, beta)
     squared = x_hats - step_matrix
     squared *= squared
     recon = np.sum(squared, axis=1).tolist()
-    out = []
-    for i, (x_hat, recon_term) in enumerate(zip(x_hats, recon)):
-        x_norm = math.sqrt(x_hat.dot(x_hat))
-        if x_norm == 0.0 or p_norm == 0.0:
-            logger.warning("zero-norm vector in cosine; treating cos as 0")
-            cos = 0.0
-        else:
-            cos = float(x_hat.dot(p)) / (x_norm * p_norm)
-        proto_term = 1.0 - cos
-        score = alpha * recon_term + beta * proto_term
-        out.append(AnomalyVerdict(
-            score, recon_term, proto_term, alpha, beta,
-            delta, bool(score > delta), t0 + i,
-        ))
-    return out
+    return [
+        _verdict(x_hat, recon_term, p, p_norm, alpha, beta, delta, t)
+        for t, (x_hat, recon_term) in enumerate(zip(x_hats, recon), start=t0)
+    ]
 
 
 def score_trajectory(
@@ -645,12 +671,12 @@ def score_trajectory(
 
     The verdicts, too, come from whole-trajectory arrays: the squared
     prediction errors of all T steps in one row-wise reduction, and the
-    prototype's norm once. Each row's reduction sums in the same order as a
-    one-row call, so every verdict equals that step scored alone (a one-row
-    batch, as ``DetectorStream.score`` makes) bit for bit. The two dot
-    products per row (the prediction with itself and with the prototype)
-    stay per-row calls: one matrix-vector product over all rows sums in
-    another order and moves last bits.
+    prototype's norm once. Each row's reduction sums in the same order as
+    the sum of that one contiguous row, so every verdict equals that step
+    scored alone (as ``DetectorStream.score`` scores it) bit for bit. The
+    two dot products per row (the prediction with itself and with the
+    prototype) stay per-row calls: one matrix-vector product over all rows
+    sums in another order and moves last bits.
     """
     if len(step_embs) == 0:
         raise DataError("empty trajectory")
@@ -669,9 +695,12 @@ class DetectorStream:
     block's running input sum and the hidden state after the last committed
     step. So a turn costs the same whatever the history's length: one
     matrix-vector product for the f_h row, one per block and one for the
-    f_theta head, four with the default two blocks. With a remote backbone
-    it keeps the projected rows and sends one /encode request per scored
-    step.
+    f_theta head, four with the default two blocks. The stream allocates
+    its rows once (the f_h row, each block's running sum, context and
+    output rows from ``FrozenMixer.carry``, the prediction and the squared
+    error) and every product and vector operation of a turn writes into
+    them. With a remote backbone it keeps the projected rows and sends one
+    /encode request per scored step.
 
     The model's parameters must stay frozen for the stream's lifetime: the
     projected query, the carried sums, the hidden state and the prototype's
@@ -679,43 +708,56 @@ class DetectorStream:
 
     ``score`` judges a pending step against the committed history and
     leaves the stream unchanged; the prediction it compares with is computed
-    at most once per commit. ``commit`` appends the step the run keeps: the
-    corrected one when a correction replaced the output. Verdicts agree with
-    ``score_trajectory`` on the committed trajectory to rounding (a one-row
-    product takes BLAS's matrix-vector path). A query of dimension other
-    than d_e, or a step of dimension other than d, raises ConfigError.
+    at most once per commit, and the verdict comes from ``_verdict``, as
+    ``score_trajectory``'s do. ``commit`` appends the step the run keeps:
+    the corrected one when a correction replaced the output. Verdicts agree
+    with ``score_trajectory`` on the committed trajectory to rounding (a
+    one-row product takes BLAS's matrix-vector path). A query of dimension
+    other than d_e, or a step of dimension other than d, raises ConfigError.
     """
 
     def __init__(self, model: DetectorModel, q_vec: np.ndarray):
         if np.shape(q_vec) != (model.d_e,):
             raise ConfigError(f"query vector must have dimension {model.d_e}")
         self.model = model
-        self._p_norm = float(np.linalg.norm(model.params["p"]))
+        params = model.params
+        # Views the turns read; the parameters stay frozen while the stream lives.
+        self._fh_w_t, self._fh_b = params["fh_w"].T, params["fh_b"]
+        self._ft_w_t, self._ft_b = params["ft_w"].T, params["ft_b"]
+        self._p = params["p"]
+        self._p_norm = float(np.linalg.norm(self._p))
         self._length = 0  # rows encoded: the query plus the committed steps
-        self._sums: list[np.ndarray | None] = [None] * model.backbone.layers
-        self._state: np.ndarray | None = None  # last row's hidden state
-        self._rows: list[np.ndarray] = []  # remote backbone only
-        self._x_hat: np.ndarray | None = None
+        if model.backbone.kind == "frozen_mixer":
+            self._mixer: FrozenMixer | None = model.mixer()
+            self._carry = self._mixer.carry()
+        else:
+            self._mixer = None
+            self._rows: list[np.ndarray] = []  # the projected rows
+        self._row = np.empty((1, model.d_h))  # the committed step's f_h row
+        self._x_hat = np.empty(model.d)
+        self._squared = np.empty(model.d)
+        self._predicted = False  # whether _x_hat holds the next prediction
         q_vec = np.asarray(q_vec, dtype=np.float64)
-        self._push(projected_sequence(model.params, q_vec, np.zeros((0, model.d))))
+        self._push(projected_sequence(params, q_vec, np.zeros((0, model.d))))
 
     def _push(self, row: np.ndarray) -> None:
         """Append one projected (1, d_h) row to the encoded sequence."""
-        if self.model.backbone.kind == "frozen_mixer":
-            self._state = self.model.mixer().run(row, self._sums, self._length)[-1][0]
+        if self._mixer is not None:
+            self._mixer.run(row, self._carry, self._length)
         else:
-            self._rows.append(row[0])
+            self._rows.append(row[0].copy())
         self._length += 1
-        self._x_hat = None
+        self._predicted = False
 
     def _prediction(self) -> np.ndarray:
-        if self._x_hat is None:
-            params = self.model.params
-            if self.model.backbone.kind == "frozen_mixer":
-                state = self._state
+        if not self._predicted:
+            if self._mixer is not None:
+                state = self._carry[-1][2][0]
             else:
                 state = self.model.remote().encode(np.stack(self._rows))
-            self._x_hat = state @ params["ft_w"].T + params["ft_b"]
+            np.matmul(state, self._ft_w_t, out=self._x_hat)
+            self._x_hat += self._ft_b
+            self._predicted = True
         return self._x_hat
 
     def _checked_step(self, step_emb) -> np.ndarray:
@@ -728,12 +770,18 @@ class DetectorStream:
     ) -> AnomalyVerdict:
         """Verdict on the pending step t = (committed steps) + 1."""
         step = self._checked_step(step_emb)
-        return _verdicts(
-            self._prediction()[None, :], step[None, :], self.model.params["p"],
-            self._p_norm, alpha, beta, delta, self._length,
-        )[0]
+        _check_weights(alpha, beta)
+        x_hat = self._prediction()
+        squared = np.subtract(x_hat, step, out=self._squared)
+        squared *= squared
+        return _verdict(
+            x_hat, float(squared.sum()), self._p, self._p_norm,
+            alpha, beta, delta, self._length,
+        )
 
     def commit(self, step_emb: np.ndarray) -> None:
         """Append a step to the history the next prediction reads."""
         step = self._checked_step(step_emb)
-        self._push(projected_steps(self.model.params, step[None, :]))
+        np.matmul(step[None, :], self._fh_w_t, out=self._row)
+        self._row += self._fh_b
+        self._push(self._row)

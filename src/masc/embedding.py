@@ -14,18 +14,26 @@ Two embedder kinds are supported:
 
 Step embeddings are the concatenation [role_embedding ; output_embedding],
 role half first, giving vectors of dimension 2 * d_e. There are three entry
-points, all through one batch function (``_text_matrix``): ``embed_text``
-for one text, ``embed_step`` for one step and ``embed_trajectory`` for a
-whole trajectory.
+points: ``embed_text`` for one text and ``embed_trajectory`` for a whole
+trajectory go through one batch function (``_text_matrix``); ``embed_step``,
+the in-loop turn's, does too for the remote kind.
 
 A batch of texts embeds as one (n, d_e) matrix. With the hashing kind, each
 token's bucket and sign come from a per-dimension memo (token -> ``2 *
 bucket + sign bit``), so a token is hashed once however often roles and
 templates repeat it. The memo is emptied whenever it reaches ``MEMO_LIMIT``
 tokens, which bounds its memory. The whole batch then accumulates in one
-``np.bincount`` and is normalized row by row. This equals embedding each
+``np.bincount`` over those codes, each bucket's entry being its +1 count
+minus its -1 count, and is normalized row by row. This equals embedding each
 text on its own bit for bit: every entry and every squared norm is a small
-integer, and sums of small integers are exact in any order.
+integer, exact in any order of summation.
+
+With the hashing kind, ``embed_step`` makes no batch. Its role half is
+copied from a memo of finished rows keyed by (dimension, role), bounded by
+``MEMO_LIMIT`` and emptied with the token memo; a run has a handful of
+roles. Its output half is one text's row (``_hashing_row``): the same token
+codes, one ``np.bincount``, the squared norm by one dot product and one
+divide, bit for bit the batch's row.
 
 A trajectory's texts are embedded in the order [query, role_1, output_1,
 role_2, output_2, ...], so rows 1 .. 2T of the matrix, read two at a time,
@@ -37,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import re
 import struct
@@ -84,6 +93,10 @@ class EmbedderSpec:
 # sign bit (1 for -1). Emptied when it reaches MEMO_LIMIT tokens.
 MEMO_LIMIT = 1 << 14
 _MEMOS: dict[int, dict[str, int]] = {}
+# Finished role rows of ``embed_step``, keyed by (dimension, role). Never
+# handed out, only copied. Emptied when it reaches MEMO_LIMIT rows and
+# whenever a token memo is.
+_ROLE_ROWS: dict[tuple[int, str], np.ndarray] = {}
 _MEMO_LOCK = threading.Lock()
 
 
@@ -95,36 +108,57 @@ def _token_code(token: str, dim: int) -> int:
     return 2 * (h % dim) + (h >> 63)
 
 
+def _token_codes(text: str, dim: int, codes: list[int]) -> None:
+    """Append the memoized code of each token of ``text`` to ``codes``."""
+    memo = _MEMOS.setdefault(dim, {})
+    for token in _TOKEN.findall(text.lower()):
+        code = memo.get(token)
+        if code is None:
+            code = _token_code(token, dim)
+            with _MEMO_LOCK:
+                if len(memo) >= MEMO_LIMIT:
+                    memo.clear()
+                    _ROLE_ROWS.clear()
+                memo[token] = code
+        codes.append(code)
+
+
+def _signed_counts(codes: np.ndarray, size: int) -> np.ndarray:
+    """Per bucket b < ``size``: the tokens adding +1 minus those adding -1,
+    from one code 2 * b + sign bit per token, as integers."""
+    counts = np.bincount(codes, minlength=2 * size)
+    return counts[0::2] - counts[1::2]
+
+
 def _hashing_matrix(texts: list[str], dim: int) -> np.ndarray:
     """(len(texts), dim) matrix of hashing embeddings, one row per text."""
-    memo = _MEMOS.setdefault(dim, {})
-    slots: list[int] = []  # row * dim + bucket, one per token
-    negative: list[int] = []  # 1 where the token adds -1
-    offset = 0
-    for text in texts:
-        for token in _TOKEN.findall(text.lower()):
-            code = memo.get(token)
-            if code is None:
-                code = _token_code(token, dim)
-                with _MEMO_LOCK:
-                    if len(memo) >= MEMO_LIMIT:
-                        memo.clear()
-                    memo[token] = code
-            slots.append(offset + (code >> 1))
-            negative.append(code & 1)
-        offset += dim
-    weights = np.array(negative, dtype=np.float64)
-    weights *= -2.0
-    weights += 1.0
-    # Without any token, bincount ignores the weights and returns integers.
-    matrix = np.bincount(
-        np.array(slots, dtype=np.intp), weights=weights, minlength=offset
-    ).astype(np.float64, copy=False).reshape(len(texts), dim)
-    # Integer entries: any summation order gives the exact squared norm.
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    codes: list[int] = []
+    counts = np.empty(len(texts), dtype=np.intp)  # tokens per text
+    for i, text in enumerate(texts):
+        before = len(codes)
+        _token_codes(text, dim, codes)
+        counts[i] = len(codes) - before
+    # Text i's codes shift past the 2 * dim slots of the texts before it.
+    slots = np.array(codes, dtype=np.intp)
+    slots += np.repeat(np.arange(0, 2 * dim * len(texts), 2 * dim, dtype=np.intp), counts)
+    signed = _signed_counts(slots, len(texts) * dim).reshape(len(texts), dim)
+    # Integer entries: the squared norms are exact.
+    norms = np.sqrt(np.einsum("ij,ij->i", signed, signed))
     norms[norms == 0.0] = 1.0
-    matrix /= norms[:, None]
-    return matrix
+    return signed / norms[:, None]
+
+
+def _hashing_row(text: str, dim: int, out: np.ndarray) -> None:
+    """Write the hashing embedding of one text into ``out``, a (dim,) row.
+
+    Equal to the text's row of ``_hashing_matrix`` bit for bit: the entries
+    and the squared norm are the same small integers.
+    """
+    codes: list[int] = []
+    _token_codes(text, dim, codes)
+    signed = _signed_counts(np.array(codes, dtype=np.intp), dim)
+    squared = int(signed.dot(signed))
+    np.divide(signed, math.sqrt(squared) if squared else 1.0, out=out)
 
 
 class VectorCache:
@@ -274,8 +308,29 @@ def embed_text(spec: EmbedderSpec, text: str) -> np.ndarray:
 
 
 def embed_step(spec: EmbedderSpec, role: str, output: str) -> np.ndarray:
-    """Concatenated [role ; output] embedding of dimension 2 * d_e."""
-    return _text_matrix(spec, [role, output]).reshape(-1)
+    """Concatenated [role ; output] embedding of dimension 2 * d_e.
+
+    With the hashing kind, the role half is copied from a memo of finished
+    role rows and the output half is the one text's row: a turn hashes only
+    the output's tokens not yet memoized, and makes no batch.
+    """
+    if spec.kind != "hashing":
+        return _text_matrix(spec, [role, output]).reshape(-1)
+    if not role or not output:
+        raise DataError("cannot embed empty text")
+    dim = spec.dimension
+    out = np.empty(2 * dim)
+    role_row = _ROLE_ROWS.get((dim, role))
+    if role_row is None:
+        role_row = np.empty(dim)
+        _hashing_row(role, dim, role_row)
+        with _MEMO_LOCK:
+            if len(_ROLE_ROWS) >= MEMO_LIMIT:
+                _ROLE_ROWS.clear()
+            _ROLE_ROWS[(dim, role)] = role_row
+    out[:dim] = role_row
+    _hashing_row(output, dim, out[dim:])
+    return out
 
 
 def query_text(trajectory: Trajectory, with_gt: bool) -> str:

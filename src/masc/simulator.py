@@ -13,6 +13,13 @@ the history that later agents see. A turn's detection cost does not grow
 with the length of the history, and neither does its bookkeeping: each
 agent's visible (role, output) list is kept as the run goes, one append per
 committed turn and watching agent, and handed to the agent as a copy.
+
+Per turn, with detection: ``embed_step`` embeds the output (the role half
+memoized), ``DetectorStream.score`` judges it against the committed
+history, and ``DetectorStream.commit`` pushes the kept step through the
+stream's preallocated rows. Only a flagged step builds a
+``CorrectionRequest``; it carries the full committed history, steps 1..t-1
+as (role, output) pairs, whatever the acting agent could see.
 """
 
 from __future__ import annotations
@@ -279,7 +286,7 @@ def run_trajectory(
         report.fault_agent, report.fault_step = resolve_fault(
             fault, turn_order, topology.n_agents
         )
-    history: list[tuple[int, str, str]] = []  # (agent index, role, output)
+    history: list[tuple[str, str]] = []  # (role, output) of every committed step
     seen: list[list[tuple[str, str]]] = [[] for _ in range(topology.n_agents)]
     if masc is not None:
         stream = DetectorStream(masc.model, embed_text(masc.model.embedder, query))
@@ -305,7 +312,7 @@ def run_trajectory(
                 req = CorrectionRequest(
                     role=spec.role,
                     query=query,
-                    history=tuple((role, out) for _, role, out in history),
+                    history=tuple(history),
                     flagged_output=output,
                     t=t,
                 )
@@ -317,7 +324,7 @@ def run_trajectory(
                     output = outcome.output
                     step_emb = embed_step(masc.model.embedder, spec.role, output)
             stream.commit(step_emb)
-        history.append((agent_idx, spec.role, output))
+        history.append((spec.role, output))
         for watcher in watchers[agent_idx]:
             seen[watcher].append((spec.role, output))
 
@@ -325,7 +332,7 @@ def run_trajectory(
         report.trajectory = Trajectory(
             id=trace_id,
             query=query,
-            steps=tuple(Step(role=role, output=output) for _, role, output in history),
+            steps=tuple(Step(role=role, output=output) for role, output in history),
         )
     if not report.aborted and report.trajectory is not None:
         if expected_answer is not None:

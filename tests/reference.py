@@ -5,7 +5,8 @@
 per step, then the threshold applied with ``dataclasses.replace``) that the
 batched versions in ``masc.embedding`` and ``masc.detector`` replaced.
 ``continuation_reference`` is the concatenate-and-cumsum continuation of a
-causal context that ``causal_context``'s one-row continuation replaced, and
+causal context that the mixer's carried one-row step (``FrozenMixer.run``
+with a carry, as ``DetectorStream`` commits) replaced, and
 ``checker_reference`` the fixture checker that scanned every visible output
 forward. The replacements must equal them bit for bit.
 """

@@ -77,6 +77,14 @@ class TestParsing:
             main(["simulate", "--jobs", "2"])
         assert exc.value.code == 2
 
+    def test_simulate_has_no_agents_flag(self, capsys):
+        # The fixture suite is always three agents; the sweep sizes its
+        # topologies from ExperimentConfig.n_agents, which stays 3.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--agents", "3"])
+        assert exc.value.code == 2
+        assert "--agents" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [("--target-agent", "first"),
                                              ("--step-selector", "late")])
     def test_bad_fault_selector_exits_two(self, capsys, flag, value):

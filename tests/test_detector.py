@@ -35,7 +35,7 @@ from masc.errors import ConfigError, DataError, TransportError
 from masc.synthetic import make_normal_corpus, make_normal_trajectory, plant_anomaly
 from masc.training import TrainConfig, calibrate_threshold, train
 from tests.conftest import MALFORMED_REPLIES, SMALL_EMBEDDER, views_tile
-from tests.reference import continuation_reference, verdicts_reference
+from tests.reference import verdicts_reference
 
 EMB4 = EmbedderSpec(kind="hashing", dimension=4)
 
@@ -391,35 +391,39 @@ class TestFrozenBackbone:
 @given(
     n=st.integers(1, 12),
     k=st.integers(1, 24),
+    h=st.integers(1, 24),
+    layers=st.integers(1, 3),
     seed=st.integers(0, 2**16),
     scale=st.sampled_from([1e-3, 1.0, 37.0]),
-    from_zero=st.booleans(),
 )
-def test_one_row_continuation_equals_the_full_pass(n, k, seed, scale, from_zero):
-    # A stream's pass: the first row from no prefix (or from a zero sum at
-    # count 0), then one row at a time from the carried sum. Every context
-    # row and running sum must equal the full pass's and the
-    # concatenate-and-cumsum continuation's bit for bit.
+def test_one_row_continuation_equals_the_full_pass(n, k, h, layers, seed, scale):
+    # A stream's pass: one row at a time through the mixer's carry. Each
+    # block's running sum and context row must equal the full pass's rows
+    # over that block's inputs so far bit for bit, and its output the
+    # allocating one-row product's.
+    mixer = FrozenMixer(BackboneSpec(hidden_dim=h, layers=layers, seed=seed), k)
     x = scale * np.random.RandomState(seed).randn(n, k)
-    full, full_sums = causal_context(x)
-    context, sums = causal_context(x[:1])
-    running = np.zeros(k)
+    carry = mixer.carry()
+    inputs = [[] for _ in carry]  # each block's input rows so far
     for i in range(n):
-        if i or from_zero:
-            expected = continuation_reference(x[i : i + 1], running, i)
-            context, sums = causal_context(x[i : i + 1], running, i)
-            assert np.array_equal(context, expected[0])
-            assert np.array_equal(sums, expected[1])
-        assert context.shape == (1, 2 * k) and context.flags.c_contiguous
-        assert np.array_equal(context, full[i : i + 1])
-        assert np.array_equal(sums, full_sums[i : i + 1])
-        running = sums[-1]
+        outputs = mixer.run(x[i : i + 1], carry, i)
+        row = x[i]
+        for block, (matrix_t, (total, context, out)) in enumerate(zip(mixer.matrices_t, carry)):
+            inputs[block].append(row.copy())
+            seen = np.array(inputs[block])
+            assert np.array_equal(total, np.cumsum(seen, axis=0)[-1])
+            assert context.shape == (1, 2 * seen.shape[1]) and context.flags.c_contiguous
+            assert np.array_equal(context, causal_context(seen)[-1:])
+            assert np.array_equal(out, np.tanh(context.copy() @ matrix_t))
+            assert outputs[block] is out
+            row = out[0]
 
 
 @pytest.mark.parametrize("n", [0, 2, 3])
 def test_a_prefix_is_continued_by_one_row_only(n):
+    mixer = FrozenMixer(BackboneSpec(hidden_dim=3, layers=2), 4)
     with pytest.raises(ValueError, match="exactly one row"):
-        causal_context(np.ones((n, 4)), np.zeros(4), 5)
+        mixer.run(np.ones((n, 4)), mixer.carry(), 5)
 
 
 def remote_spec(endpoint):

@@ -190,6 +190,68 @@ class TestStepEmbedding:
         assert np.array_equal(v[64:], embed_text(HASHING, "42"))
 
 
+class TestStepFromRoleMemo:
+    """``embed_step``'s memoized role rows and one-text output row against
+    the batch path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(role=_TEXTS, output=_TEXTS, dim=st.integers(1, 64))
+    def test_equals_the_batch(self, role, output, dim):
+        spec = EmbedderSpec(dimension=dim)
+        expected = embedding._hashing_matrix([role, output], dim).reshape(-1)
+        assert _same_bits(embed_step(spec, role, output), expected)
+        assert _same_bits(embed_step(spec, role, output), expected)  # role row memoized
+
+    @pytest.mark.parametrize("role, output", [
+        ("!!", "!!"), ("solver", "!!"), ("!!", "the answer is 42"),
+        ("naïve Ünïcödé", "日本語 ß --"), ("checker", "x1 x1 x1 ANSWER: 7"),
+    ])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_texts_without_tokens_and_non_ascii(self, role, output, dim):
+        expected = np.concatenate([
+            hashing_embed_reference(role, dim), hashing_embed_reference(output, dim),
+        ])
+        assert _same_bits(embed_step(EmbedderSpec(dimension=dim), role, output), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_roles=st.integers(1, 30),
+        limit=st.integers(1, 8),
+        dim=st.integers(1, 64),
+        salt=st.integers(0, 10**6),
+    )
+    def test_more_distinct_roles_and_tokens_than_the_memos_hold(
+        self, n_roles, limit, dim, salt
+    ):
+        spec = EmbedderSpec(dimension=dim)
+        roles = [f"r{salt}x{i}" for i in range(n_roles)]
+        outputs = [" ".join(f"o{salt}y{j}" for j in range(i % 5)) or "!!" for i in range(n_roles)]
+        pairs = list(zip(roles, outputs)) * 2
+        # Fresh memos under a small bound: the token memo is cleared partway,
+        # and the role memo with it or at its own bound.
+        with mock.patch.object(embedding, "MEMO_LIMIT", limit), \
+                mock.patch.dict(embedding._MEMOS, clear=True), \
+                mock.patch.dict(embedding._ROLE_ROWS, clear=True):
+            vectors = [embed_step(spec, role, output) for role, output in pairs]
+            assert len(embedding._MEMOS[dim]) <= limit
+            assert len(embedding._ROLE_ROWS) <= limit
+        for vector, (role, output) in zip(vectors, pairs):
+            assert _same_bits(vector[:dim], hashing_embed_reference(role, dim))
+            assert _same_bits(vector[dim:], hashing_embed_reference(output, dim))
+
+    def test_writing_into_a_step_leaves_the_role_memo(self):
+        first = embed_step(HASHING, "verifier", "42")
+        first[:] = 7.0
+        again = embed_step(HASHING, "verifier", "42")
+        assert _same_bits(again[:64], hashing_embed_reference("verifier", 64))
+        assert _same_bits(again[64:], hashing_embed_reference("42", 64))
+
+    def test_empty_text_rejected(self):
+        for role, output in (("", "42"), ("solver", "")):
+            with pytest.raises(DataError):
+                embed_step(HASHING, role, output)
+
+
 def _traj(gt=None):
     return Trajectory(
         id="t",

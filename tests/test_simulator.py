@@ -342,6 +342,27 @@ class TestMascInLoop:
         assert steps == [v.t for v in report.verdicts] == [1, 2, 3, 4, 5, 6]
         assert steps == [len(req.history) + 1 for req in seen]
 
+    def test_a_flagged_step_carries_every_earlier_step_in_order(self, suite_detector):
+        # Steps 1..t-1 as committed, the correction included; not the acting
+        # agent's visible list: in a chain the checker never sees the
+        # decomposer's output.
+        fixtures, _, model, _ = suite_detector
+        topology = Topology("chain", 3, rounds=2)
+        clean = run_fixture(fixtures[1], topology)
+        oracle = oracle_corrector([s.output for s in clean.trajectory.steps])
+        seen = []
+        policy = ScriptedPolicy(lambda req, prompt: seen.append(req) or oracle.reply(req, prompt))
+        hook = MascHook(model=model, alpha=1.0, beta=1.0, delta=-1.0, policy=policy)
+        report = run_fixture(
+            fixtures[1], topology, fault=FaultSpec(target_agent=1, seed=1), masc=hook
+        )
+        committed = tuple((step.role, step.output) for step in report.trajectory.steps)
+        assert report.interventions == 1
+        assert [req.t for req in seen] == [1, 2, 3, 4, 5, 6]
+        for req in seen:
+            assert isinstance(req.history, tuple)
+            assert req.history == committed[: req.t - 1]
+
     def test_remote_backbone_encodes_once_per_turn(self, stub_service):
         # Every step is flagged and the oracle rewrites only the faulted one,
         # so the committed trajectory is the clean run's.

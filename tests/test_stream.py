@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,10 +11,14 @@ from masc.detector import (
     DetectorModel,
     DetectorStream,
     FrozenMixer,
+    _verdicts,
+    projected_sequence,
+    projected_steps,
     score_trajectory,
 )
 from masc.embedding import EmbedderSpec
 from masc.errors import ConfigError
+from tests.reference import continuation_reference
 
 
 def make_model(d_e=4, d_h=6, layers=2, seed=0):
@@ -132,3 +137,100 @@ def test_wrong_dimensions_raise_config_error():
         with pytest.raises(ConfigError):
             stream.commit(bad)
     assert stream.score(np.zeros(8), 1.0, 1.0, 1.0).t == 1  # nothing committed
+
+
+def bits(verdict):
+    """Every field, floats by their bit pattern."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in dataclasses.astuple(verdict)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d_e=st.integers(1, 40),
+    d_h=st.integers(1, 48),
+    T=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+    zero=st.sampled_from(["none", "prototype", "prediction"]),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    beta=st.sampled_from([0.25, 1.0, 3.0]),
+    delta=st.sampled_from([-1.0, 0.0, 1.5, math.inf]),
+)
+def test_stream_verdict_equals_verdicts_on_its_row(
+    d_e, d_h, T, seed, zero, alpha, beta, delta
+):
+    model = make_model(d_e, d_h, 2, seed)
+    if zero == "prototype":
+        model.params["p"][...] = 0.0
+    elif zero == "prediction":
+        model.params["ft_w"][...] = 0.0
+        model.params["ft_b"][...] = 0.0
+    p = model.params["p"]
+    p_norm = float(np.linalg.norm(p))
+    rng = np.random.RandomState(seed)
+    stream = DetectorStream(model, rng.randn(d_e))
+    for t in range(1, T + 1):
+        step = rng.randn(2 * d_e)
+        verdict = stream.score(step, alpha, beta, delta)
+        x_hat = stream._prediction().copy()
+        (expected,) = _verdicts(x_hat[None, :], step[None, :], p, p_norm, alpha, beta, delta, t)
+        assert bits(verdict) == bits(expected)
+        assert verdict.t == t and verdict.flagged == (verdict.score > delta)
+        if zero != "none":
+            assert verdict.proto_term == 1.0
+        stream.commit(step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    d_h=st.integers(1, 32),
+    layers=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_stream_state_equals_the_continuation_reference(n, d_h, layers, seed):
+    # The reference replays every row through the concatenate-and-cumsum
+    # continuation and allocating products: the query's projected row from a
+    # zero sum, then each committed step's f_h row.
+    model = make_model(4, d_h, layers, seed)
+    mixer = model.mixer()
+    rng = np.random.RandomState(seed)
+    q, steps = rng.randn(4), rng.randn(n, 8)
+    stream = DetectorStream(model, q)
+    sums = [np.zeros(m.shape[0] // 2) for m in mixer.matrices_t]
+    rows = [projected_sequence(model.params, q, np.zeros((0, 8)))]
+    rows += [projected_steps(model.params, step[None, :]) for step in steps]
+    for count, row in enumerate(rows):
+        if count:
+            stream.commit(steps[count - 1])
+        x = row
+        for k, (matrix_t, (total, context, out)) in enumerate(zip(mixer.matrices_t, stream._carry)):
+            expected_context, expected_sums = continuation_reference(x, sums[k], count)
+            sums[k] = expected_sums[-1]
+            x = np.tanh(expected_context @ matrix_t)
+            assert np.array_equal(total, sums[k])
+            assert np.array_equal(context, expected_context)
+            assert np.array_equal(out, x)
+    assert stream.score(rng.randn(8), 1.0, 1.0, math.inf).t == n + 1
+
+
+def test_a_later_commit_changes_nothing_handed_out():
+    model = make_model(d_e=6, d_h=16, seed=7)
+    rng = np.random.RandomState(7)
+    q, steps = rng.randn(6), rng.randn(8, 12)
+    given_q, given_steps = q.copy(), steps.copy()
+    stream = DetectorStream(model, q)
+    verdicts, seen = [], []
+    for step in steps:
+        verdict = stream.score(step, 1.0, 1.0, 0.5)
+        verdicts.append(verdict)
+        seen.append(bits(verdict))
+        stream.commit(step)
+    # Verdicts hold plain numbers, not views of the stream's buffers, and
+    # the stream never writes into the embeddings it was given.
+    for verdict in verdicts:
+        assert all(type(value) in (float, bool, int) for value in dataclasses.astuple(verdict))
+    assert [bits(v) for v in verdicts] == seen
+    assert np.array_equal(steps, given_steps) and np.array_equal(q, given_q)
