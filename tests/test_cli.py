@@ -278,22 +278,21 @@ class TestTrain:
         assert cfg.backbone == BackboneSpec(hidden_dim=384, layers=3, seed=4)
 
     def test_golden_digest(self, tmp_path, capsys):
-        """Training digest on the committed fixture corpus, recorded at the
-        first verified run; reruns in the same environment must reproduce it."""
+        """SHA-256 of the payload (``train_digest.txt``) and of the whole
+        file, header included (``checkpoint_digest.txt``), that ``masc
+        train`` writes for the committed fixture; the digests are committed,
+        so a missing file fails."""
         fixture = GOLDEN_DIR / "train_fixture.jsonl"
-        golden = GOLDEN_DIR / "train_digest.txt"
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        if not fixture.exists():
-            save_trajectories(str(fixture), make_normal_corpus(8, seed=77, T=4))
-        ckpt = str(tmp_path / "golden.ckpt")
-        assert main(["train", "--traces", str(fixture), "--checkpoint", ckpt,
+        goldens = [GOLDEN_DIR / name for name in ("train_digest.txt", "checkpoint_digest.txt")]
+        for path in (fixture, *goldens):
+            assert path.exists(), f"missing {path}"
+        ckpt = tmp_path / "golden.ckpt"
+        assert main(["train", "--traces", str(fixture), "--checkpoint", str(ckpt),
                      "--epochs", "3", "--lr", "1e-3", "--hidden", "16",
                      "--dim", "8", "--seed", "13"]) == 0
-        digest = json.loads(capsys.readouterr().out)["checkpoint_digest"]
-        if golden.exists():
-            assert digest == golden.read_text().strip()
-        else:
-            golden.write_text(digest + "\n")
+        payload = json.loads(capsys.readouterr().out)["checkpoint_digest"]
+        whole = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+        assert [payload, whole] == [path.read_text().strip() for path in goldens]
 
 
 class TestScore:
