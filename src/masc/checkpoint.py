@@ -5,11 +5,11 @@ Layout:
     magic "MASCCKPT" | u32 header length | header JSON (UTF-8) | payload
 
 The header records the format version, dimensions, embedder and backbone
-specs, seed, training lambda, optional calibration (alpha, beta, delta,
-quantile, stats), the parameter block order with shapes, and the SHA-256 of
-the payload. The payload is the model's parameter buffer (``params.flat``):
-all parameter arrays as raw little-endian float64, concatenated in
-``PARAM_ORDER``. A header with any other block order is rejected.
+specs, seed, the lambda the model was trained with, the optional
+calibration (the fields of ``training.Calibration``), the parameter block
+order with shapes, and the SHA-256 of the payload. The payload is the
+model's parameter buffer (``params.flat``): all parameter arrays as raw
+little-endian float64, concatenated in ``PARAM_ORDER``. A header with any other block order is rejected.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -33,10 +33,7 @@ _LEN = struct.Struct("<I")
 
 
 def save_checkpoint(
-    model: DetectorModel,
-    calibration: Calibration | None,
-    path: str,
-    lam: float | None = None,
+    model: DetectorModel, calibration: Calibration | None, path: str
 ) -> str:
     """Write model (+ optional calibration) to ``path``; returns payload digest."""
     payload = model.params.flat.astype("<f8", copy=False).tobytes()
@@ -48,18 +45,10 @@ def save_checkpoint(
         "d": model.d,
         "seed": model.seed,
         "with_gt": model.with_gt,
-        "lambda": lam,
+        "lambda": model.lam,
         "embedder": asdict(model.embedder),
         "backbone": asdict(model.backbone),
-        "calibration": None
-        if calibration is None
-        else {
-            "delta": calibration.delta,
-            "quantile": calibration.quantile,
-            "alpha": calibration.alpha,
-            "beta": calibration.beta,
-            "stats": calibration.stats,
-        },
+        "calibration": None if calibration is None else asdict(calibration),
         "param_order": list(PARAM_ORDER),
         "param_shapes": {k: list(model.params[k].shape) for k in PARAM_ORDER},
         "payload_sha256": digest,
@@ -117,7 +106,10 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
             seed=header["seed"],
             with_gt=header["with_gt"],
             params=params,
+            lam=header["lambda"],
         )
+        if not (model.lam is None or type(model.lam) in (int, float)):
+            raise CheckpointError("corrupt checkpoint: lambda is not a number")
         if (
             header["d"] != model.d
             or model.embedder.dimension != model.d_e
@@ -129,12 +121,9 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
         calibration = None
         if header.get("calibration"):
             c = header["calibration"]
+            # A missing required field is a TypeError; ``stats`` may be absent.
             calibration = Calibration(
-                delta=c["delta"],
-                quantile=c["quantile"],
-                alpha=c["alpha"],
-                beta=c["beta"],
-                stats=c.get("stats", {}),
+                **{f.name: c[f.name] for f in fields(Calibration) if f.name in c}
             )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint: malformed header ({exc!r})") from exc

@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -267,11 +267,11 @@ def cmd_train(args) -> int:
     if not trajectories:
         raise DataError("no trajectories in input")
     model, report = train(cfg, trajectories)
-    digest = save_checkpoint(model, None, args.checkpoint, lam=cfg.lam)
-    payload = report.to_dict()
-    payload["checkpoint_digest"] = digest
-    payload["config"] = _config_echo(cfg)
-    payload["version"] = __version__
+    digest = save_checkpoint(model, None, args.checkpoint)
+    payload = {
+        **asdict(report), "checkpoint_digest": digest,
+        "config": _config_echo(cfg), "version": __version__,
+    }
     text = json.dumps(payload, indent=2) + "\n"
     if args.report:
         _write_text(args.report, text)
@@ -289,21 +289,8 @@ def cmd_calibrate(args) -> int:
     )
     out_path = args.out or args.checkpoint
     save_checkpoint(model, calibration, out_path)
-    sys.stdout.write(
-        json.dumps(
-            {
-                "version": __version__,
-                "delta": calibration.delta,
-                "quantile": calibration.quantile,
-                "alpha": calibration.alpha,
-                "beta": calibration.beta,
-                "stats": calibration.stats,
-                "checkpoint": out_path,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    payload = {"version": __version__, **asdict(calibration), "checkpoint": out_path}
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 

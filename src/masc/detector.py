@@ -303,7 +303,9 @@ class DetectorModel:
     """All trainable parameters plus the frozen backbone configuration.
 
     ``params`` holds the ten parameters in ``PARAM_ORDER``, as views into
-    one buffer (``params.flat``).
+    one buffer (``params.flat``). ``lam`` is the prototype-loss weight the
+    parameters were trained with, None for an untrained model; a checkpoint
+    records it.
     """
 
     d_e: int
@@ -312,6 +314,7 @@ class DetectorModel:
     backbone: BackboneSpec
     seed: int
     params: FlatParams
+    lam: float | None
     with_gt: bool = False
     _mixer: FrozenMixer | None = field(default=None, repr=False, compare=False)
     _remote: RemoteBackbone | None = field(default=None, repr=False, compare=False)
@@ -346,7 +349,7 @@ class DetectorModel:
         params["p"][...] = rng.standard_normal(d) / math.sqrt(d)
         return cls(
             d_e=d_e, d_h=d_h, embedder=embedder, backbone=backbone,
-            seed=seed, with_gt=with_gt, params=params,
+            seed=seed, with_gt=with_gt, params=params, lam=None,
         )
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:

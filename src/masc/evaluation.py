@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -65,14 +65,10 @@ class MetricsReport:
     histogram: HistogramResult | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "auc_roc": self.auc_roc,
-            "step_accuracy": self.step_accuracy,
-            "flag_accuracy": self.flag_accuracy,
-            "n_steps": self.n_steps,
-            "n_trajectories": self.n_trajectories,
-            "n_excluded_trajectories": self.n_excluded_trajectories,
-        }
+        """Every field but the histogram, which is written as CSV."""
+        report = asdict(replace(self, histogram=None))
+        del report["histogram"]
+        return report
 
 
 def auc_roc(scored: list[ScoredStep]) -> float:

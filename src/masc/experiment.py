@@ -78,19 +78,11 @@ class ExperimentReport:
         raise KeyError((topology, faulted, masc_on))
 
     def to_dict(self) -> dict:
-        return {
-            "cells": {
-                c.key(): {
-                    "accuracy": c.accuracy,
-                    "n_runs": c.n_runs,
-                    "flagged": c.flagged,
-                    "interventions": c.interventions,
-                }
-                for c in self.cells
-            },
-            "deltas": self.deltas,
-            "config": self.config,
-        }
+        """Each cell under its key, less the three fields the key spells."""
+        cells = {c.key(): asdict(c) for c in self.cells}
+        for cell in cells.values():
+            del cell["topology"], cell["faulted"], cell["masc_on"]
+        return {"cells": cells, "deltas": self.deltas, "config": self.config}
 
     def to_csv(self) -> str:
         lines = ["topology,condition,masc,accuracy,n_runs,flagged,interventions"]
@@ -207,8 +199,11 @@ def dump_cell_traces(report: ExperimentReport, path: str):
 
 def _config_dict(config: ExperimentConfig) -> dict:
     """The settings the report echoes: each run draws its own fault seed, the
-    threshold override is left out, and ``lam`` is written ``lambda``."""
+    threshold override appears only when set, and ``lam`` is written
+    ``lambda``."""
     echo = asdict(config)
-    del echo["fault"]["seed"], echo["masc"]["delta_override"]
+    del echo["fault"]["seed"]
+    if config.masc.delta_override is None:
+        del echo["masc"]["delta_override"]
     echo["masc"]["lambda"] = echo["masc"].pop("lam")
     return echo

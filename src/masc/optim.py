@@ -16,13 +16,12 @@ import numpy as np
 from .detector import FlatParams
 from .errors import DivergenceError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decay rates; the denominator's guard
+
 
 @dataclass
 class AdamState:
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     weight_decay: float
     m: np.ndarray
     v: np.ndarray
@@ -30,11 +29,10 @@ class AdamState:
     step_count: int = 0
 
     @classmethod
-    def init(cls, params: FlatParams, lr: float, weight_decay: float = 0.0,
-             beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def init(cls, params: FlatParams, lr: float, weight_decay: float = 0.0) -> "AdamState":
         n = params.flat.size
         return cls(
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
+            lr=lr, weight_decay=weight_decay,
             m=np.zeros(n), v=np.zeros(n), scratch=(np.empty(n), np.empty(n)),
         )
 
@@ -53,17 +51,17 @@ def adam_step(state: AdamState, params: FlatParams, grads: FlatParams) -> None:
     s, decay = state.scratch
     state.step_count += 1
     t = state.step_count
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=s)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=s)
     np.square(g, out=s)
-    s *= 1.0 - state.beta2
-    v *= state.beta2
+    s *= 1.0 - BETA2
+    v *= BETA2
     v += s
-    np.divide(v, 1.0 - state.beta2**t, out=s)  # v_hat
+    np.divide(v, 1.0 - BETA2**t, out=s)  # v_hat
     np.sqrt(s, out=s)
-    s += state.eps
+    s += EPS
     np.divide(m, s, out=s)
-    s *= state.lr / (1.0 - state.beta1**t)
+    s *= state.lr / (1.0 - BETA1**t)
     if state.weight_decay > 0.0:
         np.multiply(p, state.lr * state.weight_decay, out=decay)  # from the old p
         p -= s

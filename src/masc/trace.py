@@ -238,9 +238,10 @@ def error_position_histogram(trajectories: list[Trajectory], bins: int) -> list[
     return counts
 
 
-def is_early_step(t: int, total: int, fraction: float = 0.2) -> bool:
-    """True when step t falls in the leading ``fraction`` of a length-total run.
+EARLY_FRACTION = 0.2  # the leading share of a run whose steps count as early
 
-    Uses the same relative-position convention as the histogram: (t-1)/total.
-    """
-    return (t - 1) / total < fraction
+
+def is_early_step(t: int, total: int) -> bool:
+    """True when step t falls in the leading ``EARLY_FRACTION`` of a run of
+    ``total`` steps, by the histogram's relative position (t-1)/total."""
+    return (t - 1) / total < EARLY_FRACTION

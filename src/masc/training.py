@@ -76,30 +76,18 @@ class EpochStats:
 
 @dataclass
 class TrainReport:
+    """The ``masc train`` report is this record's ``asdict``."""
+
     epochs: list[EpochStats] = field(default_factory=list)
     wall_time: float = 0.0
     param_digest: str = ""
     n_trajectories: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": [
-                {
-                    "mean_recon": e.mean_recon,
-                    "mean_proto": e.mean_proto,
-                    "mean_total": e.mean_total,
-                }
-                for e in self.epochs
-            ],
-            "wall_time": self.wall_time,
-            "param_digest": self.param_digest,
-            "n_trajectories": self.n_trajectories,
-        }
-
 
 @dataclass(frozen=True)
 class Calibration:
-    """Score threshold derived from a normal-only calibration set."""
+    """Score threshold derived from a normal-only calibration set; the
+    checkpoint header and ``masc calibrate`` write its ``asdict``."""
 
     delta: float
     quantile: float
@@ -143,6 +131,7 @@ def train(
         seed=cfg.seed,
         with_gt=cfg.with_gt,
     )
+    model.lam = cfg.lam
     prepared = [_strip_labels(t, cfg.exclude_labeled_steps) for t in train_set]
     embedded = [
         embed_trajectory(cfg.embedder, trajectory, with_gt=cfg.with_gt)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from masc.checkpoint import load_checkpoint
 from masc.cli import main
 from masc.detector import BackboneSpec
 from masc.evaluation import ScoredStep, compute_metrics
@@ -277,6 +278,15 @@ class TestTrain:
         assert cfg.embedder.dimension == 12
         assert cfg.backbone == BackboneSpec(hidden_dim=384, layers=3, seed=4)
 
+    def test_lambda_survives_calibration(self, tmp_path, capsys):
+        fixture = str(GOLDEN_DIR / "train_fixture.jsonl")
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--traces", fixture, "--checkpoint", ckpt, "--epochs", "1",
+                     "--hidden", "8", "--dim", "8", "--lambda", "0.3"]) == 0
+        assert main(["calibrate", "--checkpoint", ckpt, "--traces", fixture]) == 0
+        model, calibration = load_checkpoint(ckpt)
+        assert (model.lam, calibration.quantile) == (0.3, 0.99)
+
     def test_golden_digest(self, tmp_path, capsys):
         """SHA-256 of the payload (``train_digest.txt``) and of the whole
         file, header included (``checkpoint_digest.txt``), that ``masc
@@ -530,6 +540,19 @@ class TestSimulate:
         payload = json.loads(open(out).read())
         assert payload["cells"]["chain/clean/off"]["accuracy"] == 1.0
         assert payload["cells"]["chain/clean/off"]["n_runs"] == 5
+
+    def test_threshold_override_is_echoed_only_when_set(self, tmp_path):
+        common = ["--topology", "chain", "--fault", "off", "--masc", "on",
+                  "--fixtures", "2", "--epochs", "1", "--dim", "8", "--hidden", "8"]
+        echoes = []
+        for extra in ([], ["--delta", "inf"]):
+            out = tmp_path / "sim.json"
+            assert main(["simulate", "--out", str(out)] + common + extra) == 0
+            echoes.append(json.loads(out.read_text())["config"]["masc"])
+        calibrated, overridden = echoes
+        assert "delta_override" not in calibrated
+        assert overridden.pop("delta_override") == float("inf")
+        assert overridden == calibrated
 
     def test_masc_delta_inf_equals_masc_off(self, tmp_path):
         common = ["--topology", "chain", "--fixtures", "4", "--seed", "2",

@@ -1,7 +1,7 @@
 import json
 import math
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -134,8 +134,9 @@ class TestTrain:
         assert len(report.epochs) == 3
         assert report.n_trajectories == 5
         assert report.wall_time > 0
-        payload = report.to_dict()
+        payload = json.loads(json.dumps(asdict(report)))
         assert len(payload["epochs"]) == 3
+        assert list(payload["epochs"][0]) == ["mean_recon", "mean_proto", "mean_total"]
 
 
 class TestCalibration:
@@ -180,9 +181,10 @@ class TestCheckpoint:
         model, _, corpus = small_trained
         calibration = calibrate_threshold(model, corpus, 0.99, 1.0, 1.0)
         path = str(tmp_path / "model.ckpt")
-        digest = save_checkpoint(model, calibration, path, lam=0.2)
+        digest = save_checkpoint(model, calibration, path)
         loaded, cal2 = load_checkpoint(path)
-        assert cal2.delta == calibration.delta
+        assert cal2 == calibration
+        assert loaded.lam == model.lam == 0.2
         assert loaded.param_digest() == model.param_digest()
         rng = np.random.RandomState(0)
         for _ in range(10):
@@ -297,6 +299,13 @@ class TestCheckpoint:
             "embedder dimension 16 -> 8": dict(
                 header, embedder=dict(header["embedder"], dimension=8)
             ),
+            "no lambda": drop("lambda"),
+            "lambda as a string": dict(header, **{"lambda": "0.2"}),
+            "lambda as a boolean": dict(header, **{"lambda": True}),
+            "calibration without delta": dict(
+                header, calibration={"quantile": 0.5, "alpha": 1.0, "beta": 1.0}
+            ),
+            "calibration as a list": dict(header, calibration=[1.0]),
         }
         for name, bad in cases.items():
             text = json.dumps(bad).encode()
@@ -304,6 +313,20 @@ class TestCheckpoint:
                 fh.write(MAGIC + struct.pack("<I", len(text)) + text + payload)
             with pytest.raises(CheckpointError, match="corrupt"):
                 load_checkpoint(path)
+
+    def test_calibration_without_stats_has_empty_stats(self, small_trained, tmp_path):
+        model, _, _ = small_trained
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, Calibration(0.5, 0.9, 1.0, 2.0, {"p50": 0.1}), path)
+        blob = open(path, "rb").read()
+        (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
+        start = len(MAGIC) + 4
+        header = json.loads(blob[start : start + header_len])
+        del header["calibration"]["stats"]
+        text = json.dumps(header).encode()
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<I", len(text)) + text + blob[start + header_len :])
+        assert load_checkpoint(path)[1] == Calibration(0.5, 0.9, 1.0, 2.0)
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "junk.ckpt")
