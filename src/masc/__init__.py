@@ -58,6 +58,7 @@ from .simulator import (
     RunReport,
     Topology,
     inject_fault,
+    remote_chat_agent,
     run_trajectory,
     schedule,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "load_trajectories",
     "parse_correction_response",
     "parse_trajectory",
+    "remote_chat_agent",
     "run_trajectory",
     "save_checkpoint",
     "save_trajectories",

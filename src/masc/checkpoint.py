@@ -97,6 +97,14 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
         shapes = {name: tuple(header["param_shapes"][name]) for name in PARAM_ORDER}
         if 8 * sum(math.prod(shape) for shape in shapes.values()) != len(payload):
             raise CheckpointError("corrupt checkpoint: payload size mismatch")
+        if not (
+            all(type(header[key]) is int for key in ("d_e", "d_h", "d", "seed"))
+            and type(header["with_gt"]) is bool
+        ):
+            raise CheckpointError(
+                "corrupt checkpoint: d_e, d_h, d and seed must be integers "
+                "and with_gt a boolean"
+            )
         params = FlatParams(shapes, np.frombuffer(payload, dtype="<f8").astype(np.float64))
         model = DetectorModel(
             d_e=header["d_e"],

@@ -123,40 +123,23 @@ def parse_correction_response(raw: str, original: str) -> CorrectionResult:
     """
     obj = _first_json_object(raw)
     if obj is None or "correction_needed" not in obj or "final_response" not in obj:
-        logger.warning("correction protocol violation: unparseable reply %.80r", raw)
-        return CorrectionResult(
-            correction_needed=False,
-            final_response=original,
-            raw=raw,
-            protocol_violation=True,
-        )
-    needed_raw = obj["correction_needed"]
-    if isinstance(needed_raw, bool):
-        needed = needed_raw
-    elif isinstance(needed_raw, str) and needed_raw.strip().lower() in ("yes", "no"):
-        needed = needed_raw.strip().lower() == "yes"
+        violation = f"unparseable reply {raw!r:.80}"
     else:
-        logger.warning(
-            "correction protocol violation: correction_needed=%r", needed_raw
-        )
-        return CorrectionResult(
-            correction_needed=False,
-            final_response=original,
-            raw=raw,
-            protocol_violation=True,
-        )
-    if not needed:
-        return CorrectionResult(correction_needed=False, final_response=original, raw=raw)
-    final = obj["final_response"]
-    if not isinstance(final, str):
-        logger.warning("correction protocol violation: final_response=%r", final)
-        return CorrectionResult(
-            correction_needed=False,
-            final_response=original,
-            raw=raw,
-            protocol_violation=True,
-        )
-    return CorrectionResult(correction_needed=True, final_response=final, raw=raw)
+        needed, final = obj["correction_needed"], obj["final_response"]
+        if isinstance(needed, str) and needed.strip().lower() in ("yes", "no"):
+            needed = needed.strip().lower() == "yes"
+        if not isinstance(needed, bool):
+            violation = f"correction_needed={needed!r}"
+        elif not needed:
+            return CorrectionResult(correction_needed=False, final_response=original, raw=raw)
+        elif not isinstance(final, str):
+            violation = f"final_response={final!r}"
+        else:
+            return CorrectionResult(correction_needed=True, final_response=final, raw=raw)
+    logger.warning("correction protocol violation: %s", violation)
+    return CorrectionResult(
+        correction_needed=False, final_response=original, raw=raw, protocol_violation=True
+    )
 
 
 # -- policies -----------------------------------------------------------------

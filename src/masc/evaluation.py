@@ -26,13 +26,6 @@ class ScoredStep:
 
 
 @dataclass
-class StepAccuracy:
-    accuracy: float
-    n_evaluated: int
-    n_excluded: int
-
-
-@dataclass
 class HistogramResult:
     bin_edges: np.ndarray  # length bins + 1
     normal_counts: np.ndarray
@@ -121,28 +114,20 @@ def localization_pairs(
     return pairs, excluded
 
 
-def step_accuracy(pairs: list[tuple[int, int]], n_excluded: int = 0) -> StepAccuracy:
+def step_accuracy(pairs: list[tuple[int, int]]) -> float:
     """Fraction of trajectories whose argmax step matches the annotation."""
     if not pairs:
         raise DataError("no single-error trajectories to evaluate")
-    hits = sum(1 for predicted, annotated in pairs if predicted == annotated)
-    return StepAccuracy(
-        accuracy=hits / len(pairs), n_evaluated=len(pairs), n_excluded=n_excluded
-    )
+    return sum(1 for predicted, annotated in pairs if predicted == annotated) / len(pairs)
 
 
-def score_histogram(
-    scored: list[ScoredStep],
-    bins: int = 20,
-    value_range: tuple[float, float] | None = None,
-) -> HistogramResult:
-    """Aligned normal/error histograms over a shared range."""
+def score_histogram(scored: list[ScoredStep], bins: int = 20) -> HistogramResult:
+    """Aligned normal/error histograms over the scores' shared range."""
     if bins < 2:
         raise DataError("bins must be >= 2")
     scores = np.array([s.score for s in scored], dtype=np.float64)
     labels = np.array([s.label for s in scored])
-    if value_range is None:
-        value_range = (float(scores.min()), float(scores.max()))
+    value_range = (float(scores.min()), float(scores.max()))
     normal_counts, edges = np.histogram(
         scores[labels == 0], bins=bins, range=value_range
     )
@@ -164,7 +149,7 @@ def compute_metrics(
     """
     auc = auc_roc(scored)
     pairs, excluded = localization_pairs(scored)
-    acc = step_accuracy(pairs, excluded)
+    accuracy = step_accuracy(pairs)
     flagged = [s for s in scored if s.flagged is not None]
     flag_acc = None
     if flagged:
@@ -172,7 +157,7 @@ def compute_metrics(
     hist = score_histogram(scored, bins=bins) if bins else None
     return MetricsReport(
         auc_roc=auc,
-        step_accuracy=acc.accuracy,
+        step_accuracy=accuracy,
         flag_accuracy=flag_acc,
         n_steps=len(scored),
         n_trajectories=len({s.trajectory_id for s in scored}),

@@ -8,13 +8,14 @@ corrector, which rewrites a flagged step to the clean run's text.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, dataclass, field, replace
 
 from .detector import BackboneSpec, DetectorModel
 from .embedding import EmbedderSpec
-from .errors import DataError
-from .fixtures import make_fixture_suite, oracle_corrector, run_fixture
-from .simulator import FaultSpec, MascHook, Topology, run_seed
+from .errors import ConfigError
+from .fixtures import FIXTURE_ROLES, make_fixture_suite, oracle_corrector, run_fixture
+from .simulator import FaultSpec, MascHook, Topology, resolve_fault, schedule
 from .trace import Trajectory, save_trajectories
 from .training import Calibration, TrainConfig, calibrate_threshold, train
 
@@ -32,12 +33,15 @@ class MascSettings:
     layers: int = 2
     delta_override: float | None = None
 
+    def __post_init__(self):
+        if not (0.0 < self.quantile < 1.0):
+            raise ConfigError(f"quantile must be in (0, 1), got {self.quantile!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     topologies: tuple[str, ...] = ("chain", "complete", "random")
     n_fixtures: int = 50
-    n_agents: int = 3
     rounds: int = 1
     seed: int = 0
     fault: FaultSpec = field(
@@ -45,6 +49,14 @@ class ExperimentConfig:
     )
     masc: MascSettings = field(default_factory=MascSettings)
     with_masc_cells: bool = True
+
+    def __post_init__(self):
+        if self.n_fixtures < 1:
+            raise ConfigError(f"need at least one fixture, got {self.n_fixtures}")
+        # Every topology runs the same turn order, so a fixed-step fault that
+        # misses its target fails here, before any run.
+        turn_order = schedule(Topology("chain", len(FIXTURE_ROLES), rounds=self.rounds))
+        resolve_fault(self.fault, turn_order)
 
 
 @dataclass
@@ -118,8 +130,6 @@ def train_suite_detector(
 
 def batch_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the full sweep and aggregate per-cell accuracy plus deltas."""
-    if config.n_fixtures < 1:
-        raise DataError("need at least one fixture")
     fixtures = make_fixture_suite(config.n_fixtures, seed=config.seed)
 
     def run_cell(kind: str, faulted: bool, hooks: list[MascHook] | None):
@@ -130,7 +140,7 @@ def batch_experiment(config: ExperimentConfig) -> ExperimentReport:
             fault = replace(config.fault, seed=run_seed(config.seed, f"fault:{kind}:{i}"))
             reports.append(run_fixture(
                 fixture,
-                Topology(kind, config.n_agents, edge_seed, config.rounds),
+                Topology(kind, len(FIXTURE_ROLES), edge_seed, config.rounds),
                 fault=fault if faulted else None,
                 masc=hooks[i] if hooks else None,
             ))
@@ -188,6 +198,12 @@ def batch_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
+def run_seed(base_seed: int, run_id: str) -> int:
+    """Isolated per-run seed stream."""
+    digest = hashlib.sha256(f"{base_seed}:{run_id}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
 def dump_cell_traces(report: ExperimentReport, path: str):
     """Write every retained run trajectory as JSONL, ids prefixed by cell."""
     out = []
@@ -199,9 +215,10 @@ def dump_cell_traces(report: ExperimentReport, path: str):
 
 def _config_dict(config: ExperimentConfig) -> dict:
     """The settings the report echoes: each run draws its own fault seed, the
-    threshold override appears only when set, and ``lam`` is written
-    ``lambda``."""
+    threshold override appears only when set, ``lam`` is written ``lambda``,
+    and the agent count is the fixture pipeline's."""
     echo = asdict(config)
+    echo["n_agents"] = len(FIXTURE_ROLES)
     del echo["fault"]["seed"]
     if config.masc.delta_override is None:
         del echo["masc"]["delta_override"]

@@ -13,7 +13,9 @@ decomposer -> solver -> checker pipeline:
 The checker trusts the solver whenever it can see it, so corrupting the
 solver's claim corrupts the final answer wherever the solver is visible
 downstream; every fixture's correct behavior is computed by this module, so
-runs can be judged mechanically.
+runs can be judged mechanically. This module is the judge: ``run_fixture``
+reads the final step's ``ANSWER: <value>`` line and sets the report's
+``task_correct``; the simulator itself knows nothing of answers.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ PLAN_PATTERN = re.compile(
     r"then (add|subtract|multiply by) (-?\d+)"
 )
 CLAIM_PATTERN = re.compile(r"claim (-?\d+)")
+ANSWER_PATTERN = re.compile(r"ANSWER:\s*(-?\d+)")
 
 OPS = ("add", "subtract", "multiply by")
 
@@ -145,8 +148,7 @@ _BEHAVIORS = {"decomposer": _decomposer, "solver": _solver, "checker": _checker}
 def fixture_agents() -> list[AgentSpec]:
     """The canonical three-agent pipeline for the arithmetic suite."""
     return [
-        AgentSpec(role=role, policy="scripted_template", template=_BEHAVIORS[role])
-        for role in FIXTURE_ROLES
+        AgentSpec(role=role, template=_BEHAVIORS[role]) for role in FIXTURE_ROLES
     ]
 
 
@@ -167,18 +169,29 @@ def oracle_corrector(clean_outputs: list[str]) -> ScriptedPolicy:
     return ScriptedPolicy(reply)
 
 
+def extract_answer(text: str) -> str | None:
+    """The value of the last ``ANSWER: <int>`` in ``text``, if any."""
+    answers = ANSWER_PATTERN.findall(text)
+    return answers[-1] if answers else None
+
+
 def run_fixture(
     fixture: ArithmeticFixture,
     topology: Topology,
     fault: FaultSpec | None = None,
     masc: MascHook | None = None,
 ) -> RunReport:
-    return run_trajectory(
+    """Run the pipeline on one fixture and judge its final answer; an
+    aborted run stays unjudged (``task_correct`` None)."""
+    report = run_trajectory(
         fixture_agents(),
         topology,
         fixture.query,
         fault=fault,
         masc=masc,
-        expected_answer=str(fixture.expected),
         trace_id=fixture.fixture_id,
     )
+    if not report.aborted:
+        answer = extract_answer(report.trajectory.steps[-1].output)
+        report.task_correct = answer == str(fixture.expected)
+    return report

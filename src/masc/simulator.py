@@ -20,15 +20,17 @@ history, and ``DetectorStream.commit`` pushes the kept step through the
 stream's preallocated rows. Only a flagged step builds a
 ``CorrectionRequest``; it carries the full committed history, steps 1..t-1
 as (role, output) pairs, whatever the acting agent could see.
+
+An agent is a role plus a callable. The simulator judges no run: the caller
+that knows the task sets ``RunReport.task_correct``, as the fixture suite's
+``run_fixture`` does.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import random
 import re
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,27 +51,39 @@ logger = logging.getLogger(__name__)
 # (query, visible history as (role, output) pairs, 1-based step index) -> output
 AgentFn = Callable[[str, list[tuple[str, str]], int], str]
 
-ANSWER_PATTERN = re.compile(r"ANSWER:\s*(-?\d+)")
 _NUMBER = re.compile(r"-?\d+")
 
 
 @dataclass(frozen=True)
 class AgentSpec:
+    """One agent: its role and the callable that produces its output."""
+
     role: str
-    policy: str = "scripted_template"  # "scripted_template" | "remote_chat"
-    template: AgentFn | None = None
-    endpoint: str | None = None
-    model_name: str | None = None
+    template: AgentFn
 
     def __post_init__(self):
         if not self.role:
             raise ConfigError("agent role must be non-empty")
-        if self.policy not in ("scripted_template", "remote_chat"):
-            raise ConfigError(f"unknown agent policy {self.policy!r}")
-        if self.policy == "scripted_template" and self.template is None:
-            raise ConfigError("scripted_template agent requires a template")
-        if self.policy == "remote_chat" and (not self.endpoint or not self.model_name):
-            raise ConfigError("remote_chat agent requires endpoint and model_name")
+        if not callable(self.template):
+            raise ConfigError(f"agent {self.role!r} needs a callable template")
+
+
+def remote_chat_agent(role: str, endpoint: str, model_name: str) -> AgentSpec:
+    """An agent backed by the POST {endpoint}/chat contract."""
+    if not endpoint or not model_name:
+        raise ConfigError("remote chat agent requires endpoint and model_name")
+    session = new_session()
+
+    def act(query: str, visible: list[tuple[str, str]], t: int) -> str:
+        prompt = (
+            f"You are {role} in a multi-agent collaboration.\n"
+            f"Task: {query}\n"
+            f"Visible context:\n{render_transcript(visible)}\n"
+            f"Respond with your contribution for step {t}."
+        )
+        return chat(session, endpoint, model_name, prompt)
+
+    return AgentSpec(role, act)
 
 
 @dataclass(frozen=True)
@@ -98,6 +112,22 @@ class FaultSpec:
     def __post_init__(self):
         if self.corruption not in ("misleading_template", "scramble"):
             raise ConfigError(f"unknown corruption {self.corruption!r}")
+        if self.step_selector not in ("uniform", "early") and not _at_least(
+            self.step_selector, 1
+        ):
+            raise ConfigError(
+                "fault step must be 'uniform', 'early' or an integer >= 1, "
+                f"got {self.step_selector!r}"
+            )
+        if self.target_agent != "random" and not _at_least(self.target_agent, 0):
+            raise ConfigError(
+                f"fault target must be 'random' or an integer >= 0, got {self.target_agent!r}"
+            )
+
+
+def _at_least(value, low: int) -> bool:
+    """An int (not a bool) no smaller than ``low``."""
+    return type(value) is int and value >= low
 
 
 @dataclass
@@ -118,13 +148,11 @@ class RunReport:
     flagged: int = 0
     interventions: int = 0
     corrections_failed: int = 0
-    task_correct: bool | None = None
-    expected_answer: str | None = None
+    task_correct: bool | None = None  # set by a caller that knows the task
     fault_step: int | None = None
     fault_agent: int | None = None
     aborted: bool = False
     error: str | None = None
-    wall_time: float = 0.0
 
 
 def edges(topology: Topology) -> frozenset[frozenset[int]]:
@@ -205,21 +233,30 @@ def inject_fault(step_output: str, corruption: str, seed: int = 0) -> str:
     return out
 
 
-def resolve_fault(
-    fault: FaultSpec, turn_order: list[int], n_agents: int
-) -> tuple[int, int]:
-    """Pick the one (agent, 1-based step) this fault corrupts."""
+def resolve_fault(fault: FaultSpec, turn_order: list[int]) -> tuple[int, int]:
+    """Pick the one (agent, 1-based step) this fault corrupts.
+
+    A fixed step corrupts whoever acts there; an integer target must be
+    that agent.
+    """
     rng = random.Random(fault.seed)
     total = len(turn_order)
     if isinstance(fault.step_selector, int):
         t = fault.step_selector
         if not (1 <= t <= total):
             raise ConfigError(f"fault step {t} outside schedule of length {total}")
-        return turn_order[t - 1], t
+        agent = turn_order[t - 1]
+        if fault.target_agent not in ("random", agent):
+            raise ConfigError(
+                f"fault step {t} is agent {agent}'s turn, not agent "
+                f"{fault.target_agent}'s; target the agent that acts there, or "
+                "'random' (--target-agent random)"
+            )
+        return agent, t
     if fault.target_agent == "random":
         target = turn_order[int(rng.random() * total) % total]
     else:
-        target = int(fault.target_agent)
+        target = fault.target_agent
         if target not in turn_order:
             raise ConfigError(f"fault target agent {target} never acts")
     candidates = [t for t, a in enumerate(turn_order, start=1) if a == target]
@@ -230,49 +267,17 @@ def resolve_fault(
     return target, pick
 
 
-class RemoteChatAgent:
-    """Agent backed by the POST {endpoint}/chat contract."""
-
-    def __init__(self, spec: AgentSpec):
-        self.spec = spec
-        self._session = new_session()
-
-    def act(self, query: str, visible: list[tuple[str, str]], t: int) -> str:
-        prompt = (
-            f"You are {self.spec.role} in a multi-agent collaboration.\n"
-            f"Task: {query}\n"
-            f"Visible context:\n{render_transcript(visible)}\n"
-            f"Respond with your contribution for step {t}."
-        )
-        return chat(self._session, self.spec.endpoint, self.spec.model_name, prompt)
-
-
-def _agent_callable(spec: AgentSpec) -> AgentFn:
-    if spec.policy == "scripted_template":
-        return spec.template
-    return RemoteChatAgent(spec).act
-
-
-def extract_answer(text: str) -> str | None:
-    match = None
-    for match in ANSWER_PATTERN.finditer(text):
-        pass
-    return match.group(1) if match else None
-
-
 def run_trajectory(
     agents: list[AgentSpec],
     topology: Topology,
     query: str,
     fault: FaultSpec | None = None,
     masc: MascHook | None = None,
-    expected_answer: str | None = None,
     trace_id: str = "run",
 ) -> RunReport:
     """Execute one full schedule; returns the trajectory and per-step verdicts."""
     if len(agents) != topology.n_agents:
         raise ConfigError("agents list must match topology.n_agents")
-    start = time.monotonic()
     turn_order = schedule(topology)
     adjacent = edges(topology)
     # The agents that see emitter i: i itself and its graph neighbors.
@@ -280,12 +285,9 @@ def run_trajectory(
         sorted({i}.union(*(edge for edge in adjacent if i in edge)))
         for i in range(topology.n_agents)
     ]
-    callables = [_agent_callable(spec) for spec in agents]
-    report = RunReport(trajectory=None, expected_answer=expected_answer)
+    report = RunReport(trajectory=None)
     if fault is not None:
-        report.fault_agent, report.fault_step = resolve_fault(
-            fault, turn_order, topology.n_agents
-        )
+        report.fault_agent, report.fault_step = resolve_fault(fault, turn_order)
     history: list[tuple[str, str]] = []  # (role, output) of every committed step
     seen: list[list[tuple[str, str]]] = [[] for _ in range(topology.n_agents)]
     if masc is not None:
@@ -296,7 +298,7 @@ def run_trajectory(
         try:
             # A copy: an agent that keeps or mutates its argument changes
             # nothing the run shows later turns.
-            output = callables[agent_idx](query, list(seen[agent_idx]), t)
+            output = spec.template(query, list(seen[agent_idx]), t)
         except TransportError as exc:
             report.aborted = True
             report.error = str(exc)
@@ -334,15 +336,4 @@ def run_trajectory(
             query=query,
             steps=tuple(Step(role=role, output=output) for role, output in history),
         )
-    if not report.aborted and report.trajectory is not None:
-        if expected_answer is not None:
-            answer = extract_answer(report.trajectory.steps[-1].output)
-            report.task_correct = answer == expected_answer
-    report.wall_time = time.monotonic() - start
     return report
-
-
-def run_seed(base_seed: int, run_id: str) -> int:
-    """Isolated per-run seed stream."""
-    digest = hashlib.sha256(f"{base_seed}:{run_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")

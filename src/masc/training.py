@@ -176,7 +176,7 @@ def calibrate_threshold(
     linearly interpolated quantile (numpy's "linear" method).
     """
     if not (0.0 < quantile < 1.0):
-        raise DataError("quantile must be in (0, 1)")
+        raise ConfigError(f"quantile must be in (0, 1), got {quantile!r}")
     if not calibration_set:
         raise DataError("empty calibration set")
     scores = []

@@ -80,7 +80,7 @@ class TestParsing:
 
     def test_simulate_has_no_agents_flag(self, capsys):
         # The fixture suite is always three agents; the sweep sizes its
-        # topologies from ExperimentConfig.n_agents, which stays 3.
+        # topologies from the fixture roles.
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--agents", "3"])
         assert exc.value.code == 2
@@ -286,6 +286,15 @@ class TestTrain:
         assert main(["calibrate", "--checkpoint", ckpt, "--traces", fixture]) == 0
         model, calibration = load_checkpoint(ckpt)
         assert (model.lam, calibration.quantile) == (0.3, 0.99)
+
+    def test_out_of_range_quantile_exits_two(self, trained_checkpoint, corpus_file,
+                                             tmp_path, capsys):
+        ckpt, _ = trained_checkpoint
+        out = tmp_path / "calibrated.ckpt"
+        assert main(["calibrate", "--checkpoint", ckpt, "--traces", corpus_file,
+                     "--quantile", "1.5", "--out", str(out)]) == 2
+        assert "quantile" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_golden_digest(self, tmp_path, capsys):
         """SHA-256 of the payload (``train_digest.txt``) and of the whole
@@ -532,6 +541,20 @@ class TestSimulate:
                             corruption="scramble"),
             masc=MascSettings(epochs=9, d_e=16, delta_override=float("inf")),
         )
+
+    @pytest.mark.parametrize("flags", [
+        ["--quantile", "1.5"],
+        ["--fixtures", "0"],
+        ["--target-agent", "0", "--step-selector", "2"],
+    ], ids=["quantile", "no fixtures", "fixed step misses the target"])
+    def test_out_of_range_setting_exits_two_before_the_sweep(self, monkeypatch,
+                                                             capsys, flags):
+        def sweep(config):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("masc.cli.batch_experiment", sweep)
+        assert main(["simulate", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_clean_chain_accuracy_one(self, tmp_path, capsys):
         out = str(tmp_path / "sim.json")

@@ -83,14 +83,14 @@ class TestAucRoc:
 
 class TestStepAccuracy:
     def test_all_correct(self):
-        assert step_accuracy([(1, 1)] * 5).accuracy == 1.0
+        assert step_accuracy([(1, 1)] * 5) == 1.0
 
     def test_all_off_by_one(self):
-        assert step_accuracy([(2, 1), (3, 2), (4, 3)]).accuracy == 0.0
+        assert step_accuracy([(2, 1), (3, 2), (4, 3)]) == 0.0
 
     def test_mixed_fraction(self):
         pairs = [(1, 1), (2, 2), (3, 3)] + [(9, 1)] * 5
-        assert step_accuracy(pairs).accuracy == pytest.approx(3 / 8)
+        assert step_accuracy(pairs) == pytest.approx(3 / 8)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -138,7 +138,7 @@ class TestScoreHistogram:
             np.concatenate([normal, errors]),
             np.concatenate([np.zeros(500, int), np.ones(500, int)]),
         )
-        hist = score_histogram(rows, bins=10, value_range=(-0.25, 1.25))
+        hist = score_histogram(rows, bins=10)
         assert int(np.argmax(hist.normal_counts)) in (1, 2)
         assert int(np.argmax(hist.error_counts)) in (7, 8)
 

@@ -18,6 +18,7 @@ from masc.experiment import (
 )
 from masc.fixtures import (
     _checker,
+    extract_answer,
     fixture_agents,
     make_fixture,
     make_fixture_suite,
@@ -30,8 +31,8 @@ from masc.simulator import (
     MascHook,
     Topology,
     edges,
-    extract_answer,
     inject_fault,
+    remote_chat_agent,
     resolve_fault,
     run_trajectory,
     schedule,
@@ -121,12 +122,12 @@ class TestInjectFault:
 
 class TestResolveFault:
     def test_fixed_step(self):
-        agent, t = resolve_fault(FaultSpec(step_selector=2), [0, 1, 2], 3)
+        agent, t = resolve_fault(FaultSpec(step_selector=2), [0, 1, 2])
         assert (agent, t) == (1, 2)
 
     def test_target_agent_uniform(self):
         agent, t = resolve_fault(
-            FaultSpec(target_agent=1, step_selector="uniform", seed=4), [0, 1, 2], 3
+            FaultSpec(target_agent=1, step_selector="uniform", seed=4), [0, 1, 2]
         )
         assert agent == 1
         assert t == 2
@@ -134,20 +135,50 @@ class TestResolveFault:
     def test_early_selector(self):
         order = [0, 1, 2] * 4  # 12 steps; early = first ~20%
         agent, t = resolve_fault(
-            FaultSpec(target_agent=0, step_selector="early", seed=0), order, 3
+            FaultSpec(target_agent=0, step_selector="early", seed=0), order
         )
         assert agent == 0
         assert (t - 1) / len(order) < 0.2
 
     def test_random_agent_is_seed_deterministic(self):
         picks = {
-            resolve_fault(FaultSpec(target_agent="random", seed=s), [0, 1, 2], 3)
+            resolve_fault(FaultSpec(target_agent="random", seed=s), [0, 1, 2])
             for s in range(10)
         }
         assert len(picks) > 1
         assert resolve_fault(
-            FaultSpec(target_agent="random", seed=3), [0, 1, 2], 3
-        ) == resolve_fault(FaultSpec(target_agent="random", seed=3), [0, 1, 2], 3)
+            FaultSpec(target_agent="random", seed=3), [0, 1, 2]
+        ) == resolve_fault(FaultSpec(target_agent="random", seed=3), [0, 1, 2])
+
+    def test_fixed_step_must_be_the_target_agents_turn(self):
+        assert resolve_fault(FaultSpec(target_agent=1, step_selector=2), [0, 1, 2]) == (1, 2)
+        with pytest.raises(ConfigError, match="--target-agent random"):
+            resolve_fault(FaultSpec(target_agent=0, step_selector=2), [0, 1, 2])
+
+    @pytest.mark.parametrize("fields", [
+        {"step_selector": "late"}, {"step_selector": 0}, {"step_selector": True},
+        {"step_selector": 2.0}, {"target_agent": "x"}, {"target_agent": "1"},
+        {"target_agent": -1}, {"target_agent": False},
+    ], ids=repr)
+    def test_fault_spec_rejects_bad_fields(self, fields):
+        with pytest.raises(ConfigError):
+            FaultSpec(**fields)
+
+
+class TestAgentSpec:
+    @pytest.mark.parametrize("role, template", [
+        ("", lambda query, visible, t: "out"), ("solver", None), ("solver", "out"),
+    ], ids=["empty role", "no template", "template not callable"])
+    def test_rejects_bad_fields(self, role, template):
+        with pytest.raises(ConfigError):
+            AgentSpec(role=role, template=template)
+
+    @pytest.mark.parametrize("endpoint, model_name", [
+        ("", "m"), (None, "m"), ("http://127.0.0.1:1", ""), ("http://127.0.0.1:1", None),
+    ])
+    def test_remote_chat_agent_needs_endpoint_and_model(self, endpoint, model_name):
+        with pytest.raises(ConfigError):
+            remote_chat_agent("solver", endpoint, model_name)
 
 
 FIXTURE = make_fixture(7, seed=1)
@@ -205,24 +236,27 @@ class TestRunTrajectory:
 
     def test_remote_agent_failure_aborts_with_partial_report(self):
         agents = fixture_agents()
-        broken = AgentSpec(
-            role="solver", policy="remote_chat",
-            endpoint="http://127.0.0.1:1", model_name="m",
-        )
-        report = run_trajectory(
-            [agents[0], broken, agents[2]], CHAIN, FIXTURE.query,
-            expected_answer=str(FIXTURE.expected),
-        )
+        broken = remote_chat_agent("solver", "http://127.0.0.1:1", "m")
+        report = run_trajectory([agents[0], broken, agents[2]], CHAIN, FIXTURE.query)
         assert report.aborted
         assert report.error
         assert len(report.trajectory.steps) == 1  # decomposer only
         assert report.task_correct is None
 
+    def test_run_fixture_leaves_an_aborted_run_unjudged(self, monkeypatch):
+        agents = fixture_agents()
+        broken = remote_chat_agent("solver", "http://127.0.0.1:1", "m")
+        monkeypatch.setattr(
+            "masc.fixtures.fixture_agents", lambda: [agents[0], broken, agents[2]]
+        )
+        report = run_fixture(FIXTURE, CHAIN)
+        assert report.aborted
+        assert report.task_correct is None
+
     def test_remote_agent_output_enters_history(self, stub_service):
         agents = fixture_agents()
         with stub_service(content="x = 7") as stub:
-            remote = AgentSpec(role="solver", policy="remote_chat",
-                               endpoint=stub.endpoint, model_name="m")
+            remote = remote_chat_agent("solver", stub.endpoint, "m")
             report = run_trajectory([agents[0], remote, agents[2]], CHAIN, FIXTURE.query)
         assert not report.aborted
         assert report.trajectory.steps[1].output == "x = 7"
@@ -238,12 +272,8 @@ class TestRunTrajectory:
     def test_remote_agent_malformed_reply_aborts(self, stub_service, raw):
         agents = fixture_agents()
         with stub_service(raw=raw) as stub:
-            remote = AgentSpec(role="solver", policy="remote_chat",
-                               endpoint=stub.endpoint, model_name="m")
-            report = run_trajectory(
-                [agents[0], remote, agents[2]], CHAIN, FIXTURE.query,
-                expected_answer=str(FIXTURE.expected),
-            )
+            remote = remote_chat_agent("solver", stub.endpoint, "m")
+            report = run_trajectory([agents[0], remote, agents[2]], CHAIN, FIXTURE.query)
         assert report.aborted
         assert "malformed reply" in report.error
         assert len(report.trajectory.steps) == 1
@@ -525,6 +555,27 @@ class TestVisibility:
         assert report.interventions == 4
         assert outputs[1::2] == ["fixed 2", "fixed 4", "fixed 6", "fixed 8"]
         assert recorder.calls == comprehension_visible(topology, report.trajectory)
+
+    def test_failed_corrections_keep_every_output(self):
+        def reply(req, prompt):
+            raise RuntimeError("corrector down")
+
+        model = DetectorModel.init(
+            EmbedderSpec(kind="hashing", dimension=4), d_h=6,
+            backbone=BackboneSpec(hidden_dim=6),
+        )
+        hook = MascHook(
+            model=model, alpha=1.0, beta=1.0, delta=-math.inf, policy=ScriptedPolicy(reply)
+        )
+        topology = Topology("complete", 3, rounds=2)
+        plain = run_trajectory(Recorder().agents(3), topology, "query")
+        report = run_trajectory(Recorder().agents(3), topology, "query", masc=hook)
+        T = len(plain.trajectory)
+        assert not report.aborted
+        assert report.trajectory == plain.trajectory
+        assert all(v.flagged for v in report.verdicts) and len(report.verdicts) == T
+        assert report.corrections_failed == report.flagged == T
+        assert report.interventions == 0
 
 
 @st.composite

@@ -142,9 +142,9 @@ class TestTrain:
 class TestCalibration:
     def test_quantile_bounds(self, small_trained):
         model, _, corpus = small_trained
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             calibrate_threshold(model, corpus, quantile=1.0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             calibrate_threshold(model, corpus, quantile=0.0)
 
     def test_delta_is_linear_interpolated_quantile(self, small_trained):
@@ -306,6 +306,10 @@ class TestCheckpoint:
                 header, calibration={"quantile": 0.5, "alpha": 1.0, "beta": 1.0}
             ),
             "calibration as a list": dict(header, calibration=[1.0]),
+            "with_gt as a string": dict(header, with_gt="no"),
+            "seed as a string": dict(header, seed="x"),
+            "seed as a boolean": dict(header, seed=True),
+            "d_h as a float": dict(header, d_h=float(header["d_h"])),
         }
         for name, bad in cases.items():
             text = json.dumps(bad).encode()
