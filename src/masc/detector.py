@@ -29,17 +29,19 @@ pass gives the same verdicts as scoring each prefix separately, to rounding:
 a one-row product takes BLAS's matrix-vector path, so the two can differ in
 the last bit.
 
-Two ways to score, one forward pass (``FrozenMixer.run``):
+Two ways to score:
 
 - ``score_trajectory``: every step of a recorded trajectory in one batched
-  pass; ``train`` runs the same pass and ``trajectory_loss`` adds the one
-  backward pass, a hand-written reverse sweep over the forward's
-  intermediates (losses, attention, head, mixer blocks, projections).
+  pass (``FrozenMixer.run``); ``train`` runs the same pass and
+  ``trajectory_loss`` adds the one backward pass, a hand-written reverse
+  sweep over the forward's intermediates (losses, attention, head, mixer
+  blocks, projections).
 - ``DetectorStream``: in-loop detection. ``score`` judges the pending step
-  without changing state; ``commit`` pushes the kept step's row through the
-  blocks, continuing from each block's carried prefix sum, so a turn costs
-  the same at step 3 and step 300: four matrix-vector products with the
-  default two blocks (the f_h projection, one per block, the f_theta head)
+  without changing state; ``commit`` takes the kept step through the
+  blocks, adding to each block's running sum of products, so a turn costs
+  the same at step 3 and step 300. f_h is folded into block 1 when the
+  stream opens, so with the default two blocks a turn makes three
+  matrix-vector products (the folded block 1, block 2, the f_theta head)
   and a few vector operations, all written into rows the stream allocates
   once. The model's parameters must not change while a stream is open.
 """
@@ -154,8 +156,7 @@ def causal_context(x: np.ndarray) -> np.ndarray:
     """Per position i of an (n, k) sequence: [mean(x_1..x_i) ; x_i], the
     mixer block input. The cumulative sum is sequential, so the rows of a
     prefix's context equal the matching rows of the full context bit for
-    bit, as do the rows a stream builds one at a time (``FrozenMixer.run``
-    with a carry)."""
+    bit."""
     n = x.shape[0]
     inv = (1.0 / np.arange(1, n + 1, dtype=np.float64))[:, None]
     return np.concatenate([np.cumsum(x, axis=0) * inv, x], axis=1)
@@ -188,60 +189,23 @@ class FrozenMixer:
             self.matrices_t.append(matrix_t)
             in_dim = spec.hidden_dim
 
-    def carry(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Buffers a stream allocates once, per block: the running sum of the
-        rows the block has read, its (1, 2 * in) context row and its
-        (1, hidden_dim) output row."""
-        return [
-            (np.empty(m.shape[0] // 2), np.empty((1, m.shape[0])), np.empty((1, m.shape[1])))
-            for m in self.matrices_t
-        ]
-
-    def run(
-        self,
-        sequence: np.ndarray,
-        carry: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
-        count: int = 0,
-    ) -> list[np.ndarray]:
+    def run(self, sequence: np.ndarray) -> list[np.ndarray]:
         """Encode an (n, input_dim) sequence; returns every block's output.
 
         The last output is the (n, hidden_dim) hidden states; the backward
         pass reads the others. Position i of each output depends only on
         positions <= i of the input, so the final row of a pass over the
         length-t prefix agrees with row t of the full pass to rounding (not
-        bit for bit: a one-row product takes a matrix-vector BLAS path).
-
-        ``carry`` (from ``carry()``) continues a stream across calls: then
-        ``sequence`` must be the one row that follows the ``count`` rows
-        already read (ValueError otherwise). Each block adds its input row
-        to its running sum, writes its context row (the running mean, then
-        the input row: equal to the full context's row bit for bit) and its
-        output row in place, and the outputs returned are those buffers.
+        bit for bit: a one-row product takes a matrix-vector BLAS path), as
+        do the rows ``DetectorStream`` keeps, which it computes in another
+        order (see there).
         """
-        if carry is None:
-            outputs = []
-            x = sequence
-            for matrix_t in self.matrices_t:
-                x = np.tanh(causal_context(x) @ matrix_t)
-                outputs.append(x)
-            return outputs
-        if sequence.shape[0] != 1:
-            raise ValueError(f"a prefix is continued by exactly one row, got {sequence.shape[0]}")
-        x = sequence[0]
-        for matrix_t, (total, context, out) in zip(self.matrices_t, carry):
-            k = total.shape[0]
-            if count:
-                np.add(total, x, out=total)
-            else:
-                total[...] = x
-            np.multiply(total, 1.0 / (count + 1), out=context[0, :k])
-            context[0, k:] = x
-            # A contiguous (1, 2k) row, as the full context's: the product
-            # takes the same BLAS path as a one-row pass without a carry.
-            np.matmul(context, matrix_t, out=out)
-            np.tanh(out, out=out)
-            x = out[0]
-        return [out for _, _, out in carry]
+        outputs = []
+        x = sequence
+        for matrix_t in self.matrices_t:
+            x = np.tanh(causal_context(x) @ matrix_t)
+            outputs.append(x)
+        return outputs
 
     def backward(self, outputs: list[np.ndarray], grad: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the input sequence, given ``run``'s outputs and the
@@ -694,29 +658,41 @@ def score_trajectory(
 class DetectorStream:
     """In-loop detection: each step is scored before it is committed.
 
-    The stream holds the projected query and, with the frozen mixer, each
-    block's running input sum and the hidden state after the last committed
-    step. So a turn costs the same whatever the history's length: one
-    matrix-vector product for the f_h row, one per block and one for the
-    f_theta head, four with the default two blocks. The stream allocates
-    its rows once (the f_h row, each block's running sum, context and
-    output rows from ``FrozenMixer.carry``, the prediction and the squared
-    error) and every product and vector operation of a turn writes into
-    them. With a remote backbone it keeps the projected rows and sends one
-    /encode request per scored step.
+    With the frozen mixer, a block's pre-activation at position n is
+    ``S / n + x_n @ M_bot``: S is the running sum of ``x_j @ M_top`` over the
+    rows j <= n the block has read, and M_top, M_bot are the halves of its
+    matrix that read the causal mean and the current row. The stream keeps
+    each block's S and its output after the last committed step, so a turn
+    costs the same at step 3 and step 300. Each block takes its row's two
+    terms from one product with its halves stacked as a (2, in, hidden_dim)
+    array: ``x @ [M_top; M_bot]`` gives ``[x @ M_top, x @ M_bot]``.
+
+    f_h and block 1 are both linear before block 1's tanh, so the stream
+    multiplies them together when it opens: ``F = fh_w.T @ [M_top; M_bot]``
+    and ``c = fh_b @ [M_top; M_bot]`` for block 1's halves, d * d_h * 2 *
+    hidden_dim multiply-adds once per stream. A commit then makes one
+    product for block 1 (``step @ F + c``), one per later block and a few
+    vector operations; scoring the next step adds the f_theta head's
+    product. With the default two blocks, at d_e 64 and d_h 256, a turn
+    reads 1.75 MB of weights where the unfolded products read 2.5 MB. The
+    projected query goes through block 1's own halves once, at open. Every
+    product and vector operation of a turn writes into rows the stream
+    allocates once. With a remote backbone the stream keeps the projected
+    rows and sends one /encode request per scored step.
 
     The model's parameters must stay frozen for the stream's lifetime: the
-    projected query, the carried sums, the hidden state and the prototype's
-    norm (taken once, when the stream opens) all come from them.
+    fold, the running sums, the hidden state and the prototype's norm (taken
+    once, when the stream opens) all come from them.
 
     ``score`` judges a pending step against the committed history and
     leaves the stream unchanged; the prediction it compares with is computed
     at most once per commit, and the verdict comes from ``_verdict``, as
     ``score_trajectory``'s do. ``commit`` appends the step the run keeps:
     the corrected one when a correction replaced the output. Verdicts agree
-    with ``score_trajectory`` on the committed trajectory to rounding (a
-    one-row product takes BLAS's matrix-vector path). A query of dimension
-    other than d_e, or a step of dimension other than d, raises ConfigError.
+    with ``score_trajectory`` on the committed trajectory to rounding: the
+    fold and the running sums of products add in another order than the
+    full pass's projections and causal means. A query of dimension other
+    than d_e, or a step of dimension other than d, raises ConfigError.
     """
 
     def __init__(self, model: DetectorModel, q_vec: np.ndarray):
@@ -725,37 +701,52 @@ class DetectorStream:
         self.model = model
         params = model.params
         # Views the turns read; the parameters stay frozen while the stream lives.
-        self._fh_w_t, self._fh_b = params["fh_w"].T, params["fh_b"]
         self._ft_w_t, self._ft_b = params["ft_w"].T, params["ft_b"]
         self._p = params["p"]
         self._p_norm = float(np.linalg.norm(self._p))
-        self._length = 0  # rows encoded: the query plus the committed steps
-        if model.backbone.kind == "frozen_mixer":
-            self._mixer: FrozenMixer | None = model.mixer()
-            self._carry = self._mixer.carry()
-        else:
-            self._mixer = None
-            self._rows: list[np.ndarray] = []  # the projected rows
-        self._row = np.empty((1, model.d_h))  # the committed step's f_h row
         self._x_hat = np.empty(model.d)
         self._squared = np.empty(model.d)
         self._predicted = False  # whether _x_hat holds the next prediction
-        q_vec = np.asarray(q_vec, dtype=np.float64)
-        self._push(projected_sequence(params, q_vec, np.zeros((0, model.d))))
-
-    def _push(self, row: np.ndarray) -> None:
-        """Append one projected (1, d_h) row to the encoded sequence."""
-        if self._mixer is not None:
-            self._mixer.run(row, self._carry, self._length)
+        self._length = 1  # rows encoded: the query plus the committed steps
+        query = projected_sequence(
+            params, np.asarray(q_vec, dtype=np.float64), np.zeros((0, model.d))
+        )[0]
+        if model.backbone.kind == "frozen_mixer":
+            # Per block: its halves [M_top; M_bot] as a (2, in, hidden_dim)
+            # view, the running sum S, the row's two terms and its output.
+            self._blocks = [
+                (m.reshape(2, m.shape[0] // 2, m.shape[1]), np.zeros(m.shape[1]),
+                 np.empty((2, m.shape[1])), np.empty(m.shape[1]))
+                for m in model.mixer().matrices_t
+            ]
+            first = self._blocks[0][0]
+            self._fold = np.matmul(params["fh_w"].T, first)
+            self._fold_bias = np.matmul(params["fh_b"], first)
+            np.matmul(query, first, out=self._blocks[0][2])
+            self._advance()
         else:
-            self._rows.append(row[0].copy())
-        self._length += 1
-        self._predicted = False
+            self._blocks = None
+            self._fh_w_t, self._fh_b = params["fh_w"].T, params["fh_b"]
+            self._rows = [query]  # the projected rows
+
+    def _advance(self) -> None:
+        """Take the row whose block-1 terms were just written through every
+        block; ``_length`` already counts it."""
+        inv = 1.0 / self._length
+        x = None
+        for halves, total, terms, out in self._blocks:
+            if x is not None:
+                np.matmul(x, halves, out=terms)
+            total += terms[0]
+            np.multiply(total, inv, out=out)
+            out += terms[1]
+            np.tanh(out, out=out)
+            x = out
 
     def _prediction(self) -> np.ndarray:
         if not self._predicted:
-            if self._mixer is not None:
-                state = self._carry[-1][2][0]
+            if self._blocks is not None:
+                state = self._blocks[-1][3]
             else:
                 state = self.model.remote().encode(np.stack(self._rows))
             np.matmul(state, self._ft_w_t, out=self._x_hat)
@@ -785,6 +776,12 @@ class DetectorStream:
     def commit(self, step_emb: np.ndarray) -> None:
         """Append a step to the history the next prediction reads."""
         step = self._checked_step(step_emb)
-        np.matmul(step[None, :], self._fh_w_t, out=self._row)
-        self._row += self._fh_b
-        self._push(self._row)
+        self._length += 1
+        self._predicted = False
+        if self._blocks is None:
+            self._rows.append(step @ self._fh_w_t + self._fh_b)
+            return
+        terms = self._blocks[0][2]
+        np.matmul(step, self._fold, out=terms)
+        terms += self._fold_bias
+        self._advance()

@@ -57,6 +57,22 @@ class ExperimentConfig:
         # misses its target fails here, before any run.
         turn_order = schedule(Topology("chain", len(FIXTURE_ROLES), rounds=self.rounds))
         resolve_fault(self.fault, turn_order)
+        # Likewise a training setting out of range, which the detector would
+        # otherwise meet only after every clean cell has run.
+        self.train_config()
+
+    def train_config(self) -> TrainConfig:
+        """The detector training the sweep's ``masc`` cells run."""
+        m = self.masc
+        return TrainConfig(
+            epochs=m.epochs,
+            lr=m.lr,
+            lam=m.lam,
+            seed=self.seed,
+            d_h=m.d_h,
+            embedder=EmbedderSpec(dimension=m.d_e),
+            backbone=BackboneSpec(hidden_dim=m.d_h, layers=m.layers, seed=self.seed),
+        )
 
 
 @dataclass
@@ -112,16 +128,7 @@ def train_suite_detector(
 ) -> tuple[DetectorModel, Calibration]:
     """Fit a detector on the suite's clean runs and calibrate its threshold."""
     m = config.masc
-    cfg = TrainConfig(
-        epochs=m.epochs,
-        lr=m.lr,
-        lam=m.lam,
-        seed=config.seed,
-        d_h=m.d_h,
-        embedder=EmbedderSpec(dimension=m.d_e),
-        backbone=BackboneSpec(hidden_dim=m.d_h, layers=m.layers, seed=config.seed),
-    )
-    model, _ = train(cfg, clean_trajectories)
+    model, _ = train(config.train_config(), clean_trajectories)
     calibration = calibrate_threshold(
         model, clean_trajectories, quantile=m.quantile, alpha=m.alpha, beta=m.beta
     )

@@ -16,8 +16,10 @@ committed turn and watching agent, and handed to the agent as a copy.
 
 Per turn, with detection: ``embed_step`` embeds the output (the role half
 memoized), ``DetectorStream.score`` judges it against the committed
-history, and ``DetectorStream.commit`` pushes the kept step through the
-stream's preallocated rows. Only a flagged step builds a
+history, and ``DetectorStream.commit`` takes the kept step through the
+mixer blocks: one product with f_h folded into block 1, which the stream
+does once per run when it opens, then one per later block, all into rows
+allocated at open. Only a flagged step builds a
 ``CorrectionRequest``; it carries the full committed history, steps 1..t-1
 as (role, output) pairs, whatever the acting agent could see.
 

@@ -4,11 +4,14 @@
 ``verdicts_reference`` the step-by-step scoring (one unthresholded verdict
 per step, then the threshold applied with ``dataclasses.replace``) that the
 batched versions in ``masc.embedding`` and ``masc.detector`` replaced.
-``continuation_reference`` is the concatenate-and-cumsum continuation of a
-causal context that the mixer's carried one-row step (``FrozenMixer.run``
-with a carry, as ``DetectorStream`` commits) replaced, and
-``checker_reference`` the fixture checker that scanned every visible output
-forward. The replacements must equal them bit for bit.
+``checker_reference`` is the fixture checker that scanned every visible
+output forward. The replacements must equal them bit for bit.
+
+``continuation_reference`` gives the running sums a ``DetectorStream`` keeps
+for each frozen-mixer block, built the long way: the unfolded f_h
+projections, then each block's full causal context. The stream folds f_h
+into block 1 and adds products in another order, so it matches to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from masc.detector import AnomalyVerdict
+from masc.detector import AnomalyVerdict, causal_context, projected_steps
 from masc.fixtures import CLAIM_PATTERN, _apply, _parse_task
 
 logger = logging.getLogger("masc.detector")
@@ -75,13 +78,22 @@ def verdicts_reference(x_hats, step_matrix, p, alpha, beta, delta, t0=1):
     return out
 
 
-def continuation_reference(x, prefix_sum, count):
-    """Context rows and running sums for ``x`` continuing ``count`` earlier
-    rows whose sum is ``prefix_sum``."""
-    sums = np.cumsum(np.concatenate([prefix_sum[None, :], x]), axis=0)[1:]
-    n = x.shape[0]
-    inv = (1.0 / np.arange(count + 1, count + n + 1, dtype=np.float64))[:, None]
-    return np.concatenate([sums * inv, x], axis=1), sums
+def continuation_reference(model, q_vec, steps):
+    """Per frozen-mixer block, an (n + 1, hidden_dim) matrix whose row i is
+    the block's running sum after the query and the first i steps: the sum
+    of ``x_j @ M_top`` over the rows x_j the block has read, M_top being the
+    half of its matrix that reads the causal mean."""
+    params = model.params
+    query = params["fq_w"] @ q_vec + params["fq_b"]
+    x = np.concatenate([query[None, :], projected_steps(params, steps)])
+    sums = []
+    for matrix_t in model.mixer().matrices_t:
+        k = matrix_t.shape[0] // 2
+        context = causal_context(x)
+        counts = np.arange(1, x.shape[0] + 1, dtype=np.float64)[:, None]
+        sums.append((context[:, :k] * counts) @ matrix_t[:k])
+        x = np.tanh(context @ matrix_t)
+    return sums
 
 
 def checker_reference(query, visible, t):

@@ -12,6 +12,7 @@ from masc.cli import main
 from masc.detector import BackboneSpec
 from masc.evaluation import ScoredStep, compute_metrics
 from masc.experiment import ExperimentConfig, MascSettings
+from masc.fixtures import run_fixture
 from masc.simulator import FaultSpec
 from masc.synthetic import make_anomaly_corpus, make_normal_corpus
 from masc.trace import save_trajectories
@@ -555,6 +556,24 @@ class TestSimulate:
         monkeypatch.setattr("masc.cli.batch_experiment", sweep)
         assert main(["simulate", *flags]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--epochs", "0"], ["--lr", "0"], ["--dim", "0"], ["--hidden", "0"],
+        ["--lambda", "-1"],
+    ], ids=["epochs", "lr", "dim", "hidden", "lambda"])
+    def test_bad_training_setting_exits_two_before_any_fixture_run(
+        self, monkeypatch, capsys, flags
+    ):
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(args)
+            return run_fixture(*args, **kwargs)
+
+        monkeypatch.setattr("masc.experiment.run_fixture", counting)
+        assert main(["simulate", "--fixtures", "4", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert len(runs) == 0
 
     def test_clean_chain_accuracy_one(self, tmp_path, capsys):
         out = str(tmp_path / "sim.json")

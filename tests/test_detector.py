@@ -21,7 +21,6 @@ from masc.detector import (
     FlatParams,
     FrozenMixer,
     _verdicts,
-    causal_context,
     misalignment_loss,
     predictions_tensor,
     projected_sequence,
@@ -397,33 +396,34 @@ class TestFrozenBackbone:
     scale=st.sampled_from([1e-3, 1.0, 37.0]),
 )
 def test_one_row_continuation_equals_the_full_pass(n, k, h, layers, seed, scale):
-    # A stream's pass: one row at a time through the mixer's carry. Each
-    # block's running sum and context row must equal the full pass's rows
-    # over that block's inputs so far bit for bit, and its output the
-    # allocating one-row product's.
-    mixer = FrozenMixer(BackboneSpec(hidden_dim=h, layers=layers, seed=seed), k)
-    x = scale * np.random.RandomState(seed).randn(n, k)
-    carry = mixer.carry()
-    inputs = [[] for _ in carry]  # each block's input rows so far
-    for i in range(n):
-        outputs = mixer.run(x[i : i + 1], carry, i)
-        row = x[i]
-        for block, (matrix_t, (total, context, out)) in enumerate(zip(mixer.matrices_t, carry)):
-            inputs[block].append(row.copy())
-            seen = np.array(inputs[block])
-            assert np.array_equal(total, np.cumsum(seen, axis=0)[-1])
-            assert context.shape == (1, 2 * seen.shape[1]) and context.flags.c_contiguous
-            assert np.array_equal(context, causal_context(seen)[-1:])
-            assert np.array_equal(out, np.tanh(context.copy() @ matrix_t))
-            assert outputs[block] is out
-            row = out[0]
+    # A stream's pass: one committed row at a time, f_h folded into block 1.
+    # After each commit every block's output row must equal the full pass's
+    # last row over the committed prefix, to rounding (the ratio of the
+    # largest difference to the largest entry). Here the mixer's input
+    # width k (d_h) differs from its hidden width h.
+    model = DetectorModel.init(
+        EMB4, d_h=k, backbone=BackboneSpec(hidden_dim=h, layers=layers, seed=seed),
+        seed=seed,
+    )
+    rng = np.random.RandomState(seed)
+    q, steps = rng.randn(4), scale * rng.randn(n, 8)
+    full = model.mixer().run(projected_sequence(model.params, q, steps))
+    stream = DetectorStream(model, q)
+    for i in range(n + 1):
+        if i:
+            stream.commit(steps[i - 1])
+        for (_, _, _, out), rows in zip(stream._blocks, full, strict=True):
+            assert out.shape == (h,)
+            error = np.max(np.abs(out - rows[i])) / np.max(np.abs(rows[i]))
+            assert error <= 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 2, 3])
 def test_a_prefix_is_continued_by_one_row_only(n):
-    mixer = FrozenMixer(BackboneSpec(hidden_dim=3, layers=2), 4)
-    with pytest.raises(ValueError, match="exactly one row"):
-        mixer.run(np.ones((n, 4)), mixer.carry(), 5)
+    stream = DetectorStream(tiny_model(), np.zeros(4))
+    with pytest.raises(ConfigError):
+        stream.commit(np.ones((n, 8)))
+    assert stream.score(np.zeros(8), 1.0, 1.0, 1.0).t == 1  # nothing committed
 
 
 def remote_spec(endpoint):

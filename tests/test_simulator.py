@@ -466,6 +466,18 @@ class TestBatchExperiment:
         assert csv_text.startswith("topology,condition,masc,accuracy")
         assert len(csv_text.strip().split("\n")) == 5
 
+    def test_bad_training_setting_raises_before_any_fixture_run(self, monkeypatch):
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(args)
+            return run_fixture(*args, **kwargs)
+
+        monkeypatch.setattr("masc.experiment.run_fixture", counting)
+        with pytest.raises(ConfigError, match="layers"):
+            batch_experiment(ExperimentConfig(n_fixtures=4, masc=MascSettings(layers=0)))
+        assert len(runs) == 0
+
 
 class Recorder:
     """Agents that store a copy of every ``visible`` list they receive.

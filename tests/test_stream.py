@@ -10,10 +10,7 @@ from masc.detector import (
     BackboneSpec,
     DetectorModel,
     DetectorStream,
-    FrozenMixer,
     _verdicts,
-    projected_sequence,
-    projected_steps,
     score_trajectory,
 )
 from masc.embedding import EmbedderSpec
@@ -109,19 +106,29 @@ def test_committing_a_replacement_matches_a_fresh_stream():
     )
 
 
-def test_each_commit_encodes_one_row(monkeypatch):
-    rows = []
-    run = FrozenMixer.run
-
-    def counting(self, sequence, *args, **kwargs):
-        rows.append(sequence.shape[0])
-        return run(self, sequence, *args, **kwargs)
-
-    monkeypatch.setattr(FrozenMixer, "run", counting)
-    model = make_model(d_h=8, layers=3, seed=5)
+def test_each_commit_makes_one_product_per_block(monkeypatch):
+    # Block 1 reads the folded step (one product with F), each later block
+    # its input row (one product with its stacked halves), whatever the
+    # history's length; scoring adds the head's one product.
+    model = make_model(d_e=3, d_h=8, layers=3, seed=5)
     rng = np.random.RandomState(5)
-    streamed(model, rng.randn(4), rng.randn(30, 8))
-    assert rows == [1] * 31  # the query, then one row per committed step
+    q, steps = rng.randn(3), rng.randn(30, 6)
+    stream = DetectorStream(model, q)
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        shapes.append((np.shape(a), np.shape(b)))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    for step in steps:
+        stream.commit(step)
+        assert shapes == [((6,), (2, 6, 8))] + [((8,), (2, 8, 8))] * 2
+        shapes.clear()
+        stream.score(step, 1.0, 1.0, math.inf)
+        assert shapes == [((8,), (8, 6))]
+        shapes.clear()
 
 
 def test_wrong_dimensions_raise_config_error():
@@ -183,6 +190,12 @@ def test_stream_verdict_equals_verdicts_on_its_row(
         stream.commit(step)
 
 
+def relative_error(actual, expected):
+    """max |actual - expected| over max |expected|: a running sum's entries
+    can cancel to near zero, where an entrywise bound would mean nothing."""
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(0, 12),
@@ -191,29 +204,47 @@ def test_stream_verdict_equals_verdicts_on_its_row(
     seed=st.integers(0, 2**16),
 )
 def test_stream_state_equals_the_continuation_reference(n, d_h, layers, seed):
-    # The reference replays every row through the concatenate-and-cumsum
-    # continuation and allocating products: the query's projected row from a
-    # zero sum, then each committed step's f_h row.
+    # After the query and after each commit, every block's running sum of
+    # top-half products equals the one built from the unfolded f_h rows and
+    # the full causal context, to rounding.
     model = make_model(4, d_h, layers, seed)
-    mixer = model.mixer()
     rng = np.random.RandomState(seed)
     q, steps = rng.randn(4), rng.randn(n, 8)
+    reference = continuation_reference(model, q, steps)
     stream = DetectorStream(model, q)
-    sums = [np.zeros(m.shape[0] // 2) for m in mixer.matrices_t]
-    rows = [projected_sequence(model.params, q, np.zeros((0, 8)))]
-    rows += [projected_steps(model.params, step[None, :]) for step in steps]
-    for count, row in enumerate(rows):
+    for count in range(n + 1):
         if count:
             stream.commit(steps[count - 1])
-        x = row
-        for k, (matrix_t, (total, context, out)) in enumerate(zip(mixer.matrices_t, stream._carry)):
-            expected_context, expected_sums = continuation_reference(x, sums[k], count)
-            sums[k] = expected_sums[-1]
-            x = np.tanh(expected_context @ matrix_t)
-            assert np.array_equal(total, sums[k])
-            assert np.array_equal(context, expected_context)
-            assert np.array_equal(out, x)
+        for (_, total, _, _), sums in zip(stream._blocks, reference, strict=True):
+            assert relative_error(total, sums[count]) <= 1e-12
     assert stream.score(rng.randn(8), 1.0, 1.0, math.inf).t == n + 1
+
+
+@pytest.mark.parametrize("d_h, layers", [(256, 2), (384, 1), (384, 3)])
+def test_folded_scores_keep_a_margin_at_long_runs(d_h, layers):
+    # A T=120 run at the in-loop benchmark's shape (d_e 64, d_h 256, two
+    # blocks) and wider ones; step 60 is flagged and replaced. The
+    # benchmark's gate is rel 1e-12; this is 100 times tighter, so a later
+    # fusion that eats the margin fails here first. Like embedded steps,
+    # each half of a step has unit norm.
+    model = make_model(64, d_h, layers, seed=d_h + layers)
+    rng = np.random.RandomState(layers)
+    q = rng.randn(64)
+    halves = rng.randn(121, 2, 64)
+    halves /= np.linalg.norm(halves, axis=2, keepdims=True)
+    committed, flagged = halves[:120].reshape(120, 128), halves[120].reshape(128)
+    stream = DetectorStream(model, q)
+    verdicts = []
+    for t, step in enumerate(committed, start=1):
+        if t == 60:
+            replaced = stream.score(flagged, 1.0, 1.0, math.inf)
+        verdicts.append(stream.score(step, 1.0, 1.0, math.inf))
+        stream.commit(step)
+    full = score_trajectory(model, q, committed, 1.0, 1.0)
+    cut = score_trajectory(model, q, np.vstack([committed[:59], flagged]), 1.0, 1.0)
+    for single, batch in [*zip(verdicts, full, strict=True), (replaced, cut[-1])]:
+        assert single.score == pytest.approx(batch.score, rel=1e-13, abs=0.0)
+        assert single.recon_term == pytest.approx(batch.recon_term, rel=1e-13, abs=0.0)
 
 
 def test_a_later_commit_changes_nothing_handed_out():
