@@ -39,11 +39,14 @@ Two ways to score:
 - ``DetectorStream``: in-loop detection. ``score`` judges the pending step
   without changing state; ``commit`` takes the kept step through the
   blocks, adding to each block's running sum of products, so a turn costs
-  the same at step 3 and step 300. f_h is folded into block 1 when the
-  stream opens, so with the default two blocks a turn makes three
-  matrix-vector products (the folded block 1, block 2, the f_theta head)
-  and a few vector operations, all written into rows the stream allocates
-  once. The model's parameters must not change while a stream is open.
+  the same at step 3 and step 300. f_h is folded into block 1 once per
+  model (``DetectorModel.fold``), and a stream opened later reuses the fold
+  while fh_w and fh_b hold the values it came from. With the default two
+  blocks a turn makes three matrix-vector products (the folded block 1,
+  block 2, the f_theta head) and a few vector operations, all written into
+  rows the stream allocates once; for a step with few nonzero entries, as
+  hashing embeddings have, block 1 reads only those entries' rows of the
+  fold. The model's parameters must not change while a stream is open.
 """
 
 from __future__ import annotations
@@ -229,6 +232,15 @@ class FrozenMixer:
 _MIXERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
+def _finite_vector(reply: dict) -> np.ndarray:
+    # Python's json reads NaN and Infinity; a non-finite state would make
+    # every later score NaN, which no threshold flags.
+    vector = np.asarray(reply["vector"], dtype=np.float64)
+    if not np.isfinite(vector).all():
+        raise ValueError("non-finite value in the vector")
+    return vector
+
+
 class RemoteBackbone:
     """Client for POST {endpoint}/encode: {"model", "sequence": [[f64]]} -> {"vector"}."""
 
@@ -239,10 +251,7 @@ class RemoteBackbone:
     def encode(self, sequence: np.ndarray) -> np.ndarray:
         url = self.spec.endpoint.rstrip("/") + "/encode"
         body = {"model": self.spec.model_name, "sequence": sequence.tolist()}
-        vector = post_json(
-            self._session, url, body,
-            lambda reply: np.asarray(reply["vector"], dtype=np.float64),
-        )
+        vector = post_json(self._session, url, body, _finite_vector)
         if vector.shape != (self.spec.hidden_dim,):
             raise ConfigError(
                 f"backbone service returned a vector of shape {vector.shape}, "
@@ -282,6 +291,8 @@ class DetectorModel:
     with_gt: bool = False
     _mixer: FrozenMixer | None = field(default=None, repr=False, compare=False)
     _remote: RemoteBackbone | None = field(default=None, repr=False, compare=False)
+    # (fh_w copy, fh_b copy, F, c): see ``fold``.
+    _fold: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -330,6 +341,32 @@ class DetectorModel:
                 mixer = _MIXERS[key] = FrozenMixer(self.backbone, self.d_h)
             self._mixer = mixer
         return self._mixer
+
+    def fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """f_h folded into the frozen mixer's first block: the (d, 2 *
+        hidden_dim) matrix ``F = fh_w.T @ [M_top | M_bot]``, row-major, and
+        its bias ``c = fh_b @ [M_top | M_bot]``, where M_top and M_bot are the
+        block's halves that read the causal mean and the current row. A
+        step's two block-1 terms are ``step @ F + c``.
+
+        Computed once per model (d * d_h * 2 * hidden_dim multiply-adds) and
+        kept with copies of the fh_w and fh_b values it came from; it is
+        computed again when ``np.array_equal`` finds those values changed.
+        Comparing values, not objects, catches training's in-place writes to
+        ``params.flat``. Two threads that both find it stale compute equal
+        folds, and either may be kept.
+        """
+        fh_w, fh_b = self.params["fh_w"], self.params["fh_b"]
+        cached = self._fold
+        if cached is None or not (
+            np.array_equal(cached[0], fh_w) and np.array_equal(cached[1], fh_b)
+        ):
+            first = self.mixer().matrices_t[0]
+            halves = first.reshape(2, first.shape[0] // 2, first.shape[1])
+            fold = np.matmul(fh_w.T, halves).transpose(1, 0, 2).reshape(self.d, -1)
+            bias = np.matmul(fh_b, halves).reshape(-1)
+            cached = self._fold = (fh_w.copy(), fh_b.copy(), fold, bias)
+        return cached[2], cached[3]
 
     def remote(self) -> RemoteBackbone:
         if self._remote is None:
@@ -547,7 +584,9 @@ def trajectory_loss(
 def _checked_inputs(
     model: DetectorModel, q_vec, step_embs
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The query and the (T, d) step matrix; ConfigError on a wrong dimension."""
+    """The query and the (T, d) step matrix; ConfigError on a wrong dimension,
+    DataError on a NaN or infinite entry, which would make every later score
+    NaN and so never flagged."""
     if np.shape(q_vec) != (model.d_e,):
         raise ConfigError(f"query vector must have dimension {model.d_e}")
     if not isinstance(step_embs, np.ndarray):
@@ -557,7 +596,10 @@ def _checked_inputs(
             raise ConfigError(f"step embeddings must have dimension {model.d}") from exc
     if step_embs.ndim != 2 or step_embs.shape[1] != model.d:
         raise ConfigError(f"step embeddings must have dimension {model.d}")
-    return np.asarray(q_vec, dtype=np.float64), step_embs
+    q_vec = np.asarray(q_vec, dtype=np.float64)
+    if not (np.isfinite(q_vec).all() and np.isfinite(step_embs).all()):
+        raise DataError("query or step embedding holds a NaN or infinite value")
+    return q_vec, step_embs
 
 
 def _check_weights(alpha: float, beta: float) -> None:
@@ -655,6 +697,12 @@ def score_trajectory(
     )
 
 
+# A commit reads only the fold rows of a step's nonzero entries when at most
+# 1 / _SPARSE_SHARE of the entries are nonzero; somewhat beyond that the full
+# product is faster (the measured crossover is in DetectorStream's docstring).
+_SPARSE_SHARE = 4
+
+
 class DetectorStream:
     """In-loop detection: each step is scored before it is committed.
 
@@ -667,14 +715,26 @@ class DetectorStream:
     terms from one product with its halves stacked as a (2, in, hidden_dim)
     array: ``x @ [M_top; M_bot]`` gives ``[x @ M_top, x @ M_bot]``.
 
-    f_h and block 1 are both linear before block 1's tanh, so the stream
-    multiplies them together when it opens: ``F = fh_w.T @ [M_top; M_bot]``
-    and ``c = fh_b @ [M_top; M_bot]`` for block 1's halves, d * d_h * 2 *
-    hidden_dim multiply-adds once per stream. A commit then makes one
-    product for block 1 (``step @ F + c``), one per later block and a few
-    vector operations; scoring the next step adds the f_theta head's
-    product. With the default two blocks, at d_e 64 and d_h 256, a turn
-    reads 1.75 MB of weights where the unfolded products read 2.5 MB. The
+    f_h and block 1 are both linear before block 1's tanh, so they are
+    multiplied together into the (d, 2 * hidden_dim) fold F and its bias c
+    (``DetectorModel.fold``). The model computes the fold once and keeps it
+    with copies of fh_w and fh_b; a stream that opens while those values are
+    unchanged reuses it after one value comparison (11 to 15 us against
+    0.9 to 1.2 ms for a fold, at d_e 64, d_h 256). Two threads that open
+    streams at once may both compute the fold; the values are equal.
+
+    A commit makes one product for block 1 (``step @ F + c``), one per later
+    block and a few vector operations; scoring the next step adds the
+    f_theta head's product. When at most a quarter of the step's entries
+    are nonzero, as in a hashing embedding, block 1's product reads only
+    their rows: ``step[idx] @ F[idx]`` for ``idx = np.flatnonzero(step)``.
+    A denser step takes the full product, so the input alone picks the
+    path. With ``timeit`` on ``commit`` at d_e 64, d_h 256 (one BLAS thread,
+    2-core x86-64), the two paths cost the same near 44 of 128 nonzero
+    entries, so the cut at a quarter keeps the sparse path where it is
+    faster. With the default two blocks, at d_e 64 and d_h 256, a turn
+    reads about 1.28 MB of weights for a step of 8 nonzero entries and
+    1.75 MB for a dense one, where the unfolded products read 2.5 MB. The
     projected query goes through block 1's own halves once, at open. Every
     product and vector operation of a turn writes into rows the stream
     allocates once. With a remote backbone the stream keeps the projected
@@ -682,7 +742,9 @@ class DetectorStream:
 
     The model's parameters must stay frozen for the stream's lifetime: the
     fold, the running sums, the hidden state and the prototype's norm (taken
-    once, when the stream opens) all come from them.
+    once, when the stream opens) all come from them. Steps are not checked
+    for NaN or infinite values here, which would cost two checks a turn;
+    the embedders reject such vectors where they come from.
 
     ``score`` judges a pending step against the committed history and
     leaves the stream unchanged; the prediction it compares with is computed
@@ -719,10 +781,10 @@ class DetectorStream:
                  np.empty((2, m.shape[1])), np.empty(m.shape[1]))
                 for m in model.mixer().matrices_t
             ]
-            first = self._blocks[0][0]
-            self._fold = np.matmul(params["fh_w"].T, first)
-            self._fold_bias = np.matmul(params["fh_b"], first)
-            np.matmul(query, first, out=self._blocks[0][2])
+            first, _, terms, _ = self._blocks[0]
+            self._fold, self._fold_bias = model.fold()
+            self._fold_terms = terms.reshape(-1)  # [top | bottom], a view
+            np.matmul(query, first, out=terms)
             self._advance()
         else:
             self._blocks = None
@@ -781,7 +843,10 @@ class DetectorStream:
         if self._blocks is None:
             self._rows.append(step @ self._fh_w_t + self._fh_b)
             return
-        terms = self._blocks[0][2]
-        np.matmul(step, self._fold, out=terms)
-        terms += self._fold_bias
+        idx = np.flatnonzero(step)  # a hashing step has a few nonzero entries
+        if idx.size * _SPARSE_SHARE <= step.size:
+            np.matmul(step[idx], self._fold[idx], out=self._fold_terms)
+        else:
+            np.matmul(step, self._fold, out=self._fold_terms)
+        self._fold_terms += self._fold_bias
         self._advance()

@@ -166,9 +166,10 @@ class VectorCache:
 
     File layout is a sequence of length-prefixed records (key digest,
     dimension, raw little-endian float64 values). On load, a record whose
-    length disagrees with its dimension is skipped with a warning, and
-    loading goes on after it; a truncated trailing record is ignored. Writes
-    are serialized by an internal lock.
+    length disagrees with its dimension, or that holds a NaN or infinite
+    value, is skipped with a warning, and loading goes on after it; a
+    truncated trailing record is ignored. Writes are serialized by an
+    internal lock.
     """
 
     def __init__(self, path: str):
@@ -201,6 +202,10 @@ class VectorCache:
                                self.path, start - _RECORD_HEAD.size, dim, length)
                 continue
             values = np.frombuffer(payload, dtype="<f8", offset=_KEY_DIM.size, count=dim)
+            if not np.isfinite(values).all():
+                logger.warning("%s: skipping a cache record at byte %d: "
+                               "non-finite value", self.path, start - _RECORD_HEAD.size)
+                continue
             self._mem[digest] = values.astype(np.float64)
 
     def get(self, digest: bytes) -> np.ndarray | None:
@@ -267,6 +272,10 @@ class RemoteEmbedder:
             vectors = [np.asarray(v, dtype=np.float64) for v in reply["vectors"]]
             if len(vectors) != len(texts):
                 raise ValueError(f"{len(vectors)} vectors for {len(texts)} texts")
+            # Python's json reads NaN and Infinity; such a vector would make
+            # every later score NaN, which no threshold flags.
+            if not all(np.isfinite(v).all() for v in vectors):
+                raise ValueError("non-finite value in a vector")
             return vectors
 
         body = {"model": spec.model_name, "texts": texts}

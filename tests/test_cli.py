@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -7,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from masc.checkpoint import load_checkpoint
+from masc import cli
+from masc.checkpoint import load_checkpoint, save_checkpoint
 from masc.cli import main
 from masc.detector import BackboneSpec
+from masc.embedding import EmbedderSpec, embed_trajectory
 from masc.evaluation import ScoredStep, compute_metrics
 from masc.experiment import ExperimentConfig, MascSettings
 from masc.fixtures import run_fixture
@@ -367,6 +370,45 @@ class TestScore:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage")
         assert main(["score", "--checkpoint", str(bad), "--traces", corpus_file]) == 2
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite vector would make every later score NaN, and no
+    threshold flags NaN; each way one can arrive ends in an error exit."""
+
+    def test_non_finite_embedding_reply_exits_two(
+        self, trained_checkpoint, corpus_file, stub_service, tmp_path, capsys
+    ):
+        class NonFinite(stub_service):
+            def payload(self, path, body):
+                reply = super().payload(path, body)
+                reply["vectors"][-1][0] = math.inf
+                return reply
+
+        model, calibration = load_checkpoint(trained_checkpoint[0])
+        with NonFinite(dimension=16) as stub:
+            remote = replace(model, embedder=EmbedderSpec(
+                kind="remote", dimension=16, endpoint=stub.endpoint, model_name="m"))
+            ckpt = str(tmp_path / "remote.ckpt")
+            save_checkpoint(remote, calibration, ckpt)
+            assert main(["score", "--checkpoint", ckpt, "--traces", corpus_file]) == 2
+            assert len(stub.requests) == 3  # retried, then TransportError
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
+
+    def test_non_finite_step_embedding_exits_three(
+        self, trained_checkpoint, corpus_file, monkeypatch, capsys
+    ):
+        def with_nan(spec, trajectory, with_gt=False):
+            q_vec, steps = embed_trajectory(spec, trajectory, with_gt=with_gt)
+            steps[-1, 0] = math.nan
+            return q_vec, steps
+
+        monkeypatch.setattr(cli, "embed_trajectory", with_nan)
+        assert main(["score", "--checkpoint", trained_checkpoint[0],
+                     "--traces", corpus_file]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "NaN" in err and "Traceback" not in err
 
 
 class TestEval:

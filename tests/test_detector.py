@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masc.detector import (
+    _SPARSE_SHARE,
     PARAM_ORDER,
     AnomalyVerdict,
     BackboneSpec,
@@ -72,6 +73,19 @@ class TestEncodeContext:
         for got, raw in zip(seq[1:], h):
             expected = model.params["fh_w"] @ raw + model.params["fh_b"]
             assert np.allclose(got, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["query", "step"])
+    def test_a_non_finite_input_is_a_data_error(self, bad, where):
+        # Left unchecked, a NaN makes every later score NaN, and NaN > delta
+        # is False: detection would switch itself off without a word.
+        model = tiny_model()
+        q, steps = np.zeros(4), np.ones((3, 8))
+        (q if where == "query" else steps[1])[2] = bad
+        with pytest.raises(DataError, match="NaN or infinite"):
+            score_trajectory(model, q, steps, 1.0, 1.0)
+        with pytest.raises(DataError, match="NaN or infinite"):
+            score_trajectory(model, q, list(steps), 1.0, 1.0)
 
     def test_dimension_mismatch_is_fatal(self):
         model = tiny_model()
@@ -418,6 +432,35 @@ def test_one_row_continuation_equals_the_full_pass(n, k, h, layers, seed, scale)
             assert error <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 37.0])
+def test_sparse_and_dense_commits_equal_the_full_pass(seed, scale):
+    # Block 1 reads only the fold rows of a step's nonzero entries when at
+    # most a quarter of them are nonzero, the whole fold otherwise. Steps of
+    # 0, 1, crossover and crossover + 1 nonzero entries and a dense one, in
+    # a seeded order, must each leave every block's row equal to the full
+    # pass's, as in the test above.
+    d_e, k, h = 8, 12, 10
+    d = 2 * d_e
+    crossover = d // _SPARSE_SHARE
+    model = DetectorModel.init(
+        EmbedderSpec(kind="hashing", dimension=d_e), d_h=k,
+        backbone=BackboneSpec(hidden_dim=h, layers=2, seed=seed), seed=seed,
+    )
+    rng = np.random.RandomState(seed)
+    steps = np.zeros((10, d))
+    for row, count in zip(steps, rng.permutation([0, 1, crossover, crossover + 1, d] * 2)):
+        row[rng.choice(d, count, replace=False)] = scale * rng.randn(count)
+    q = rng.randn(d_e)
+    full = model.mixer().run(projected_sequence(model.params, q, steps))
+    stream = DetectorStream(model, q)
+    for i, step in enumerate(steps, start=1):
+        stream.commit(step)
+        for (_, _, _, out), rows in zip(stream._blocks, full, strict=True):
+            error = np.max(np.abs(out - rows[i])) / np.max(np.abs(rows[i]))
+            assert error <= 1e-12
+
+
 @pytest.mark.parametrize("n", [0, 2, 3])
 def test_a_prefix_is_continued_by_one_row_only(n):
     stream = DetectorStream(tiny_model(), np.zeros(4))
@@ -442,8 +485,11 @@ class TestRemoteBackbone:
             assert stub.requests[0]["path"].endswith("/encode")
 
     @pytest.mark.parametrize(
-        "raw", [*MALFORMED_REPLIES.values(), b'{"vector": "abc"}'],
-        ids=[*MALFORMED_REPLIES, "vector not numeric"],
+        "raw", [
+            *MALFORMED_REPLIES.values(), b'{"vector": "abc"}',
+            b'{"vector": [0, 0, NaN, 0, 0, 0]}', b'{"vector": [0, 0, 0, 0, 0, -Infinity]}',
+        ],
+        ids=[*MALFORMED_REPLIES, "vector not numeric", "NaN", "Infinity"],
     )
     def test_malformed_reply_is_transport_error(self, stub_service, raw):
         with stub_service(raw=raw) as stub:

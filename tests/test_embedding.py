@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import math
 import struct
 import sys
 import threading
@@ -345,6 +346,20 @@ class TestVectorCache:
         assert np.array_equal(reloaded.get(cache_key("m", "b")), np.full(3, 2.0))
         assert any("skipping" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_record_is_skipped(self, tmp_path, caplog, bad):
+        # An append from elsewhere, or a vector cached before replies were
+        # checked; put() itself stores what it is given.
+        path = str(tmp_path / "cache.bin")
+        cache = VectorCache(path)
+        cache.put(cache_key("m", "a"), np.array([1.0, bad, 0.0]))
+        cache.put(cache_key("m", "b"), np.full(3, 2.0))
+        with caplog.at_level(logging.WARNING, logger="masc.embedding"):
+            reloaded = VectorCache(path)
+        assert reloaded.get(cache_key("m", "a")) is None
+        assert np.array_equal(reloaded.get(cache_key("m", "b")), np.full(3, 2.0))
+        assert any("non-finite" in r.message for r in caplog.records)
+
     def test_concurrent_writers(self, tmp_path):
         cache = VectorCache(str(tmp_path / "cache.bin"))
 
@@ -388,8 +403,12 @@ class TestRemoteEmbedder:
                 embed_text(spec, "x")
 
     @pytest.mark.parametrize(
-        "raw", [*MALFORMED_REPLIES.values(), b'{"vectors": [[0, 1, 2, 3]]}'],
-        ids=[*MALFORMED_REPLIES, "one vector for two texts"],
+        "raw", [
+            *MALFORMED_REPLIES.values(), b'{"vectors": [[0, 1, 2, 3]]}',
+            b'{"vectors": [[0, 1, 2, 3], [0, NaN, 2, 3]]}',
+            b'{"vectors": [[Infinity, 1, 2, 3], [0, 1, 2, 3]]}',
+        ],
+        ids=[*MALFORMED_REPLIES, "one vector for two texts", "NaN", "Infinity"],
     )
     def test_malformed_reply_is_transport_error(self, stub_service, raw):
         with stub_service(raw=raw) as stub:
@@ -414,6 +433,15 @@ class TestRemoteEmbedder:
             first = embed_text(spec, "same text")
             second = embed_text(spec, "same text")
             assert np.array_equal(first, second)
+            assert len(stub.requests) == 1
+
+    def test_a_non_finite_cached_vector_is_fetched_again(self, stub_service, tmp_path):
+        cache_path = str(tmp_path / "c.bin")
+        VectorCache(cache_path).put(cache_key("m", "x"), np.array([0.0, math.nan, 0.0, 0.0]))
+        with stub_service(dimension=4) as stub:
+            spec = EmbedderSpec(kind="remote", dimension=4, endpoint=stub.endpoint,
+                                model_name="m", cache_path=cache_path)
+            assert np.isfinite(embed_text(spec, "x")).all()
             assert len(stub.requests) == 1
 
     def test_cached_vector_of_another_dimension_is_config_error(self, stub_service, tmp_path):
