@@ -39,14 +39,12 @@ Two ways to score:
 - ``DetectorStream``: in-loop detection. ``score`` judges the pending step
   without changing state; ``commit`` takes the kept step through the
   blocks, adding to each block's running sum of products, so a turn costs
-  the same at step 3 and step 300. f_h is folded into block 1 once per
-  model (``DetectorModel.fold``), and a stream opened later reuses the fold
-  while fh_w and fh_b hold the values it came from. With the default two
-  blocks a turn makes three matrix-vector products (the folded block 1,
-  block 2, the f_theta head) and a few vector operations, all written into
-  rows the stream allocates once; for a step with few nonzero entries, as
-  hashing embeddings have, block 1 reads only those entries' rows of the
-  fold. The model's parameters must not change while a stream is open.
+  the same at step 3 and step 300. f_h is folded into block 1 when the
+  stream opens, so with the default two blocks a turn makes three
+  matrix-vector products (the folded block 1, block 2, the f_theta head)
+  and a few vector operations. Block 1 reads only the fold rows of the
+  step's nonzero entries, a few of 128 for a hashing embedding. The
+  model's parameters must not change while a stream is open.
 """
 
 from __future__ import annotations
@@ -291,8 +289,6 @@ class DetectorModel:
     with_gt: bool = False
     _mixer: FrozenMixer | None = field(default=None, repr=False, compare=False)
     _remote: RemoteBackbone | None = field(default=None, repr=False, compare=False)
-    # (fh_w copy, fh_b copy, F, c): see ``fold``.
-    _fold: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -341,32 +337,6 @@ class DetectorModel:
                 mixer = _MIXERS[key] = FrozenMixer(self.backbone, self.d_h)
             self._mixer = mixer
         return self._mixer
-
-    def fold(self) -> tuple[np.ndarray, np.ndarray]:
-        """f_h folded into the frozen mixer's first block: the (d, 2 *
-        hidden_dim) matrix ``F = fh_w.T @ [M_top | M_bot]``, row-major, and
-        its bias ``c = fh_b @ [M_top | M_bot]``, where M_top and M_bot are the
-        block's halves that read the causal mean and the current row. A
-        step's two block-1 terms are ``step @ F + c``.
-
-        Computed once per model (d * d_h * 2 * hidden_dim multiply-adds) and
-        kept with copies of the fh_w and fh_b values it came from; it is
-        computed again when ``np.array_equal`` finds those values changed.
-        Comparing values, not objects, catches training's in-place writes to
-        ``params.flat``. Two threads that both find it stale compute equal
-        folds, and either may be kept.
-        """
-        fh_w, fh_b = self.params["fh_w"], self.params["fh_b"]
-        cached = self._fold
-        if cached is None or not (
-            np.array_equal(cached[0], fh_w) and np.array_equal(cached[1], fh_b)
-        ):
-            first = self.mixer().matrices_t[0]
-            halves = first.reshape(2, first.shape[0] // 2, first.shape[1])
-            fold = np.matmul(fh_w.T, halves).transpose(1, 0, 2).reshape(self.d, -1)
-            bias = np.matmul(fh_b, halves).reshape(-1)
-            cached = self._fold = (fh_w.copy(), fh_b.copy(), fold, bias)
-        return cached[2], cached[3]
 
     def remote(self) -> RemoteBackbone:
         if self._remote is None:
@@ -697,12 +667,6 @@ def score_trajectory(
     )
 
 
-# A commit reads only the fold rows of a step's nonzero entries when at most
-# 1 / _SPARSE_SHARE of the entries are nonzero; somewhat beyond that the full
-# product is faster (the measured crossover is in DetectorStream's docstring).
-_SPARSE_SHARE = 4
-
-
 class DetectorStream:
     """In-loop detection: each step is scored before it is committed.
 
@@ -715,30 +679,24 @@ class DetectorStream:
     terms from one product with its halves stacked as a (2, in, hidden_dim)
     array: ``x @ [M_top; M_bot]`` gives ``[x @ M_top, x @ M_bot]``.
 
-    f_h and block 1 are both linear before block 1's tanh, so they are
-    multiplied together into the (d, 2 * hidden_dim) fold F and its bias c
-    (``DetectorModel.fold``). The model computes the fold once and keeps it
-    with copies of fh_w and fh_b; a stream that opens while those values are
-    unchanged reuses it after one value comparison (11 to 15 us against
-    0.9 to 1.2 ms for a fold, at d_e 64, d_h 256). Two threads that open
-    streams at once may both compute the fold; the values are equal.
-
-    A commit makes one product for block 1 (``step @ F + c``), one per later
+    f_h and block 1 are both linear before block 1's tanh, so the stream
+    multiplies them together when it opens: the (d, 2 * hidden_dim) fold
+    ``F = fh_w.T @ [M_top | M_bot]``, row-major, and its bias
+    ``c = fh_b @ [M_top | M_bot]``, d * d_h * 2 * hidden_dim multiply-adds
+    once per stream. A commit makes one product for block 1, one per later
     block and a few vector operations; scoring the next step adds the
-    f_theta head's product. When at most a quarter of the step's entries
-    are nonzero, as in a hashing embedding, block 1's product reads only
-    their rows: ``step[idx] @ F[idx]`` for ``idx = np.flatnonzero(step)``.
-    A denser step takes the full product, so the input alone picks the
-    path. With ``timeit`` on ``commit`` at d_e 64, d_h 256 (one BLAS thread,
-    2-core x86-64), the two paths cost the same near 44 of 128 nonzero
-    entries, so the cut at a quarter keeps the sparse path where it is
-    faster. With the default two blocks, at d_e 64 and d_h 256, a turn
-    reads about 1.28 MB of weights for a step of 8 nonzero entries and
-    1.75 MB for a dense one, where the unfolded products read 2.5 MB. The
-    projected query goes through block 1's own halves once, at open. Every
-    product and vector operation of a turn writes into rows the stream
-    allocates once. With a remote backbone the stream keeps the projected
-    rows and sends one /encode request per scored step.
+    f_theta head's product. Block 1's product reads only the fold rows of
+    the step's nonzero entries, ``step[idx] @ F[idx] + c`` for
+    ``idx = np.flatnonzero(step)``; each commit allocates ``idx``, the k
+    nonzero entries and a (k, 2 * hidden_dim) copy of their fold rows. A
+    hashing step has a few nonzero entries of 128, so with the default two
+    blocks, at d_e 64 and d_h 256, a turn reads about 1.28 MB of weights; a
+    dense step, as from the remote embedder, reads 1.75 MB and copies the
+    whole fold, and the unfolded products read 2.5 MB. The projected query
+    goes through block 1's own halves once, at open. The other products
+    and vector operations of a turn write into rows the stream allocates
+    once. With a remote backbone the stream keeps the projected rows and
+    sends one /encode request per scored step.
 
     The model's parameters must stay frozen for the stream's lifetime: the
     fold, the running sums, the hidden state and the prototype's norm (taken
@@ -782,7 +740,10 @@ class DetectorStream:
                 for m in model.mixer().matrices_t
             ]
             first, _, terms, _ = self._blocks[0]
-            self._fold, self._fold_bias = model.fold()
+            fold = np.empty((model.d, 2, first.shape[2]))
+            np.matmul(params["fh_w"].T, first, out=fold.transpose(1, 0, 2))
+            self._fold = fold.reshape(model.d, -1)
+            self._fold_bias = np.matmul(params["fh_b"], first).reshape(-1)
             self._fold_terms = terms.reshape(-1)  # [top | bottom], a view
             np.matmul(query, first, out=terms)
             self._advance()
@@ -844,9 +805,6 @@ class DetectorStream:
             self._rows.append(step @ self._fh_w_t + self._fh_b)
             return
         idx = np.flatnonzero(step)  # a hashing step has a few nonzero entries
-        if idx.size * _SPARSE_SHARE <= step.size:
-            np.matmul(step[idx], self._fold[idx], out=self._fold_terms)
-        else:
-            np.matmul(step, self._fold, out=self._fold_terms)
+        np.matmul(step[idx], self._fold[idx], out=self._fold_terms)
         self._fold_terms += self._fold_bias
         self._advance()

@@ -17,12 +17,12 @@ committed turn and watching agent, and handed to the agent as a copy.
 Per turn, with detection: ``embed_step`` embeds the output (the role half
 memoized), ``DetectorStream.score`` judges it against the committed
 history, and ``DetectorStream.commit`` takes the kept step through the
-mixer blocks: one product with f_h folded into block 1, then one per later
-block, all into rows allocated at open. The fold is computed once per model
-and reused by every stream while f_h is unchanged; a hashing step has few
-nonzero entries, and block 1 reads only their rows of it. Only a flagged
-step builds a ``CorrectionRequest``; it carries the full committed history,
-steps 1..t-1 as (role, output) pairs, whatever the acting agent could see.
+mixer blocks: one product with f_h folded into block 1, which the stream
+does once per run when it opens, then one per later block. A hashing step
+has a few nonzero entries, and block 1 reads only their rows of the fold.
+Only a flagged step builds a ``CorrectionRequest``; it carries the full
+committed history, steps 1..t-1 as (role, output) pairs, whatever the
+acting agent could see.
 
 An agent is a role plus a callable. The simulator judges no run: the caller
 that knows the task sets ``RunReport.task_correct``, as the fixture suite's
