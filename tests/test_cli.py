@@ -543,6 +543,24 @@ class TestEval:
         assert main(["eval", "--scores", str(csv_path), "--traces", str(traces)]) == 0
         assert json.loads(capsys.readouterr().out)["auc_roc"] == 1.0
 
+    def test_golden_digest(self, trained_checkpoint, labeled_file, tmp_path):
+        """SHA-256 of the metrics JSON and the ``--hist --bins 6`` CSV, in
+        that order, of ``--scores`` mode and then ``--checkpoint`` mode; the
+        digest is committed, so a missing file fails."""
+        golden = GOLDEN_DIR / "eval_digest.txt"
+        assert golden.exists(), f"missing {golden}"
+        ckpt, _ = trained_checkpoint
+        scores = str(tmp_path / "scores.csv")
+        assert main(["score", "--checkpoint", ckpt, "--traces", labeled_file,
+                     "--out", scores]) == 0
+        written = b""
+        for source in (["--scores", scores], ["--checkpoint", ckpt]):
+            out, hist = tmp_path / "metrics.json", tmp_path / "hist.csv"
+            assert main(["eval", "--traces", labeled_file, "--out", str(out),
+                         "--hist", str(hist), "--bins", "6"] + source) == 0
+            written += out.read_bytes() + hist.read_bytes()
+        assert hashlib.sha256(written).hexdigest() == golden.read_text().strip()
+
 
 class TestDiag:
     def test_outputs_distances_and_histogram(self, labeled_file, capsys):
@@ -555,6 +573,15 @@ class TestDiag:
 
     def test_unlabeled_exits_three(self, corpus_file, capsys):
         assert main(["diag", "--traces", corpus_file]) == 3
+
+    def test_golden_digest(self, labeled_file, capsys):
+        """SHA-256 of the ``masc diag --bins 4`` JSON; the digest is
+        committed, so a missing file fails."""
+        golden = GOLDEN_DIR / "diag_digest.txt"
+        assert golden.exists(), f"missing {golden}"
+        assert main(["diag", "--traces", labeled_file, "--bins", "4"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == golden.read_text().strip()
 
 
 class TestSimulate:
