@@ -31,7 +31,12 @@ from .errors import (
     DivergenceError,
     MascError,
 )
-from .evaluation import ScoredStep, compute_metrics, embedding_distance_diagnostics
+from .evaluation import (
+    ScoredStep,
+    compute_metrics,
+    embedding_distance_diagnostics,
+    score_histogram,
+)
 from .experiment import ExperimentConfig, batch_experiment, dump_cell_traces
 from .trace import (
     error_position_histogram,
@@ -272,11 +277,7 @@ def cmd_train(args) -> int:
         **asdict(report), "checkpoint_digest": digest,
         "config": _config_echo(cfg), "version": __version__,
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.report:
-        _write_text(args.report, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.report, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -335,10 +336,11 @@ _SCORE_COLUMNS = ("trajectory_id", "t", "score", "flagged")
 def _scores_from_csv(path: str) -> list[tuple[str, int, float, bool]]:
     """The (trajectory id, t, score, flagged) rows of a ``masc score`` CSV.
 
-    A missing column, a short row, a non-numeric field or an unreadable file
-    raises DataError naming the file and line.
+    A missing column, a short row, a non-numeric field, a non-finite score, a
+    repeated (trajectory id, t) or an unreadable file raises DataError naming
+    the file and line.
     """
-    rows = []
+    rows = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -347,17 +349,20 @@ def _scores_from_csv(path: str) -> list[tuple[str, int, float, bool]]:
                 raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
             for row in reader:
                 try:
-                    rows.append((
-                        row["trajectory_id"], int(row["t"]), float(row["score"]),
-                        bool(int(row["flagged"])),
-                    ))
+                    key = (row["trajectory_id"], int(row["t"]))
+                    score, flagged = float(row["score"]), bool(int(row["flagged"]))
                 except (TypeError, ValueError) as exc:
                     raise DataError(
                         f"{path}:{reader.line_num}: missing or non-numeric field ({exc})"
                     ) from exc
+                if not math.isfinite(score):
+                    raise DataError(f"{path}:{reader.line_num}: non-finite score {score}")
+                if key in rows:
+                    raise DataError(f"{path}:{reader.line_num}: repeated step {key}")
+                rows[key] = (*key, score, flagged)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: unreadable CSV ({exc})") from exc
-    return rows
+    return list(rows.values())
 
 
 def cmd_eval(args) -> int:
@@ -387,11 +392,10 @@ def cmd_eval(args) -> int:
         scored.append(ScoredStep(
             trajectory_id=trajectory_id, t=t, score=score, label=label, flagged=flagged,
         ))
-    report = compute_metrics(scored, bins=args.bins if args.hist else None)
+    report = compute_metrics(scored)
     if args.hist:
-        _write_text(args.hist, report.histogram.to_csv())
-    payload = report.to_dict()
-    payload["version"] = __version__
+        _write_text(args.hist, score_histogram(scored, bins=args.bins).to_csv())
+    payload = {**asdict(report), "version": __version__}
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
@@ -399,9 +403,8 @@ def cmd_eval(args) -> int:
 def cmd_diag(args) -> int:
     trajectories = load_trajectories(args.traces, strict=args.strict)
     embedder = EmbedderSpec(**_given(dimension=args.dim))
-    raw = embedding_distance_diagnostics(trajectories, embedder)
-    augmented = embedding_distance_diagnostics(
-        trajectories, embedder, augment_nearest_neighbor=True
+    raw, augmented = embedding_distance_diagnostics(
+        trajectories, [embed_trajectory(embedder, t)[1] for t in trajectories]
     )
     histogram = error_position_histogram(trajectories, bins=args.bins)
     payload = {

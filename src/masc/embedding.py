@@ -255,7 +255,7 @@ class RemoteEmbedder:
                 if self.cache is not None:
                     self.cache.put(cache_key(spec.model_name, texts[i]), vec)
                 out[i] = vec
-        return [v for v in out]  # type: ignore[misc]
+        return out
 
     def _checked(self, vec: np.ndarray, source: str) -> np.ndarray:
         if vec.shape != (self.spec.dimension,):

@@ -1,15 +1,21 @@
-"""Detection metrics, score-distribution export, and embedding diagnostics."""
+"""Detection metrics, score-distribution export, and embedding diagnostics.
+
+Everything here computes from arrays, each thing once. ``auc_roc`` takes
+its midranks from one ``np.unique`` over the scores. ``score_histogram`` is
+called on its own, apart from the ``compute_metrics`` record.
+``embedding_distance_diagnostics`` reads the (T, d) step rows that
+``embed_trajectory`` returns and gives the raw and the
+nearest-neighbor-augmented distances from the same rows.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbedderSpec, embed_step
 from .errors import DataError
 from .trace import Trajectory
 
@@ -55,37 +61,27 @@ class MetricsReport:
     n_steps: int
     n_trajectories: int
     n_excluded_trajectories: int
-    histogram: HistogramResult | None = field(default=None, repr=False)
-
-    def to_dict(self) -> dict:
-        """Every field but the histogram, which is written as CSV."""
-        report = asdict(replace(self, histogram=None))
-        del report["histogram"]
-        return report
 
 
 def auc_roc(scored: list[ScoredStep]) -> float:
     """Probability a random error step outscores a random normal step.
 
-    Mann-Whitney formulation via midranks; ties count half.
+    Mann-Whitney formulation via midranks; ties count half, and -0.0 ties
+    with 0.0. A non-finite score raises DataError: numpy versions differ in
+    whether ``np.unique`` puts NaNs in one group.
     """
     scores = np.array([s.score for s in scored], dtype=np.float64)
     labels = np.array([s.label for s in scored])
+    if not np.isfinite(scores).all():
+        raise DataError("non-finite score: AUC needs finite scores")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise DataError("degenerate labels: need at least one of each class")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
-    rank_sum_pos = float(ranks[labels == 1].sum())
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # A tie group's 1-based midrank: its last rank less half its extra members.
+    midranks = np.cumsum(counts) - 0.5 * (counts - 1)
+    rank_sum_pos = float(midranks[group[labels == 1]].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -137,9 +133,7 @@ def score_histogram(scored: list[ScoredStep], bins: int = 20) -> HistogramResult
     )
 
 
-def compute_metrics(
-    scored: list[ScoredStep], bins: int | None = None
-) -> MetricsReport:
+def compute_metrics(scored: list[ScoredStep]) -> MetricsReport:
     """Full metric bundle over scored, labeled steps.
 
     ``step_accuracy`` is argmax localization against the single annotated
@@ -154,7 +148,6 @@ def compute_metrics(
     flag_acc = None
     if flagged:
         flag_acc = sum(1 for s in flagged if int(s.flagged) == s.label) / len(flagged)
-    hist = score_histogram(scored, bins=bins) if bins else None
     return MetricsReport(
         auc_roc=auc,
         step_accuracy=accuracy,
@@ -162,7 +155,6 @@ def compute_metrics(
         n_steps=len(scored),
         n_trajectories=len({s.trajectory_id for s in scored}),
         n_excluded_trajectories=excluded,
-        histogram=hist,
     )
 
 
@@ -174,58 +166,51 @@ class DistanceDiagnostics:
     n_error: int
 
 
-EmbedStepFn = Callable[[str, str], np.ndarray]
-
-
-def _step_embedder(embedder) -> EmbedStepFn:
-    if isinstance(embedder, EmbedderSpec):
-        return lambda role, output: embed_step(embedder, role, output)
-    return embedder
-
-
 def embedding_distance_diagnostics(
-    trajectories: list[Trajectory],
-    embedder: EmbedderSpec | EmbedStepFn,
-    augment_nearest_neighbor: bool = False,
-) -> DistanceDiagnostics:
-    """Inter-class vs intra-class embedding distances for labeled steps.
+    trajectories: list[Trajectory], step_matrices: list[np.ndarray]
+) -> tuple[DistanceDiagnostics, DistanceDiagnostics]:
+    """(raw, nn_augmented) inter- and intra-class distances of labeled steps.
 
-    ``inter`` is the L2 distance between the mean normal and mean error step
-    embeddings; ``intra`` is the mean L2 distance of normal step embeddings
-    to the normal mean. With ``augment_nearest_neighbor`` each step embedding
-    is concatenated with its nearest neighbor (L2) within the same trajectory
-    before computing distances; a single-step trajectory pairs with itself.
+    ``step_matrices[i]`` holds trajectory i's (T, d) step rows, as
+    ``embed_trajectory`` returns them; labels come from the trajectories, and
+    unlabeled steps are left out. ``inter`` is the L2 distance between the
+    mean normal and mean error rows; ``intra`` is the mean L2 distance of
+    normal rows to the normal mean. The augmented rows join each row with its
+    nearest other row (L2, first on ties) in the same trajectory; a
+    single-step trajectory pairs the row with itself.
     """
-    embed = _step_embedder(embedder)
-    normal, error = [], []
-    for trajectory in trajectories:
-        vecs = [embed(s.role, s.output) for s in trajectory.steps]
-        if augment_nearest_neighbor:
-            vecs = _augment_nn(vecs)
-        for vec, step in zip(vecs, trajectory.steps):
-            if step.label == 1:
-                error.append(vec)
-            elif step.label == 0:
-                normal.append(vec)
-    if not normal or not error:
+    if len(step_matrices) != len(trajectories):
+        raise DataError(
+            f"{len(step_matrices)} step matrices for {len(trajectories)} trajectories"
+        )
+    raw, augmented = [], []
+    for trajectory, rows in zip(trajectories, step_matrices):
+        if rows.ndim != 2 or len(rows) != len(trajectory):
+            raise DataError(
+                f"trajectory {trajectory.id!r}: step rows of shape {rows.shape} "
+                f"for {len(trajectory)} steps"
+            )
+        dists = np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2)
+        np.fill_diagonal(dists, np.inf)  # a lone row's argmin is itself
+        raw.append(rows)
+        augmented.append(np.hstack([rows, rows[np.argmin(dists, axis=1)]]))
+    labels = np.array([s.label for t in trajectories for s in t.steps])
+    normal, error = labels == 0, labels == 1
+    if not normal.any() or not error.any():
         raise DataError("diagnostics need labeled steps of both classes")
-    normal_arr = np.stack(normal)
-    error_arr = np.stack(error)
-    normal_mean = normal_arr.mean(axis=0)
-    inter = float(np.linalg.norm(error_arr.mean(axis=0) - normal_mean))
-    intra = float(np.mean(np.linalg.norm(normal_arr - normal_mean, axis=1)))
-    return DistanceDiagnostics(
-        inter=inter, intra=intra, n_normal=len(normal), n_error=len(error)
+    return tuple(
+        _class_distances(np.vstack(rows), normal, error) for rows in (raw, augmented)
     )
 
 
-def _augment_nn(vecs: list[np.ndarray]) -> list[np.ndarray]:
-    if len(vecs) == 1:
-        return [np.concatenate([vecs[0], vecs[0]])]
-    arr = np.stack(vecs)
-    out = []
-    for i, v in enumerate(vecs):
-        dists = np.linalg.norm(arr - v, axis=1)
-        dists[i] = np.inf
-        out.append(np.concatenate([v, vecs[int(np.argmin(dists))]]))
-    return out
+def _class_distances(
+    rows: np.ndarray, normal: np.ndarray, error: np.ndarray
+) -> DistanceDiagnostics:
+    normal_rows = rows[normal]
+    normal_mean = normal_rows.mean(axis=0)
+    return DistanceDiagnostics(
+        inter=float(np.linalg.norm(rows[error].mean(axis=0) - normal_mean)),
+        intra=float(np.mean(np.linalg.norm(normal_rows - normal_mean, axis=1))),
+        n_normal=int(normal.sum()),
+        n_error=int(error.sum()),
+    )

@@ -5,7 +5,9 @@
 per step, then the threshold applied with ``dataclasses.replace``) that the
 batched versions in ``masc.embedding`` and ``masc.detector`` replaced.
 ``checker_reference`` is the fixture checker that scanned every visible
-output forward. The replacements must equal them bit for bit.
+output forward, and ``auc_roc_reference`` the AUC that found each tie group
+of the sorted scores in a loop. The replacements must equal them bit for
+bit.
 
 ``continuation_reference`` gives the running sums a ``DetectorStream`` keeps
 for each frozen-mixer block, built the long way: the unfolded f_h
@@ -107,3 +109,23 @@ def checker_reference(query, visible, t):
     a, op1, b, op2, c = _parse_task(query, visible)
     result = _apply(op2.lower(), _apply(op1.lower(), int(a), int(b)), int(c))
     return f"no claim visible; computed {result}. ANSWER: {result}"
+
+
+def auc_roc_reference(scores, labels) -> float:
+    """Mann-Whitney AUC, each tie group's midrank found by walking the
+    stably sorted scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
+        i = j + 1
+    u = float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)

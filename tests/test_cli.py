@@ -18,7 +18,7 @@ from masc.experiment import ExperimentConfig, MascSettings
 from masc.fixtures import run_fixture
 from masc.simulator import FaultSpec
 from masc.synthetic import make_anomaly_corpus, make_normal_corpus
-from masc.trace import save_trajectories
+from masc.trace import load_trajectories, save_trajectories
 from masc.training import TrainConfig
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -511,7 +511,13 @@ class TestEval:
         ("trajectory_id,t,score,flagged\nx,one,0.5,0\n", ":2: missing or non-numeric"),
         ("trajectory_id,t,score,flagged\nx,1,high,0\n", ":2: missing or non-numeric"),
         ("trajectory_id,t,score,flagged\nx,1\n", ":2: missing or non-numeric"),
-    ], ids=["missing column", "non-numeric t", "non-numeric score", "short row"])
+        ("trajectory_id,t,score,flagged\nx,1,nan,0\n", ":2: non-finite score nan"),
+        ("trajectory_id,t,score,flagged\nx,1,0,0\nx,2,-inf,1\n",
+         ":3: non-finite score -inf"),
+        ("trajectory_id,t,score,flagged\nx,1,0,0\nx,2,1,1\nx,1,0,0\n",
+         ":4: repeated step ('x', 1)"),
+    ], ids=["missing column", "non-numeric t", "non-numeric score", "short row",
+            "NaN score", "infinite score", "repeated step"])
     def test_malformed_scores_csv_exits_three(self, labeled_file, tmp_path, capsys,
                                               text, message):
         csv_path = tmp_path / "bad.csv"
@@ -573,6 +579,22 @@ class TestDiag:
 
     def test_unlabeled_exits_three(self, corpus_file, capsys):
         assert main(["diag", "--traces", corpus_file]) == 3
+
+    def test_embeds_each_trajectory_once(self, labeled_file, monkeypatch, capsys):
+        calls = []
+
+        def counting(spec, trajectory, with_gt=False):
+            calls.append(trajectory.id)
+            return embed_trajectory(spec, trajectory, with_gt=with_gt)
+
+        def refuse(*args):
+            raise AssertionError("embed_step called")
+
+        monkeypatch.setattr(cli, "embed_trajectory", counting)
+        for module in ("masc.embedding", "masc.evaluation"):
+            monkeypatch.setattr(f"{module}.embed_step", refuse, raising=False)
+        assert main(["diag", "--traces", labeled_file]) == 0
+        assert sorted(calls) == sorted(t.id for t in load_trajectories(labeled_file))
 
     def test_golden_digest(self, labeled_file, capsys):
         """SHA-256 of the ``masc diag --bins 4`` JSON; the digest is

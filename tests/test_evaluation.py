@@ -1,5 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masc.evaluation import (
     ScoredStep,
@@ -12,6 +16,7 @@ from masc.evaluation import (
 )
 from masc.errors import DataError
 from masc.trace import Step, Trajectory
+from tests.reference import auc_roc_reference
 
 
 def scored(values, labels, traj="t", flagged=None):
@@ -79,6 +84,29 @@ class TestAucRoc:
         assert auc_roc(scored(-values, labels)) == pytest.approx(
             1.0 - auc_roc(scored(values, labels)), abs=1e-12
         )
+
+
+# Few distinct values, so most draws hold ties, and -0.0 beside 0.0.
+_tied_scores = st.sampled_from([-0.0, 0.0, 0.5, -1.25, 1e-300, 3.0])
+_any_scores = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(_tied_scores, _any_scores), st.sampled_from([0, 1])),
+        min_size=2, max_size=60,
+    ).filter(lambda rows: len({label for _, label in rows}) == 2)
+)
+def test_auc_roc_equals_the_tie_loop(rows):
+    values, labels = zip(*rows)
+    assert auc_roc(scored(values, labels)) == auc_roc_reference(values, labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auc_roc_rejects_a_non_finite_score(bad):
+    with pytest.raises(DataError, match="non-finite"):
+        auc_roc(scored([0.1, bad, 0.3, 0.9], [0, 1, 0, 1]))
 
 
 class TestStepAccuracy:
@@ -160,71 +188,91 @@ class TestComputeMetrics:
             scored([0.1, 0.9, 0.2], [0, 1, 0], traj="a", flagged=[False, True, False])
             + scored([0.2, 0.3, 0.8], [0, 0, 1], traj="b", flagged=[False, False, True])
         )
-        report = compute_metrics(rows, bins=4)
+        report = compute_metrics(rows)
         assert report.auc_roc == 1.0
         assert report.step_accuracy == 1.0
         assert report.flag_accuracy == 1.0
         assert report.n_steps == 6
         assert report.n_trajectories == 2
-        assert report.histogram is not None
-        payload = report.to_dict()
+        hist = score_histogram(rows, bins=4)
+        assert (hist.normal_counts.sum(), hist.error_counts.sum()) == (4, 2)
+        payload = asdict(report)
         assert payload["auc_roc"] == 1.0
 
 
-def fixed_embedder(table):
-    return lambda role, output: np.asarray(table[(role, output)], dtype=float)
+def labeled_trajectory(labels, traj="t"):
+    return Trajectory(
+        id=traj, query="q",
+        steps=tuple(Step("r", f"s{i}", label) for i, label in enumerate(labels)),
+    )
 
 
 class TestDistanceDiagnostics:
     def three_point_corpus(self):
         # hand-built: normals at (0,0) and (2,0); error at (3,4)
-        table = {
-            ("r", "n1"): [0.0, 0.0],
-            ("r", "n2"): [2.0, 0.0],
-            ("r", "e1"): [3.0, 4.0],
-        }
-        trajectory = Trajectory(
-            id="t",
-            query="q",
-            steps=(Step("r", "n1", 0), Step("r", "n2", 0), Step("r", "e1", 1)),
-        )
-        return [trajectory], fixed_embedder(table)
+        rows = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 4.0]])
+        return [labeled_trajectory([0, 0, 1])], [rows]
 
     def test_hand_arithmetic(self):
-        trajectories, embed = self.three_point_corpus()
-        diag = embedding_distance_diagnostics(trajectories, embed)
+        diag, _ = embedding_distance_diagnostics(*self.three_point_corpus())
         # normal mean (1,0); error mean (3,4); inter = sqrt(4+16)
         assert diag.inter == pytest.approx(np.sqrt(20.0), abs=1e-12)
         assert diag.intra == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_class_means_give_zero_inter(self):
-        table = {("r", "n"): [1.0, 1.0], ("r", "e"): [1.0, 1.0]}
-        trajectory = Trajectory(
-            id="t", query="q", steps=(Step("r", "n", 0), Step("r", "e", 1))
-        )
-        diag = embedding_distance_diagnostics([trajectory], fixed_embedder(table))
+        rows = np.array([[1.0, 1.0], [1.0, 1.0]])
+        diag, _ = embedding_distance_diagnostics([labeled_trajectory([0, 1])], [rows])
         assert diag.inter == 0.0
 
     def test_identical_normals_give_zero_intra(self):
-        table = {("r", "n"): [1.0, 0.0], ("r", "e"): [0.0, 1.0]}
-        trajectory = Trajectory(
-            id="t", query="q",
-            steps=(Step("r", "n", 0), Step("r", "n", 0), Step("r", "e", 1)),
+        rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        diag, _ = embedding_distance_diagnostics(
+            [labeled_trajectory([0, 0, 1])], [rows]
         )
-        diag = embedding_distance_diagnostics([trajectory], fixed_embedder(table))
         assert diag.intra == 0.0
 
     def test_missing_class_is_error(self):
-        table = {("r", "n"): [1.0, 0.0]}
-        trajectory = Trajectory(id="t", query="q", steps=(Step("r", "n", 0),))
         with pytest.raises(DataError):
-            embedding_distance_diagnostics([trajectory], fixed_embedder(table))
+            embedding_distance_diagnostics(
+                [labeled_trajectory([0])], [np.array([[1.0, 0.0]])]
+            )
 
     def test_nn_augmentation_doubles_dimension(self):
-        trajectories, embed = self.three_point_corpus()
-        plain = embedding_distance_diagnostics(trajectories, embed)
-        augmented = embedding_distance_diagnostics(
-            trajectories, embed, augment_nearest_neighbor=True
-        )
+        plain, augmented = embedding_distance_diagnostics(*self.three_point_corpus())
         assert augmented.n_normal == plain.n_normal
         assert augmented.inter != pytest.approx(plain.inter)
+
+    def test_nn_augmentation_by_hand(self):
+        # nearest rows: 0 -> 1, 1 -> 0, 2 -> 1; the lone-step trajectory
+        # pairs its row with itself
+        trajectories, matrices = self.three_point_corpus()
+        trajectories.append(labeled_trajectory([1], traj="lone"))
+        matrices.append(np.array([[5.0, 5.0]]))
+        _, augmented = embedding_distance_diagnostics(trajectories, matrices)
+        normal = np.array([[0.0, 0.0, 2.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+        error = np.array([[3.0, 4.0, 2.0, 0.0], [5.0, 5.0, 5.0, 5.0]])
+        mean = normal.mean(axis=0)
+        assert augmented.inter == pytest.approx(
+            np.linalg.norm(error.mean(axis=0) - mean), abs=1e-12
+        )
+        assert augmented.intra == pytest.approx(
+            np.linalg.norm(normal - mean, axis=1).mean(), abs=1e-12
+        )
+        assert (augmented.n_normal, augmented.n_error) == (2, 2)
+
+    def test_unlabeled_steps_are_left_out(self):
+        rows = np.array([[0.0, 0.0], [9.0, 9.0], [2.0, 0.0], [3.0, 4.0]])
+        diag, _ = embedding_distance_diagnostics(
+            [labeled_trajectory([0, None, 0, 1])], [rows]
+        )
+        assert diag.inter == pytest.approx(np.sqrt(20.0), abs=1e-12)
+        assert (diag.n_normal, diag.n_error) == (2, 1)
+
+    @pytest.mark.parametrize("matrices", [
+        [np.zeros((2, 2))],
+        [np.zeros((3, 2)), np.zeros((3, 2))],
+        [np.zeros(6)],
+    ], ids=["too few rows", "too many matrices", "one-dimensional"])
+    def test_row_count_mismatch_is_error(self, matrices):
+        with pytest.raises(DataError):
+            embedding_distance_diagnostics([labeled_trajectory([0, 0, 1])], matrices)
