@@ -1,13 +1,15 @@
+import hashlib
 import json
 import math
 import struct
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from masc.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
-from masc.detector import PARAM_ORDER, BackboneSpec, score_trajectory
+from masc.detector import PARAM_ORDER, BackboneSpec, score_trajectory, trajectory_loss
 from masc.embedding import EmbedderSpec, embed_trajectory
 from masc.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from masc.synthetic import make_normal_corpus
@@ -16,6 +18,7 @@ from masc.training import PROFILES, Calibration, TrainConfig, calibrate_threshol
 from tests.conftest import views_tile
 
 EMB = EmbedderSpec(kind="hashing", dimension=16)
+GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 def cfg(**kw):
@@ -127,6 +130,35 @@ class TestTrain:
         corpus = make_normal_corpus(3, seed=9, T=3)
         with pytest.raises(DivergenceError, match="epoch"):
             train(cfg(lr=1e300, epochs=2), corpus)
+
+    def test_short_trajectories_golden_digest(self):
+        """SHA-256s of the parameters that ``train`` fits on a corpus whose
+        one-step trajectories alternate with three-step ones, and of the
+        little-endian float64 scores of every step of that corpus; both are
+        committed (``short_trajectory_digest.txt``), so a missing file fails.
+        No other golden trains on a one-step trajectory."""
+        golden = GOLDEN_DIR / "short_trajectory_digest.txt"
+        assert golden.exists(), f"missing {golden}"
+        ones = make_normal_corpus(4, seed=31, T=1, prefix="one")
+        threes = make_normal_corpus(4, seed=32, T=3, prefix="three")
+        corpus = [t for pair in zip(ones, threes) for t in pair]
+        model, _ = train(cfg(epochs=3), corpus)
+        scores = [
+            v.score
+            for trajectory in corpus
+            for v in score_trajectory(model, *embed_trajectory(EMB, trajectory), 1.0, 1.0)
+        ]
+        scores_digest = hashlib.sha256(np.array(scores, dtype="<f8").tobytes()).hexdigest()
+        assert [model.param_digest(), scores_digest] == golden.read_text().split()
+
+    def test_one_step_trajectory_leaves_f_h_gradients_positive_zero(self):
+        model = train(cfg(epochs=1), make_normal_corpus(2, seed=33, T=3))[0]
+        q_vec, step_matrix = embed_trajectory(EMB, make_normal_corpus(1, seed=34, T=1)[0])
+        grads = model.params.zeros_like()
+        grads.flat[:] = np.nan  # every entry must be written
+        trajectory_loss(model, model.params, q_vec, step_matrix, 0.2, grads)
+        for name in ("fh_w", "fh_b"):
+            assert np.all(grads[name] == 0.0) and not np.signbit(grads[name]).any(), name
 
     def test_report_shape(self):
         corpus = make_normal_corpus(5, seed=10, T=3)
