@@ -133,6 +133,17 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
             calibration = Calibration(
                 **{f.name: c[f.name] for f in fields(Calibration) if f.name in c}
             )
+            if not (
+                all(
+                    type(getattr(calibration, key)) in (int, float)
+                    for key in ("delta", "quantile", "alpha", "beta")
+                )
+                and type(calibration.stats) is dict
+            ):
+                raise CheckpointError(
+                    "corrupt checkpoint: calibration delta, quantile, alpha and beta "
+                    "must be numbers and stats an object"
+                )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint: malformed header ({exc!r})") from exc
     return model, calibration

@@ -24,13 +24,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .detector import BackboneSpec, score_trajectory
 from .embedding import EmbedderSpec, embed_trajectory
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    DivergenceError,
-    MascError,
-)
+from .errors import ConfigError, DataError, DivergenceError, MascError
 from .evaluation import (
     ScoredStep,
     compute_metrics,
@@ -218,6 +212,8 @@ def _resolve_train_config(args) -> TrainConfig:
     if args.config:
         file_settings = _load_config_file(args.config)
         if "lambda" in file_settings:
+            if "lam" in file_settings:
+                raise ConfigError(f"config file {args.config} gives both 'lam' and 'lambda'")
             file_settings["lam"] = file_settings.pop("lambda")
         settings.update(file_settings)
     settings.update(_given(
@@ -269,8 +265,6 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
     trajectories = load_trajectories(args.traces, strict=args.strict)
-    if not trajectories:
-        raise DataError("no trajectories in input")
     model, report = train(cfg, trajectories)
     digest = save_checkpoint(model, None, args.checkpoint)
     payload = {
@@ -296,17 +290,16 @@ def cmd_calibrate(args) -> int:
 
 
 def _score_rows(model, calibration, trajectories, alpha, beta, delta):
-    if alpha is None:
-        alpha = calibration.alpha if calibration else 1.0
-    if beta is None:
-        beta = calibration.beta if calibration else 1.0
-    if delta is None:
-        delta = calibration.delta if calibration else math.inf
+    # A value given here, else the checkpoint's calibration, else the default.
+    weights = {"alpha": 1.0, "beta": 1.0, "delta": math.inf}
+    if calibration:
+        weights.update(alpha=calibration.alpha, beta=calibration.beta, delta=calibration.delta)
+    weights.update(_given(alpha=alpha, beta=beta, delta=delta))
     for trajectory in trajectories:
         q_vec, step_embs = embed_trajectory(
             model.embedder, trajectory, with_gt=model.with_gt
         )
-        for v in score_trajectory(model, q_vec, step_embs, alpha, beta, delta):
+        for v in score_trajectory(model, q_vec, step_embs, **weights):
             yield trajectory, v
 
 
@@ -386,12 +379,16 @@ def cmd_eval(args) -> int:
     }
     scored = []
     for trajectory_id, t, score, flagged in rows:
-        label = labels.get((trajectory_id, t))
+        label = labels.pop((trajectory_id, t), None)
         if label is None:
-            raise DataError(f"no label for step {(trajectory_id, t)}")
+            raise DataError(
+                f"step {(trajectory_id, t)} has no label, or its trajectory id repeats"
+            )
         scored.append(ScoredStep(
             trajectory_id=trajectory_id, t=t, score=score, label=label, flagged=flagged,
         ))
+    if labels:  # only a --scores CSV can leave steps out
+        raise DataError(f"{args.scores}: no score for step {next(iter(labels))}")
     report = compute_metrics(scored)
     if args.hist:
         _write_text(args.hist, score_histogram(scored, bins=args.bins).to_csv())
@@ -475,16 +472,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (DataError, OSError) as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except MascError as exc:
+    except MascError as exc:  # ConfigError, CheckpointError, TransportError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

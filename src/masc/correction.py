@@ -155,20 +155,15 @@ PolicyFn = Callable[[CorrectionRequest, str], str]
 
 
 class ScriptedPolicy:
-    """Table- or function-driven corrector for tests and fixtures."""
+    """Function-driven corrector for tests and fixtures."""
 
-    def __init__(self, script: dict[str, str] | PolicyFn):
+    def __init__(self, script: PolicyFn):
         self._script = script
         self.calls = 0
 
     def reply(self, req: CorrectionRequest, prompt: str) -> str:
         self.calls += 1
-        if callable(self._script):
-            return self._script(req, prompt)
-        reply = self._script.get(req.flagged_output)
-        if reply is None:
-            return json.dumps({"correction_needed": "No", "final_response": ""})
-        return reply
+        return self._script(req, prompt)
 
 
 class RemoteChatPolicy:

@@ -37,14 +37,9 @@ Two ways to score:
   sweep over the forward's intermediates (losses, attention, head, mixer
   blocks, projections).
 - ``DetectorStream``: in-loop detection. ``score`` judges the pending step
-  without changing state; ``commit`` takes the kept step through the
-  blocks, adding to each block's running sum of products, so a turn costs
-  the same at step 3 and step 300. f_h is folded into block 1 when the
-  stream opens, so with the default two blocks a turn makes three
-  matrix-vector products (the folded block 1, block 2, the f_theta head)
-  and a few vector operations. Block 1 reads only the fold rows of the
-  step's nonzero entries, a few of 128 for a hashing embedding. The
-  model's parameters must not change while a stream is open.
+  without changing state; ``commit`` appends the kept step, at a cost that
+  does not grow with the history. Its docstring describes how, and why
+  the model's parameters must not change while a stream is open.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ import logging
 import math
 import weakref
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,10 +109,6 @@ class FlatParams(Mapping[str, np.ndarray]):
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {name: view.shape for name, view in self._views.items()}
 
-    def copy(self) -> "FlatParams":
-        """The same layout over a copy of the buffer."""
-        return FlatParams(self.shapes(), self._flat.copy())
-
     def zeros_like(self) -> "FlatParams":
         """The same layout over a zero buffer, e.g. for gradients."""
         return FlatParams(self.shapes())
@@ -171,8 +162,6 @@ class FrozenMixer:
 
     def __init__(self, spec: BackboneSpec, input_dim: int):
         rng = np.random.RandomState(spec.seed)
-        self.spec = spec
-        self.input_dim = input_dim
         self.matrices_t: list[np.ndarray] = []  # pre-transposed, (2*in, out)
         in_dim = input_dim
         for _ in range(spec.layers):
@@ -348,9 +337,6 @@ class DetectorModel:
         which hold the parameters in ``PARAM_ORDER``."""
         return hashlib.sha256(self.params.flat.astype("<f8", copy=False).tobytes()).hexdigest()
 
-    def copy(self) -> "DetectorModel":
-        return replace(self, params=self.params.copy())
-
 
 @dataclass(frozen=True)
 class AnomalyVerdict:
@@ -378,8 +364,6 @@ def projected_sequence(
 ) -> np.ndarray:
     """Rows [q~, f_h(h_1) .. f_h(h_k)] for a (k, 2*d_e) history matrix."""
     q_t = params["fq_w"] @ q_vec + params["fq_b"]
-    if history.shape[0] == 0:
-        return q_t[None, :]
     return np.concatenate([q_t[None, :], projected_steps(params, history)], axis=0)
 
 
@@ -530,21 +514,18 @@ def trajectory_loss(
     np.matmul(g_x.T, blocks[-1], out=grads["ft_w"])
     np.sum(g_x, axis=0, out=grads["ft_b"])
 
-    # Mixer blocks, then the projections.
+    # Mixer blocks, then the projections. At T = 1 no step is projected:
+    # the empty product and the empty sum write +0.0 into the f_h gradients.
     if model.backbone.kind == "frozen_mixer":
         g_seq = model.mixer().backward(blocks, g_x @ params["ft_w"])
         np.outer(g_seq[0], q_vec, out=grads["fq_w"])
         grads["fq_b"][...] = g_seq[0]
-    else:
-        grads["fq_w"].fill(0.0)
-        grads["fq_b"].fill(0.0)
-    if model.backbone.kind == "frozen_mixer" and T > 1:
         g_h = np.array(g_seq[1:])  # a fresh copy, as in the mixer
         np.matmul(g_h.T, step_matrix[: T - 1], out=grads["fh_w"])
         np.sum(g_h, axis=0, out=grads["fh_b"])
     else:
-        grads["fh_w"].fill(0.0)
-        grads["fh_b"].fill(0.0)
+        for name in ("fq_w", "fq_b", "fh_w", "fh_b"):
+            grads[name].fill(0.0)
     return total, recon, proto, p_new, grads
 
 
@@ -561,7 +542,7 @@ def _checked_inputs(
         raise ConfigError(f"query vector must have dimension {model.d_e}")
     if not isinstance(step_embs, np.ndarray):
         try:
-            step_embs = np.stack(step_embs) if len(step_embs) else np.zeros((0, model.d))
+            step_embs = np.stack(step_embs)
         except ValueError as exc:
             raise ConfigError(f"step embeddings must have dimension {model.d}") from exc
     if step_embs.ndim != 2 or step_embs.shape[1] != model.d:

@@ -306,8 +306,6 @@ def _text_matrix(spec: EmbedderSpec, texts: list[str]) -> np.ndarray:
             raise DataError("cannot embed empty text")
     if spec.kind == "hashing":
         return _hashing_matrix(texts, spec.dimension)
-    if not texts:
-        return np.zeros((0, spec.dimension))
     return np.stack(_remote_backend(spec).embed_batch(texts))
 
 

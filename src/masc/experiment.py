@@ -99,12 +99,6 @@ class ExperimentReport:
     config: dict
     runs: dict[str, list[Trajectory]] = field(default_factory=dict, repr=False)
 
-    def cell(self, topology: str, faulted: bool, masc_on: bool) -> CellResult:
-        for c in self.cells:
-            if (c.topology, c.faulted, c.masc_on) == (topology, faulted, masc_on):
-                return c
-        raise KeyError((topology, faulted, masc_on))
-
     def to_dict(self) -> dict:
         """Each cell under its key, less the three fields the key spells."""
         cells = {c.key(): asdict(c) for c in self.cells}

@@ -83,6 +83,19 @@ class DatasetSplit:
     ratio: float
 
 
+def _check_encodable(text: str, field: str, step: int | None = None) -> None:
+    """TraceValidationError naming the field (of step ``step``, if given) when
+    ``text`` holds a lone surrogate: a ``\\ud800``-style escape parses to one,
+    and UTF-8 cannot encode it, so the trace would not re-serialize. An ASCII
+    string, the common case, is not encoded."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            where = field if step is None else f"step {step} {field}"
+            raise TraceValidationError(f"{where} holds a lone surrogate escape") from None
+
+
 def _check_keys(obj: dict, allowed: set[str], what: str, strict: bool):
     unknown = set(obj) - allowed
     if unknown:
@@ -95,8 +108,10 @@ def parse_trajectory(line: bytes | str, strict: bool = False) -> Trajectory:
     """Parse one JSONL line into a validated Trajectory.
 
     Malformed JSON or a byte that is not UTF-8 raises TraceParseError
-    carrying the byte offset; schema violations raise TraceValidationError.
-    Key order in the source does not matter. Unknown keys are rejected in
+    carrying the byte offset; schema violations raise TraceValidationError,
+    and so does a string field that holds a lone surrogate, so that every
+    trajectory this returns re-serializes. Key order in the source does not
+    matter. Unknown keys are rejected in
     strict mode, otherwise logged.
     """
     try:
@@ -117,8 +132,6 @@ def parse_trajectory(line: bytes | str, strict: bool = False) -> Trajectory:
     raw_steps = obj["steps"]
     if not isinstance(raw_steps, list):
         raise TraceValidationError("steps must be an array")
-    if not raw_steps:
-        raise TraceValidationError("empty steps")
     steps = []
     for i, raw in enumerate(raw_steps, start=1):
         if not isinstance(raw, dict):
@@ -128,6 +141,8 @@ def parse_trajectory(line: bytes | str, strict: bool = False) -> Trajectory:
         output = raw.get("output")
         if not isinstance(role, str) or not isinstance(output, str):
             raise TraceValidationError(f"step {i} needs string role and output")
+        _check_encodable(role, "role", i)
+        _check_encodable(output, "output", i)
         label = raw.get("label")
         if not _valid_label(label):
             raise TraceValidationError(f"step {i} label must be 0, 1, or null")
@@ -137,6 +152,8 @@ def parse_trajectory(line: bytes | str, strict: bool = False) -> Trajectory:
         raise TraceValidationError("gt_answer must be a string or null")
     if not isinstance(obj["id"], str) or not isinstance(obj["query"], str):
         raise TraceValidationError("id and query must be strings")
+    for key, text in (("id", obj["id"]), ("query", obj["query"]), ("gt_answer", gt or "")):
+        _check_encodable(text, key)
     return Trajectory(id=obj["id"], query=obj["query"], steps=tuple(steps), gt_answer=gt)
 
 

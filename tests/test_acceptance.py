@@ -331,7 +331,9 @@ def test_criterion_08_correction_protocol():
     from masc.detector import AnomalyVerdict
     from masc.correction import CorrectionRequest
 
-    policy = ScriptedPolicy({})
+    policy = ScriptedPolicy(
+        lambda _req, _prompt: '{"correction_needed": "No", "final_response": ""}'
+    )
     flags = [True, False, True, False, False, True, True]
     for i, flagged in enumerate(flags):
         verdict = AnomalyVerdict(

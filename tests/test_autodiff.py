@@ -24,7 +24,8 @@ from tests import gradcheck as ad
 
 def _query_row(w, b, x):
     """f_q applied to x through the production projection."""
-    return projected_sequence({"fq_w": w, "fq_b": b}, x, np.zeros((0, 1)))[0]
+    params = {"fq_w": w, "fq_b": b, "fh_w": np.zeros((b.size, 1)), "fh_b": np.zeros(b.size)}
+    return projected_sequence(params, x, np.zeros((0, 1)))[0]
 
 
 def test_linear_identity():

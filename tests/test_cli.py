@@ -137,6 +137,14 @@ class TestIngest:
         assert "invalid UTF-8" in err and "byte offset 10" in err
         assert "Traceback" not in err
 
+    def test_lone_surrogate_exits_three_before_writing(self, tmp_path, capsys):
+        path, out = tmp_path / "surrogate.jsonl", tmp_path / "canon.jsonl"
+        path.write_bytes(b'{"id":"x","query":"q","steps":[{"role":"r","output":"a\\ud800"}]}\n')
+        assert main(["ingest", "--traces", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "step 1 output" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_directory_exits_three_without_traceback(self, tmp_path, capsys):
         assert main(["ingest", "--traces", str(tmp_path)]) == 3
         err = capsys.readouterr().err
@@ -182,6 +190,16 @@ class TestTrain:
         assert report["config"]["epochs"] == 2  # from file
         assert report["config"]["lr"] == 1e-3  # flag wins
         assert report["config"]["lambda"] == 0.7
+
+    def test_lam_and_lambda_both_given_exits_two(self, corpus_file, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"lam": 0.1, "lambda": 0.9}))
+        ckpt = tmp_path / "x.ckpt"
+        code = main(["train", "--traces", corpus_file, "--checkpoint", str(ckpt),
+                     "--config", str(config)])
+        assert code == 2
+        assert "both 'lam' and 'lambda'" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_unknown_config_key_exits_two(self, corpus_file, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -525,6 +543,32 @@ class TestEval:
         assert main(["eval", "--scores", str(csv_path), "--traces", labeled_file]) == 3
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_scores_csv_missing_a_step_exits_three(self, trained_checkpoint, labeled_file,
+                                                   tmp_path, capsys):
+        ckpt, _ = trained_checkpoint
+        scores = tmp_path / "scores.csv"
+        assert main(["score", "--checkpoint", ckpt, "--traces", labeled_file,
+                     "--out", str(scores)]) == 0
+        lines = scores.read_text().splitlines(keepends=True)
+        trajectory_id, t = lines[-1].split(",")[:2]
+        scores.write_text("".join(lines[:-1]))
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(scores), "--traces", labeled_file]) == 3
+        err = capsys.readouterr().err
+        assert f"{scores}: no score for step {(trajectory_id, int(t))}" in err
+        assert "Traceback" not in err
+
+    def test_repeated_trajectory_id_exits_three(self, trained_checkpoint, tmp_path,
+                                                capsys):
+        """Steps are matched and grouped by (trajectory id, t), so a repeated
+        id would pool two trajectories into one."""
+        ckpt, _ = trained_checkpoint
+        corpus = make_anomaly_corpus(4, seed=23, T=4)
+        traces = tmp_path / "repeated.jsonl"
+        save_trajectories(str(traces), corpus + [corpus[0]])
+        assert main(["eval", "--checkpoint", ckpt, "--traces", str(traces)]) == 3
+        assert "trajectory id repeats" in capsys.readouterr().err
 
     def test_unlabeled_data_exits_three(self, trained_checkpoint, corpus_file, capsys):
         ckpt, _ = trained_checkpoint

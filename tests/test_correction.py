@@ -29,6 +29,14 @@ def req(history=((("planner", "made a plan"),)), output="the answer is 12"):
     )
 
 
+def scripted(correction_needed, final_response=""):
+    """A policy that answers every request with the same protocol reply."""
+    reply = json.dumps(
+        {"correction_needed": correction_needed, "final_response": final_response}
+    )
+    return ScriptedPolicy(lambda _req, _prompt: reply)
+
+
 def verdict(flagged, score=2.0, delta=1.0):
     return AnomalyVerdict(
         score=score, recon_term=score, proto_term=0.0, alpha=1.0, beta=0.0,
@@ -136,29 +144,21 @@ class TestParse:
 
 class TestApply:
     def test_unflagged_passes_through_without_calls(self):
-        policy = ScriptedPolicy({})
+        policy = scripted("No")
         outcome = apply_correction(policy, verdict(False), req())
         assert outcome.output == "the answer is 12"
         assert outcome.invoked is False
         assert policy.calls == 0
 
     def test_flagged_scripted_replacement(self):
-        policy = ScriptedPolicy(
-            {"the answer is 12": json.dumps(
-                {"correction_needed": "Yes", "final_response": "fixed"}
-            )}
-        )
+        policy = scripted("Yes", "fixed")
         outcome = apply_correction(policy, verdict(True), req())
         assert outcome.output == "fixed"
         assert outcome.invoked and outcome.replaced
         assert policy.calls == 1
 
     def test_flagged_but_agent_says_no_keeps_original(self):
-        policy = ScriptedPolicy(
-            {"the answer is 12": json.dumps(
-                {"correction_needed": "No", "final_response": "ignored"}
-            )}
-        )
+        policy = scripted("No", "ignored")
         outcome = apply_correction(policy, verdict(True), req())
         assert outcome.output == "the answer is 12"
         assert outcome.invoked and not outcome.replaced
@@ -175,7 +175,7 @@ class TestApply:
         assert any("keeping original" in r.message for r in caplog.records)
 
     def test_gating_call_count_matches_flag_count(self):
-        policy = ScriptedPolicy({})
+        policy = scripted("No")
         flags = [True, False, True, True, False]
         for f in flags:
             apply_correction(policy, verdict(f), req())

@@ -456,9 +456,10 @@ class TestBatchExperiment:
         }
         for cell in report.cells:
             assert cell.n_runs == 6
-        clean = report.cell("chain", False, False).accuracy
-        faulted = report.cell("chain", True, False).accuracy
-        recovered = report.cell("chain", True, True).accuracy
+        cells = {c.key(): c for c in report.cells}
+        clean = cells["chain/clean/off"].accuracy
+        faulted = cells["chain/faulted/off"].accuracy
+        recovered = cells["chain/faulted/masc"].accuracy
         assert clean >= faulted
         assert recovered >= faulted
         assert "fault_drop" in report.deltas["chain"]

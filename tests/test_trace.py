@@ -60,6 +60,25 @@ class TestParse:
         b = parse_trajectory(b'{"steps":[{"output":"o","role":"r"}],"query":"q","id":"x"}')
         assert a == b
 
+    @pytest.mark.parametrize("line, field", [
+        ('{"id":"\\ud800","query":"q","steps":[{"role":"r","output":"o"}]}', "id"),
+        ('{"id":"x","query":"q\\udfff","steps":[{"role":"r","output":"o"}]}', "query"),
+        ('{"id":"x","query":"q","gt_answer":"\\ud800","steps":[{"role":"r","output":"o"}]}',
+         "gt_answer"),
+        ('{"id":"x","query":"q","steps":[{"role":"r","output":"o"},'
+         '{"role":"r\\ud800","output":"o"}]}', "step 2 role"),
+        ('{"id":"x","query":"q","steps":[{"role":"r","output":"caf\\u00e9 \\udc00"}]}',
+         "step 1 output"),
+    ], ids=["id", "query", "gt_answer", "role", "output"])
+    def test_lone_surrogate_escape_names_the_field(self, line, field):
+        with pytest.raises(TraceValidationError, match=f"^{field} holds a lone surrogate"):
+            parse_trajectory(line.encode())
+
+    def test_surrogate_pair_escape_reserializes(self):
+        t = parse_trajectory(b'{"id":"x","query":"q","steps":[{"role":"r","output":"\\ud83d\\ude00"}]}')
+        assert t.steps[0].output == "\U0001f600"
+        assert parse_trajectory(serialize_trajectory(t)) == t
+
     def test_label_must_be_binary(self):
         # true and 1.0 compare equal to 1 but would not re-serialize as 1.
         for label in ("2", "true", "false", "1.0", "0.0", '"1"'):

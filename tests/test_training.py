@@ -21,6 +21,19 @@ EMB = EmbedderSpec(kind="hashing", dimension=16)
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
+def edit_calibration(path, edit):
+    """Rewrite the checkpoint at ``path`` after ``edit`` changed its
+    header's calibration object in place."""
+    blob = open(path, "rb").read()
+    (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
+    start = len(MAGIC) + 4
+    header = json.loads(blob[start : start + header_len])
+    edit(header["calibration"])
+    text = json.dumps(header).encode()
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", len(text)) + text + blob[start + header_len :])
+
+
 def cfg(**kw):
     base = dict(
         epochs=4, lr=1e-3, lam=0.2, seed=1, d_h=24, embedder=EMB,
@@ -350,18 +363,26 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match="corrupt"):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("delta", "x"), ("alpha", None), ("quantile", True), ("beta", [1.0]),
+        ("stats", [0.5]), ("stats", "none"),
+    ], ids=["delta string", "alpha null", "quantile boolean", "beta list", "stats list",
+            "stats string"])
+    def test_wrong_typed_calibration_is_checkpoint_error(
+        self, small_trained, tmp_path, key, value
+    ):
+        model, _, _ = small_trained
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, Calibration(0.5, 0.9, 1.0, 2.0, {"p50": 0.1}), path)
+        edit_calibration(path, lambda calibration: calibration.update({key: value}))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint: calibration"):
+            load_checkpoint(path)
+
     def test_calibration_without_stats_has_empty_stats(self, small_trained, tmp_path):
         model, _, _ = small_trained
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(model, Calibration(0.5, 0.9, 1.0, 2.0, {"p50": 0.1}), path)
-        blob = open(path, "rb").read()
-        (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
-        start = len(MAGIC) + 4
-        header = json.loads(blob[start : start + header_len])
-        del header["calibration"]["stats"]
-        text = json.dumps(header).encode()
-        with open(path, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<I", len(text)) + text + blob[start + header_len :])
+        edit_calibration(path, lambda calibration: calibration.pop("stats"))
         assert load_checkpoint(path)[1] == Calibration(0.5, 0.9, 1.0, 2.0)
 
     def test_bad_magic(self, tmp_path):
