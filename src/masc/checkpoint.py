@@ -10,6 +10,14 @@ calibration (the fields of ``training.Calibration``), the parameter block
 order with shapes, and the SHA-256 of the payload. The payload is the
 model's parameter buffer (``params.flat``): all parameter arrays as raw
 little-endian float64, concatenated in ``PARAM_ORDER``. A header with any other block order is rejected.
+
+``load_checkpoint`` checks the framing: the magic, the header length, that
+the header is a JSON object, the version, the payload digest, the block
+order, the payload size and that ``d`` is the integer ``2 * d_e``. Every
+other field is checked by the type it builds (``DetectorModel``, whose
+check covers the parameter shapes, ``EmbedderSpec``, ``BackboneSpec`` and
+``Calibration``), and a ConfigError from those checks is re-raised as
+CheckpointError.
 """
 
 from __future__ import annotations
@@ -18,13 +26,13 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
 from .detector import PARAM_ORDER, BackboneSpec, DetectorModel, FlatParams
 from .embedding import EmbedderSpec
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .training import Calibration
 
 MAGIC = b"MASCCKPT"
@@ -65,8 +73,8 @@ def save_checkpoint(
 def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
     """Read a checkpoint; verifies magic, version, and payload integrity.
 
-    Any malformed header (missing keys, wrong types, shapes that do not
-    match the payload) raises CheckpointError.
+    Any malformed header (missing keys, wrong types or ranges, shapes that
+    do not match the payload) raises CheckpointError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -97,14 +105,8 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
         shapes = {name: tuple(header["param_shapes"][name]) for name in PARAM_ORDER}
         if 8 * sum(math.prod(shape) for shape in shapes.values()) != len(payload):
             raise CheckpointError("corrupt checkpoint: payload size mismatch")
-        if not (
-            all(type(header[key]) is int for key in ("d_e", "d_h", "d", "seed"))
-            and type(header["with_gt"]) is bool
-        ):
-            raise CheckpointError(
-                "corrupt checkpoint: d_e, d_h, d and seed must be integers "
-                "and with_gt a boolean"
-            )
+        if type(header["d"]) is not int or header["d"] != 2 * header["d_e"]:
+            raise CheckpointError("corrupt checkpoint: d is not 2 * d_e")
         params = FlatParams(shapes, np.frombuffer(payload, dtype="<f8").astype(np.float64))
         model = DetectorModel(
             d_e=header["d_e"],
@@ -116,35 +118,10 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
             params=params,
             lam=header["lambda"],
         )
-        if not (model.lam is None or type(model.lam) in (int, float)):
-            raise CheckpointError("corrupt checkpoint: lambda is not a number")
-        if (
-            header["d"] != model.d
-            or model.embedder.dimension != model.d_e
-            or params.shapes() != model.param_shapes()
-        ):
-            raise CheckpointError(
-                "corrupt checkpoint: header dimensions disagree with param_shapes"
-            )
-        calibration = None
-        if header.get("calibration"):
-            c = header["calibration"]
-            # A missing required field is a TypeError; ``stats`` may be absent.
-            calibration = Calibration(
-                **{f.name: c[f.name] for f in fields(Calibration) if f.name in c}
-            )
-            if not (
-                all(
-                    type(getattr(calibration, key)) in (int, float)
-                    for key in ("delta", "quantile", "alpha", "beta")
-                )
-                and type(calibration.stats) is dict
-            ):
-                raise CheckpointError(
-                    "corrupt checkpoint: calibration delta, quantile, alpha and beta "
-                    "must be numbers and stats an object"
-                )
+        # A missing or unknown field is a TypeError; ``stats`` may be absent.
+        calibration = Calibration(**header["calibration"]) if header.get("calibration") else None
+    except ConfigError as exc:
+        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint: malformed header ({exc!r})") from exc
     return model, calibration
-

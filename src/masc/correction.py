@@ -14,8 +14,9 @@ Protocol rules implemented here:
   a protocol violation; a broken corrector must never corrupt the trajectory.
 * The corrector is invoked only for flagged steps, once per step; corrected
   outputs are not re-scored.
-* Remote transport failure is fail-open: the original output survives and
-  the failure is reported in the outcome.
+* A corrector that raises, a remote one's transport failure included, fails
+  open: the original output survives and the failure is reported in the
+  outcome.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol
 
 from .detector import AnomalyVerdict
-from .transport import chat, new_session
 
 logger = logging.getLogger(__name__)
 
@@ -164,20 +164,6 @@ class ScriptedPolicy:
     def reply(self, req: CorrectionRequest, prompt: str) -> str:
         self.calls += 1
         return self._script(req, prompt)
-
-
-class RemoteChatPolicy:
-    """Correction agent behind the POST {endpoint}/chat contract."""
-
-    def __init__(self, endpoint: str, model_name: str):
-        self.endpoint = endpoint
-        self.model_name = model_name
-        self._session = new_session()
-        self.calls = 0
-
-    def reply(self, req: CorrectionRequest, prompt: str) -> str:
-        self.calls += 1
-        return chat(self._session, self.endpoint, self.model_name, prompt)
 
 
 def apply_correction(

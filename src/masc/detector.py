@@ -54,10 +54,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import EmbedderSpec
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int, check_number
 from .transport import new_session, post_json
 
 logger = logging.getLogger(__name__)
+
+SEED_MAX = 2**32 - 1  # numpy's RandomState takes seeds in [0, 2**32 - 1]
 
 PARAM_ORDER = (
     "fq_w", "fq_b", "fh_w", "fh_b", "ft_w", "ft_b", "wq", "wk", "wv", "p",
@@ -138,8 +140,11 @@ class BackboneSpec:
     def __post_init__(self):
         if self.kind not in ("frozen_mixer", "remote_llm"):
             raise ConfigError(f"unknown backbone kind {self.kind!r}")
-        if self.hidden_dim < 1 or self.layers < 1:
-            raise ConfigError("backbone hidden_dim and layers must be positive")
+        check_int(self.hidden_dim, "backbone hidden_dim", 1)
+        check_int(self.layers, "backbone layers", 1)
+        check_int(self.seed, "backbone seed", 0, SEED_MAX)
+        if not all(isinstance(v, (str, type(None))) for v in (self.endpoint, self.model_name)):
+            raise ConfigError("backbone endpoint and model_name must be strings or null")
         if self.kind == "remote_llm" and (not self.endpoint or not self.model_name):
             raise ConfigError("remote_llm backbone requires endpoint and model_name")
 
@@ -278,6 +283,26 @@ class DetectorModel:
     with_gt: bool = False
     _mixer: FrozenMixer | None = field(default=None, repr=False, compare=False)
     _remote: RemoteBackbone | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_int(self.d_e, "d_e", 1)
+        check_int(self.d_h, "d_h", 1)
+        check_int(self.seed, "seed", 0, SEED_MAX)
+        if self.lam is not None:
+            check_number(self.lam, "lambda", 0)
+        if not (
+            isinstance(self.with_gt, bool)
+            and isinstance(self.embedder, EmbedderSpec)
+            and isinstance(self.backbone, BackboneSpec)
+            and isinstance(self.params, FlatParams)
+            and self.embedder.dimension == self.d_e
+            and self.params.shapes() == self.param_shapes()
+        ):
+            raise ConfigError(
+                "with_gt must be a bool, embedder an EmbedderSpec of dimension d_e, "
+                "backbone a BackboneSpec and params FlatParams of the shapes the "
+                "dimensions give"
+            )
 
     @property
     def d(self) -> int:

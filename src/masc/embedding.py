@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int, check_number
 from .trace import Trajectory
 from .transport import new_session, post_json
 
@@ -83,8 +83,17 @@ class EmbedderSpec:
     def __post_init__(self):
         if self.kind not in ("hashing", "remote"):
             raise ConfigError(f"unknown embedder kind {self.kind!r}")
-        if self.dimension < 1:
-            raise ConfigError("embedder dimension must be positive")
+        check_int(self.dimension, "embedder dimension", 1)
+        check_int(self.max_attempts, "embedder max_attempts", 1)
+        check_int(self.max_inflight, "embedder max_inflight", 1)
+        check_number(self.timeout, "embedder timeout", 0, strict=True)
+        if not all(
+            isinstance(v, (str, type(None)))
+            for v in (self.endpoint, self.model_name, self.cache_path)
+        ):
+            raise ConfigError(
+                "embedder endpoint, model_name and cache_path must be strings or null"
+            )
         if self.kind == "remote" and (not self.endpoint or not self.model_name):
             raise ConfigError("remote embedder requires endpoint and model_name")
 

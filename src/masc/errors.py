@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the two field checks
+(``check_int``, ``check_number``) that the record types share."""
+
+import math
 
 
 class MascError(Exception):
@@ -39,3 +42,25 @@ class CheckpointError(MascError):
 
 class DivergenceError(MascError):
     """Training produced non-finite values."""
+
+
+def check_int(value, name: str, low: float = -math.inf, high: float = math.inf) -> None:
+    """ConfigError unless ``value`` is an int in [low, high]; a bool is not
+    an int."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    check_number(value, name, low, high)
+
+
+def check_number(
+    value, name: str, low: float = -math.inf, high: float = math.inf, strict: bool = False
+) -> None:
+    """ConfigError unless ``value`` is a finite int or float in [low, high],
+    or in (low, high) when ``strict``. A bool is not a number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not -math.inf < value < math.inf:  # an int too large for a float is finite
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if (not low < value < high) if strict else (not low <= value <= high):
+        bounds = f"({low}, {high})" if strict else f"[{low}, {high}]"
+        raise ConfigError(f"{name} must be in {bounds}, got {value!r}")

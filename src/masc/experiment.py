@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .detector import BackboneSpec, DetectorModel
 from .embedding import EmbedderSpec
-from .errors import ConfigError
+from .errors import check_int, check_number
 from .fixtures import FIXTURE_ROLES, make_fixture_suite, oracle_corrector, run_fixture
 from .simulator import FaultSpec, MascHook, Topology, resolve_fault, schedule
 from .trace import Trajectory, save_trajectories
@@ -34,8 +34,7 @@ class MascSettings:
     delta_override: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.quantile < 1.0):
-            raise ConfigError(f"quantile must be in (0, 1), got {self.quantile!r}")
+        check_number(self.quantile, "quantile", 0, 1, strict=True)
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class ExperimentConfig:
     with_masc_cells: bool = True
 
     def __post_init__(self):
-        if self.n_fixtures < 1:
-            raise ConfigError(f"need at least one fixture, got {self.n_fixtures}")
+        check_int(self.n_fixtures, "n_fixtures", 1)
         # Every topology runs the same turn order, so a fixed-step fault that
         # misses its target fails here, before any run.
         turn_order = schedule(Topology("chain", len(FIXTURE_ROLES), rounds=self.rounds))

@@ -42,7 +42,7 @@ from .correction import (
 )
 from .detector import AnomalyVerdict, DetectorModel, DetectorStream
 from .embedding import embed_step, embed_text
-from .errors import ConfigError, DataError, TransportError
+from .errors import ConfigError, DataError, TransportError, check_int
 from .trace import Step, Trajectory, is_early_step
 from .transport import chat, new_session
 
@@ -112,22 +112,10 @@ class FaultSpec:
     def __post_init__(self):
         if self.corruption not in ("misleading_template", "scramble"):
             raise ConfigError(f"unknown corruption {self.corruption!r}")
-        if self.step_selector not in ("uniform", "early") and not _at_least(
-            self.step_selector, 1
-        ):
-            raise ConfigError(
-                "fault step must be 'uniform', 'early' or an integer >= 1, "
-                f"got {self.step_selector!r}"
-            )
-        if self.target_agent != "random" and not _at_least(self.target_agent, 0):
-            raise ConfigError(
-                f"fault target must be 'random' or an integer >= 0, got {self.target_agent!r}"
-            )
-
-
-def _at_least(value, low: int) -> bool:
-    """An int (not a bool) no smaller than ``low``."""
-    return type(value) is int and value >= low
+        if self.step_selector not in ("uniform", "early"):
+            check_int(self.step_selector, "fault step ('uniform', 'early' or an index)", 1)
+        if self.target_agent != "random":
+            check_int(self.target_agent, "fault target ('random' or an index)", 0)
 
 
 @dataclass

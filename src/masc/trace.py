@@ -12,6 +12,13 @@ The on-disk format is JSONL, one object per line, UTF-8 with LF endings:
 Serialization is canonical: fixed key order, all optional keys present with
 null, compact separators, trailing newline. ``parse(serialize(t)) == t`` for
 every valid trajectory.
+
+Each field is checked once, by the type that declares it: ``Step`` and
+``Trajectory`` require non-empty strings that UTF-8 can encode (``gt_answer``
+may be ``""`` or null) and a label of 0, 1 or null, however they are built.
+``parse_trajectory`` checks only the framing: the JSON object, its keys and
+that ``steps`` is an array of objects. ``load_trajectories`` adds the one
+check that spans lines, that no trajectory id repeats.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass
 
 from .errors import DataError, TraceParseError, TraceValidationError
@@ -27,12 +35,18 @@ logger = logging.getLogger(__name__)
 
 _TRAJECTORY_KEYS = {"id", "query", "gt_answer", "steps"}
 _STEP_KEYS = {"role", "output", "label"}
+_SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode
 
 
-def _valid_label(label) -> bool:
-    """None, 0 or 1 as an int: ``true`` and ``1.0`` compare equal to 1 but
-    would not re-serialize canonically."""
-    return label is None or (type(label) is int and label in (0, 1))
+def _check_text(value, field: str, empty_ok: bool = False) -> None:
+    """TraceValidationError naming ``field`` unless ``value`` is a string that
+    is non-empty (unless ``empty_ok``) and that UTF-8 can encode: a
+    ``\\ud800``-style escape parses to a lone surrogate, which would not
+    re-serialize. An ASCII string, the common case, is not encoded."""
+    if not isinstance(value, str) or not (value or empty_ok):
+        raise TraceValidationError(f"{field} must be a non-empty string")
+    if not value.isascii() and _SURROGATE.search(value):
+        raise TraceValidationError(f"{field} holds a lone surrogate escape")
 
 
 @dataclass(frozen=True)
@@ -42,12 +56,11 @@ class Step:
     label: int | None = None
 
     def __post_init__(self):
-        if not self.role:
-            raise TraceValidationError("step role must be non-empty")
-        if not self.output:
-            raise TraceValidationError("step output must be non-empty")
-        if not _valid_label(self.label):
-            raise TraceValidationError(f"step label must be 0 or 1, got {self.label!r}")
+        _check_text(self.role, "role")
+        _check_text(self.output, "output")
+        # true and 1.0 compare equal to 1 but would not re-serialize as 1.
+        if not (self.label is None or (type(self.label) is int and self.label in (0, 1))):
+            raise TraceValidationError(f"label must be 0, 1 or null, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -58,13 +71,17 @@ class Trajectory:
     gt_answer: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not self.id:
-            raise TraceValidationError("trajectory id must be non-empty")
-        if not self.query:
-            raise TraceValidationError("trajectory query must be non-empty")
+        _check_text(self.id, "id")
+        _check_text(self.query, "query")
+        if self.gt_answer is not None:
+            _check_text(self.gt_answer, "gt_answer", empty_ok=True)
+        if not isinstance(self.steps, (tuple, list)) or not all(
+            type(step) is Step for step in self.steps
+        ):
+            raise TraceValidationError("steps must be a sequence of Step")
         if not self.steps:
             raise TraceValidationError("empty steps")
+        object.__setattr__(self, "steps", tuple(self.steps))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -83,19 +100,6 @@ class DatasetSplit:
     ratio: float
 
 
-def _check_encodable(text: str, field: str, step: int | None = None) -> None:
-    """TraceValidationError naming the field (of step ``step``, if given) when
-    ``text`` holds a lone surrogate: a ``\\ud800``-style escape parses to one,
-    and UTF-8 cannot encode it, so the trace would not re-serialize. An ASCII
-    string, the common case, is not encoded."""
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            where = field if step is None else f"step {step} {field}"
-            raise TraceValidationError(f"{where} holds a lone surrogate escape") from None
-
-
 def _check_keys(obj: dict, allowed: set[str], what: str, strict: bool):
     unknown = set(obj) - allowed
     if unknown:
@@ -108,11 +112,12 @@ def parse_trajectory(line: bytes | str, strict: bool = False) -> Trajectory:
     """Parse one JSONL line into a validated Trajectory.
 
     Malformed JSON or a byte that is not UTF-8 raises TraceParseError
-    carrying the byte offset; schema violations raise TraceValidationError,
-    and so does a string field that holds a lone surrogate, so that every
-    trajectory this returns re-serializes. Key order in the source does not
-    matter. Unknown keys are rejected in
-    strict mode, otherwise logged.
+    carrying the byte offset. A line that is not an object, lacks a required
+    key or whose ``steps`` is not an array of objects raises
+    TraceValidationError, and so does any field ``Step`` or ``Trajectory``
+    rejects; a step's error is prefixed ``step i``. Key order in the source
+    does not matter. Unknown keys are rejected in strict mode, otherwise
+    logged.
     """
     try:
         text = line.decode("utf-8") if isinstance(line, bytes) else line
@@ -137,24 +142,11 @@ def parse_trajectory(line: bytes | str, strict: bool = False) -> Trajectory:
         if not isinstance(raw, dict):
             raise TraceValidationError(f"step {i} must be an object")
         _check_keys(raw, _STEP_KEYS, "step", strict)
-        role = raw.get("role")
-        output = raw.get("output")
-        if not isinstance(role, str) or not isinstance(output, str):
-            raise TraceValidationError(f"step {i} needs string role and output")
-        _check_encodable(role, "role", i)
-        _check_encodable(output, "output", i)
-        label = raw.get("label")
-        if not _valid_label(label):
-            raise TraceValidationError(f"step {i} label must be 0, 1, or null")
-        steps.append(Step(role=role, output=output, label=label))
-    gt = obj.get("gt_answer")
-    if gt is not None and not isinstance(gt, str):
-        raise TraceValidationError("gt_answer must be a string or null")
-    if not isinstance(obj["id"], str) or not isinstance(obj["query"], str):
-        raise TraceValidationError("id and query must be strings")
-    for key, text in (("id", obj["id"]), ("query", obj["query"]), ("gt_answer", gt or "")):
-        _check_encodable(text, key)
-    return Trajectory(id=obj["id"], query=obj["query"], steps=tuple(steps), gt_answer=gt)
+        try:
+            steps.append(Step(raw.get("role"), raw.get("output"), raw.get("label")))
+        except TraceValidationError as exc:
+            raise TraceValidationError(f"step {i} {exc}") from None
+    return Trajectory(obj["id"], obj["query"], steps, obj.get("gt_answer"))
 
 
 def serialize_trajectory(trajectory: Trajectory) -> bytes:
@@ -177,21 +169,30 @@ def load_trajectories(path: str, strict: bool = False) -> list[Trajectory]:
 
     A bad line raises the parser's error, of the same type, with the message
     prefixed by ``path:lineno``; a TraceParseError keeps its ``byte_offset``,
-    counted from the start of that line.
+    counted from the start of that line. A trajectory id that an earlier
+    line holds raises TraceValidationError: steps are matched and grouped by
+    (trajectory id, t).
     """
     out = []
+    first_line: dict[str, int] = {}
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(parse_trajectory(line, strict=strict))
+                trajectory = parse_trajectory(line, strict=strict)
             except TraceParseError as exc:
                 raise TraceParseError(
                     f"{path}:{lineno}: {exc.reason}", exc.byte_offset
                 ) from exc
             except DataError as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+            if first_line.setdefault(trajectory.id, lineno) != lineno:
+                raise TraceValidationError(
+                    f"{path}:{lineno}: trajectory id repeats {trajectory.id!r} "
+                    f"of line {first_line[trajectory.id]}"
+                )
+            out.append(trajectory)
     return out
 
 

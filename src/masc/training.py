@@ -19,15 +19,21 @@ step labels are never read by this path.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detector import BackboneSpec, DetectorModel, score_trajectory, trajectory_loss
+from .detector import (
+    SEED_MAX,
+    BackboneSpec,
+    DetectorModel,
+    _check_weights,
+    score_trajectory,
+    trajectory_loss,
+)
 from .embedding import EmbedderSpec, embed_trajectory
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, check_int, check_number
 from .optim import AdamState, adam_step
 from .trace import Step, Trajectory
 
@@ -48,16 +54,18 @@ class TrainConfig:
     exclude_labeled_steps: bool = False
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay),
-                            ("lambda", self.lam)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
-        if self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
+        check_int(self.epochs, "epochs", 1)
+        check_number(self.lr, "lr", 0, strict=True)
+        check_number(self.weight_decay, "weight_decay", 0)
+        check_number(self.lam, "lambda", 0)
+        check_int(self.seed, "seed", 0, SEED_MAX)
+        check_int(self.d_h, "d_h", 1)
+        for name, kind in (
+            ("embedder", EmbedderSpec), ("backbone", (BackboneSpec, type(None))),
+            ("with_gt", bool), ("exclude_labeled_steps", bool),
+        ):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} cannot be {getattr(self, name)!r}")
 
 
 # Hyperparameter profiles: (epochs, lr, weight_decay, d_h, lam).
@@ -94,6 +102,16 @@ class Calibration:
     alpha: float
     beta: float
     stats: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("delta", "alpha", "beta"):
+            check_number(getattr(self, name), f"calibration {name}")
+        check_number(self.quantile, "calibration quantile", 0, 1, strict=True)
+        _check_weights(self.alpha, self.beta)
+        if not isinstance(self.stats, dict) or not all(isinstance(k, str) for k in self.stats):
+            raise ConfigError("calibration stats must be an object")
+        for key, value in self.stats.items():
+            check_number(value, f"calibration stats {key!r}")
 
 
 def _strip_labels(trajectory: Trajectory, exclude: bool) -> Trajectory:
@@ -175,8 +193,7 @@ def calibrate_threshold(
     Scores every step of every calibration trajectory, then takes the
     linearly interpolated quantile (numpy's "linear" method).
     """
-    if not (0.0 < quantile < 1.0):
-        raise ConfigError(f"quantile must be in (0, 1), got {quantile!r}")
+    check_number(quantile, "quantile", 0, 1, strict=True)
     if not calibration_set:
         raise DataError("empty calibration set")
     scores = []

@@ -7,6 +7,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masc import cli
 from masc.checkpoint import load_checkpoint, save_checkpoint
@@ -273,6 +275,51 @@ class TestTrain:
             assert "must be finite" in capsys.readouterr().err
             assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--seed", "-1"], ["--seed", str(2**32)], ["--weight-decay", "-1"],
+    ], ids=["seed -1", "seed 2**32", "weight decay -1"])
+    def test_out_of_range_flag_exits_two_without_training(
+        self, corpus_file, tmp_path, capsys, monkeypatch, flags
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() ran on a rejected config")
+
+        monkeypatch.setattr("masc.cli.train", no_training)
+        assert main(["train", "--traces", corpus_file, "--checkpoint",
+                     str(tmp_path / "x.ckpt"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @given(st.dictionaries(
+        st.sampled_from(["epochs", "seed", "d_h", "layers", "dim", "lr", "weight_decay",
+                         "lam", "lambda", "with_gt", "exclude_labeled_steps"]),
+        st.recursive(
+            st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3),
+                                                                        inner, max_size=2),
+            max_leaves=4,
+        ),
+        max_size=3,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_any_config_values_exit_two_or_reach_training(
+        self, corpus_file, tmp_path_factory, settings_
+    ):
+        config = tmp_path_factory.getbasetemp() / "any_config.json"
+        config.write_text(json.dumps(settings_))
+
+        def stop(cfg, trajectories):
+            raise Built(cfg)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("masc.cli.train", stop)
+            try:
+                code = main(["train", "--traces", corpus_file, "--checkpoint",
+                             str(config.with_suffix(".ckpt")), "--config", str(config)])
+            except Built:
+                return
+        assert code == 2
+
     @staticmethod
     def _config(monkeypatch, corpus_file, tmp_path, argv) -> TrainConfig:
         def stop(cfg, trajectories):
@@ -383,6 +430,20 @@ class TestScore:
                      "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == golden.read_text().strip()
+
+    def test_repeated_trajectory_id_exits_three(self, trained_checkpoint, corpus_file,
+                                                tmp_path, capsys):
+        """Its rows would repeat (trajectory id, t) keys, which eval refuses."""
+        ckpt, _ = trained_checkpoint
+        corpus = load_trajectories(corpus_file)
+        traces = tmp_path / "repeated.jsonl"
+        save_trajectories(str(traces), corpus + [corpus[0]])
+        out = tmp_path / "scores.csv"
+        assert main(["score", "--checkpoint", ckpt, "--traces", str(traces),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{traces}:{len(corpus) + 1}: trajectory id repeats" in err
+        assert not out.exists()
 
     def test_corrupt_checkpoint_exits_two(self, tmp_path, corpus_file, capsys):
         bad = tmp_path / "bad.ckpt"
@@ -694,8 +755,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flags", [
         ["--epochs", "0"], ["--lr", "0"], ["--dim", "0"], ["--hidden", "0"],
-        ["--lambda", "-1"],
-    ], ids=["epochs", "lr", "dim", "hidden", "lambda"])
+        ["--lambda", "-1"], ["--seed", "-1"], ["--seed", str(2**32)],
+    ], ids=["epochs", "lr", "dim", "hidden", "lambda", "seed -1", "seed 2**32"])
     def test_bad_training_setting_exits_two_before_any_fixture_run(
         self, monkeypatch, capsys, flags
     ):

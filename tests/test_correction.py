@@ -1,13 +1,11 @@
 import json
 import logging
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from masc.correction import (
     CorrectionRequest,
-    RemoteChatPolicy,
     ScriptedPolicy,
     _first_json_object,
     apply_correction,
@@ -16,8 +14,6 @@ from masc.correction import (
     render_transcript,
 )
 from masc.detector import AnomalyVerdict
-from masc.errors import TransportError
-from tests.conftest import MALFORMED_REPLIES
 
 
 def req(history=((("planner", "made a plan"),)), output="the answer is 12"):
@@ -180,45 +176,3 @@ class TestApply:
         for f in flags:
             apply_correction(policy, verdict(f), req())
         assert policy.calls == sum(flags)
-
-
-class TestPolicies:
-    def test_remote_chat_round_trip(self, stub_service):
-        reply = json.dumps({"correction_needed": "Yes", "final_response": "better"})
-        with stub_service(content=reply) as stub:
-            policy = RemoteChatPolicy(stub.endpoint, "m")
-            outcome = apply_correction(policy, verdict(True), req())
-            assert outcome.output == "better"
-            body = stub.requests[0]["body"]
-            assert body["model"] == "m"
-            assert body["messages"][0]["role"] == "user"
-            assert "correction_needed" in body["messages"][0]["content"]
-
-    def test_remote_chat_retries(self, stub_service):
-        reply = json.dumps({"correction_needed": "No", "final_response": ""})
-        with stub_service(content=reply, fail_first=1) as stub:
-            policy = RemoteChatPolicy(stub.endpoint, "m")
-            outcome = apply_correction(policy, verdict(True), req())
-            assert outcome.output == "the answer is 12"
-            assert len(stub.requests) == 2
-
-    def test_remote_chat_exhaustion_fails_open(self, stub_service):
-        with stub_service(status=500) as stub:
-            policy = RemoteChatPolicy(stub.endpoint, "m")
-            outcome = apply_correction(policy, verdict(True), req())
-            assert outcome.output == "the answer is 12"
-            assert outcome.failed
-
-    @pytest.mark.parametrize(
-        "raw", [*MALFORMED_REPLIES.values(), b'{"content": ["a"]}'],
-        ids=[*MALFORMED_REPLIES, "content not a string"],
-    )
-    def test_remote_chat_malformed_reply_fails_open(self, stub_service, raw):
-        with stub_service(raw=raw) as stub:
-            policy = RemoteChatPolicy(stub.endpoint, "m")
-            with pytest.raises(TransportError, match="malformed reply"):
-                policy.reply(req(), "prompt")
-            assert len(stub.requests) == 3
-            outcome = apply_correction(policy, verdict(True), req())
-            assert outcome.output == "the answer is 12"
-            assert outcome.failed

@@ -400,6 +400,12 @@ class TestFrozenBackbone:
         assert ref() is None
 
 
+def test_a_model_without_projection_rows_is_a_config_error():
+    # d_h 0 would otherwise end in a ZeroDivisionError when the mixer is built.
+    with pytest.raises(ConfigError, match="d_h"):
+        DetectorModel.init(EMB4, d_h=0, backbone=BackboneSpec(hidden_dim=8))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 12),

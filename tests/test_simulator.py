@@ -260,7 +260,9 @@ class TestRunTrajectory:
             report = run_trajectory([agents[0], remote, agents[2]], CHAIN, FIXTURE.query)
         assert not report.aborted
         assert report.trajectory.steps[1].output == "x = 7"
-        prompt = stub.requests[0]["body"]["messages"][0]["content"]
+        body = stub.requests[0]["body"]
+        assert body["model"] == "m"
+        prompt = body["messages"][0]["content"]
         assert "You are solver" in prompt and FIXTURE.query in prompt
         plan = report.trajectory.steps[0].output
         assert f"Visible context:\n[decomposer] {plan}\nRespond" in prompt

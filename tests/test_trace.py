@@ -1,5 +1,6 @@
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +154,53 @@ def test_serialize_is_canonical_form(t):
     assert serialize_trajectory(parse_trajectory(blob)) == blob
 
 
+# Any JSON value; strings may hold lone surrogates, which json.dumps escapes.
+any_text = st.text(
+    st.characters(exclude_categories=()) | st.characters(categories=["Cs"]), max_size=6
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | any_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(any_text, inner, max_size=3),
+    max_leaves=6,
+)
+values = any_text | st.sampled_from([0, 1]) | json_values
+
+
+@given(trajectories(), st.data(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_any_field_value_gives_a_trajectory_or_a_data_error(t, data, strict):
+    """One field of a valid line replaced by any JSON value."""
+    obj = json.loads(serialize_trajectory(t))
+    target = data.draw(st.sampled_from([obj, *obj["steps"]]))
+    target[data.draw(st.sampled_from(sorted(target)))] = data.draw(values)
+    try:
+        parsed = parse_trajectory(json.dumps(obj).encode(), strict=strict)
+    except DataError:
+        return
+    blob = serialize_trajectory(parsed)
+    assert parse_trajectory(blob) == parsed
+    assert serialize_trajectory(parse_trajectory(blob)) == blob
+
+
+anything = values | st.binary(max_size=3) | st.builds(object) | st.lists(
+    st.just(Step("r", "o")), max_size=2
+)
+
+
+@given(trajectories(), st.sampled_from(["id", "query", "gt_answer", "steps", "role",
+                                        "output", "label"]), anything)
+@settings(max_examples=300, deadline=None)
+def test_records_from_any_values_raise_or_serialize(t, field, value):
+    try:
+        if field in ("role", "output", "label"):
+            t = replace(t, steps=(replace(t.steps[0], **{field: value}), *t.steps[1:]))
+        else:
+            t = replace(t, **{field: value})
+    except TraceValidationError:
+        return
+    assert parse_trajectory(serialize_trajectory(t)) == t
+
+
 class TestFiles:
     def test_save_load_roundtrip(self, tmp_path):
         trajectories = [make_traj(i) for i in range(5)]
@@ -194,6 +242,14 @@ class TestFiles:
         path = tmp_path / "empty_steps.jsonl"
         path.write_bytes(b'\n{"id":"x","query":"q","steps":[]}\n')
         with pytest.raises(TraceValidationError, match=r":2: empty steps$"):
+            load_trajectories(str(path))
+
+    def test_repeated_trajectory_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "repeated.jsonl"
+        save_trajectories(str(path), [make_traj(0), make_traj(1), make_traj(0)])
+        with pytest.raises(
+            TraceValidationError, match=r":3: trajectory id repeats 'traj-0' of line 1$"
+        ):
             load_trajectories(str(path))
 
     def test_blank_lines_skipped(self, tmp_path):

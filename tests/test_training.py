@@ -7,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masc.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from masc.detector import PARAM_ORDER, BackboneSpec, score_trajectory, trajectory_loss
 from masc.embedding import EmbedderSpec, embed_trajectory
 from masc.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from masc.synthetic import make_normal_corpus
-from masc.trace import Step, Trajectory
+from masc.trace import Step, Trajectory, load_trajectories
 from masc.training import PROFILES, Calibration, TrainConfig, calibrate_threshold, train
 from tests.conftest import views_tile
 
@@ -21,17 +23,23 @@ EMB = EmbedderSpec(kind="hashing", dimension=16)
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
-def edit_calibration(path, edit):
-    """Rewrite the checkpoint at ``path`` after ``edit`` changed its
-    header's calibration object in place."""
+def edit_header(path, edit):
+    """Rewrite the checkpoint at ``path`` after ``edit`` changed its header
+    in place."""
     blob = open(path, "rb").read()
     (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
     start = len(MAGIC) + 4
     header = json.loads(blob[start : start + header_len])
-    edit(header["calibration"])
+    edit(header)
     text = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<I", len(text)) + text + blob[start + header_len :])
+
+
+def edit_calibration(path, edit):
+    """Rewrite the checkpoint at ``path`` after ``edit`` changed its
+    header's calibration object in place."""
+    edit_header(path, lambda header: edit(header["calibration"]))
 
 
 def cfg(**kw):
@@ -56,6 +64,16 @@ class TestTrainConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rates_rejected(self, key, value):
         with pytest.raises(ConfigError, match="finite"):
+            cfg(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", True), ("epochs", "10"), ("epochs", 2.0), ("seed", -1), ("seed", 2**32),
+        ("seed", 1.5), ("weight_decay", -1.0), ("lr", "1e-3"), ("d_h", 0),
+        ("with_gt", "yes"), ("exclude_labeled_steps", 1), ("embedder", 8),
+        ("backbone", "frozen_mixer"),
+    ])
+    def test_wrong_typed_or_out_of_range_setting_rejected(self, key, value):
+        with pytest.raises(ConfigError):
             cfg(**{key: value})
 
     def test_hc_profile_matches_published_defaults(self):
@@ -365,9 +383,9 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key, value", [
         ("delta", "x"), ("alpha", None), ("quantile", True), ("beta", [1.0]),
-        ("stats", [0.5]), ("stats", "none"),
+        ("stats", [0.5]), ("stats", "none"), ("quantile", 5), ("stats", {"p50": "low"}),
     ], ids=["delta string", "alpha null", "quantile boolean", "beta list", "stats list",
-            "stats string"])
+            "stats string", "quantile 5", "stats value string"])
     def test_wrong_typed_calibration_is_checkpoint_error(
         self, small_trained, tmp_path, key, value
     ):
@@ -376,6 +394,45 @@ class TestCheckpoint:
         save_checkpoint(model, Calibration(0.5, 0.9, 1.0, 2.0, {"p50": 0.1}), path)
         edit_calibration(path, lambda calibration: calibration.update({key: value}))
         with pytest.raises(CheckpointError, match="corrupt checkpoint: calibration"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("backbone", "layers", 2.0),
+        ("backbone", "hidden_dim", float),
+        ("backbone", "seed", 1.5),
+        ("backbone", "seed", "x"),
+        ("backbone", "seed", -1),
+        ("backbone", "endpoint", 5),
+        ("embedder", "dimension", float),
+        ("embedder", "max_inflight", 0),
+        ("embedder", "max_attempts", 0),
+        ("embedder", "timeout", 0),
+        ("embedder", "timeout", "10"),
+        ("embedder", "endpoint", ["http://x"]),
+        ("embedder", "model_name", 1),
+        ("embedder", "cache_path", False),
+    ], ids=[
+        "layers float", "hidden_dim float", "seed float", "seed string", "seed negative",
+        "backbone endpoint number", "dimension float", "max_inflight 0", "max_attempts 0",
+        "timeout 0", "timeout string", "embedder endpoint list", "model_name number",
+        "cache_path boolean",
+    ])
+    def test_spec_field_the_type_rejects_is_checkpoint_error(
+        self, small_trained, tmp_path, section, key, value
+    ):
+        """Each edit would otherwise load, and scoring would then fail with
+        a traceback or, for ``max_inflight`` 0, wait forever on the first
+        remote embed. ``float`` stands for the same value as a float."""
+        model, _, _ = small_trained
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, Calibration(0.5, 0.9, 1.0, 2.0, {"p50": 0.1}), path)
+
+        def edit(header):
+            old = header[section][key]
+            header[section][key] = value(old) if value is float else value
+
+        edit_header(path, edit)
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
             load_checkpoint(path)
 
     def test_calibration_without_stats_has_empty_stats(self, small_trained, tmp_path):
@@ -391,6 +448,68 @@ class TestCheckpoint:
             fh.write(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def golden_checkpoint(tmp_path_factory):
+    """The checkpoint the training golden's flags give on the committed
+    fixture, calibrated at the median: its header, its payload, a path to
+    write edits to, and the fixture's trajectories."""
+    trajectories = load_trajectories(str(GOLDEN_DIR / "train_fixture.jsonl"))
+    model, _ = train(TrainConfig(
+        epochs=3, lr=1e-3, d_h=16, seed=13, embedder=EmbedderSpec(dimension=8),
+        backbone=BackboneSpec(hidden_dim=16, seed=13),
+    ), trajectories)
+    path = str(tmp_path_factory.mktemp("golden") / "model.ckpt")
+    save_checkpoint(model, calibrate_threshold(model, trajectories, 0.5), path)
+    blob = open(path, "rb").read()
+    (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
+    start = len(MAGIC) + 4
+    header = json.loads(blob[start : start + header_len])
+    return header, blob[start + header_len :], path, trajectories
+
+
+def header_leaves(node, path=()):
+    """The key path of every scalar in a JSON header."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in header_leaves(child, path + (key,))]
+    return [path]
+
+
+# Integers stay small: ``layers`` is not part of the payload's shape, so a
+# large value would build that many mixer blocks.
+header_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                  max_size=3),
+    max_leaves=5,
+) | st.integers(0, 40) | st.floats(0.1, 4.0)  # values the checks may accept
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_header_leaf_gives_checkpoint_error_or_a_scoring_model(golden_checkpoint, data):
+    header, payload, path, trajectories = golden_checkpoint
+    edited = json.loads(json.dumps(header))
+    *parents, last = data.draw(st.sampled_from(header_leaves(header)))
+    node = edited
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(header_values)
+    text = json.dumps(edited).encode()
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", len(text)) + text + payload)
+    try:
+        model, calibration = load_checkpoint(path)
+    except CheckpointError:
+        return
+    for trajectory in trajectories[:2]:
+        q_vec, steps = embed_trajectory(model.embedder, trajectory, with_gt=model.with_gt)
+        verdicts = score_trajectory(
+            model, q_vec, steps, calibration.alpha, calibration.beta, calibration.delta
+        )
+        assert len(verdicts) == len(trajectory)
 
 
 class TestPrototypeUpdateMechanics:
