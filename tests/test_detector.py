@@ -456,6 +456,12 @@ def remote_spec(endpoint):
                         model_name="llm")
 
 
+# Recorded with the remote path's per-prefix /encode calls on the stub service.
+REMOTE_DIGEST = "feee188c93c3743735b348190e44242e5608a9751d13751564128db37d16da1c"
+REMOTE_BATCH_SCORES = ["0x1.ddde806c984bep+0", "0x1.42a66ab51b428p+1", "0x1.63b30eafafcc6p+1"]
+REMOTE_STREAM_SCORES = REMOTE_BATCH_SCORES
+
+
 class TestRemoteBackbone:
     def test_predict_next_via_stub(self, stub_service):
         with stub_service(vector_dim=6) as stub:
@@ -492,6 +498,39 @@ class TestRemoteBackbone:
         for name in ("fq_w", "fq_b", "fh_w", "fh_b"):
             assert np.array_equal(model.params[name], initial.params[name]), name
         assert not np.array_equal(model.params["ft_w"], initial.params["ft_w"])
+
+    def test_training_and_scoring_keep_their_bits(self, stub_service):
+        # Pins the remote path end to end: two epochs with weight decay, then
+        # the batched scores and the stream's scores of the same steps, and
+        # the /encode requests all of it makes (one per prefix).
+        corpus = make_normal_corpus(3, seed=4, T=3)
+        with stub_service(vector_dim=6) as stub:
+            cfg = TrainConfig(epochs=2, lr=1e-2, weight_decay=1e-2, seed=4, d_h=6,
+                              embedder=EMB4, backbone=remote_spec(stub.endpoint))
+            model, _ = train(cfg, corpus)
+            q, steps = embed_trajectory(EMB4, corpus[0])
+            batch = score_trajectory(model, q, steps, 1.0, 1.0)
+            stream = DetectorStream(model, q)
+            streamed = []
+            for step in steps:
+                streamed.append(stream.score(step, 1.0, 1.0, math.inf))
+                stream.commit(step)
+            requests = len(stub.requests)
+        assert model.param_digest() == REMOTE_DIGEST
+        assert [v.score.hex() for v in batch] == REMOTE_BATCH_SCORES
+        assert [v.score.hex() for v in streamed] == REMOTE_STREAM_SCORES
+        assert requests == 2 * 3 * 3 + 3 + 3
+
+    def test_a_reply_of_the_wrong_dimension_is_a_config_error(self, stub_service):
+        with stub_service(vector_dim=5) as stub:
+            model = DetectorModel.init(EMB4, d_h=6, backbone=remote_spec(stub.endpoint))
+            rng = np.random.RandomState(0)
+            q, steps = rng.randn(4), rng.randn(2, 8)
+            with pytest.raises(ConfigError, match="expected dimension 6"):
+                score_trajectory(model, q, steps, 1.0, 1.0)
+            stream = DetectorStream(model, q)
+            with pytest.raises(ConfigError, match="expected dimension 6"):
+                stream.score(steps[0], 1.0, 1.0, math.inf)
 
     def test_spec_requires_endpoint(self):
         with pytest.raises(ConfigError):
