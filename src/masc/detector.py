@@ -27,19 +27,29 @@ position, a fixed random linear map, then tanh. It is deterministic,
 order-sensitive, and strictly causal, so scoring a full trajectory in one
 pass gives the same verdicts as scoring each prefix separately, to rounding:
 a one-row product takes BLAS's matrix-vector path, so the two can differ in
-the last bit.
+the last bit. The other backbone (``remote_llm``) asks a service for a real
+frozen model's hidden states.
+
+Both backbones, ``FrozenMixer`` and ``RemoteBackbone``, give the same three
+names, and the detector calls them without asking which one it holds:
+``run`` encodes a sequence, ``backward`` returns the gradient with respect
+to it (zeros for the service's states), and the nested ``Stream`` reads one
+pushed step at a time and gives the hidden state after it.
+``DetectorModel.encoder`` is the one place that picks the backbone.
 
 Two ways to score:
 
 - ``score_trajectory``: every step of a recorded trajectory in one batched
-  pass (``FrozenMixer.run``); ``train`` runs the same pass and
+  pass (the backbone's ``run``); ``train`` runs the same pass and
   ``trajectory_loss`` adds the one backward pass, a hand-written reverse
-  sweep over the forward's intermediates (losses, attention, head, mixer
-  blocks, projections).
+  sweep over the forward's intermediates (losses, attention, head,
+  backbone, projections).
 - ``DetectorStream``: in-loop detection. ``score`` judges the pending step
-  without changing state; ``commit`` appends the kept step, at a cost that
-  does not grow with the history. Its docstring describes how, and why
-  the model's parameters must not change while a stream is open.
+  without changing state; ``commit`` pushes the kept step into the
+  backbone's ``Stream``, which for the frozen mixer costs the same however
+  long the history. ``FrozenMixer.Stream`` describes how, and
+  ``DetectorStream`` why the model's parameters must not change while a
+  stream is open.
 """
 
 from __future__ import annotations
@@ -192,8 +202,8 @@ class FrozenMixer:
         positions <= i of the input, so the final row of a pass over the
         length-t prefix agrees with row t of the full pass to rounding (not
         bit for bit: a one-row product takes a matrix-vector BLAS path), as
-        do the rows ``DetectorStream`` keeps, which it computes in another
-        order (see there).
+        do the rows ``Stream`` keeps, which it computes in another order
+        (see there).
         """
         outputs = []
         x = sequence
@@ -218,10 +228,86 @@ class FrozenMixer:
             grad = np.array(grad)
         return grad
 
+    class Stream:
+        """The hidden state after a growing sequence, one pushed row at a time.
 
-# One frozen mixer per (BackboneSpec, d_h): shared while any model holds it,
-# freed when none does. Two threads that race build the same matrices.
-_MIXERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        A block's pre-activation at position n is ``S / n + x_n @ M_bot``: S
+        is the running sum of ``x_j @ M_top`` over the rows j <= n the block
+        has read, and M_top, M_bot are the halves of its matrix that read the
+        causal mean and the current row. The stream keeps each block's S and
+        its output after the last pushed row, so a push costs the same at
+        step 3 and step 300. Each block takes its row's two terms from one
+        product with its halves stacked as a (2, in, hidden_dim) array:
+        ``x @ [M_top; M_bot]`` gives ``[x @ M_top, x @ M_bot]``.
+
+        f_h and block 1 are both linear before block 1's tanh, so the stream
+        multiplies them together when it opens: the (d, 2 * hidden_dim) fold
+        ``F = fh_w.T @ [M_top | M_bot]``, row-major, and its bias
+        ``c = fh_b @ [M_top | M_bot]``, d * d_h * 2 * hidden_dim multiply-adds
+        once per stream. A push makes one product for block 1, one per later
+        block and a few vector operations. Block 1's product reads only the
+        fold rows of the step's nonzero entries, ``step[idx] @ F[idx] + c``
+        for ``idx = np.flatnonzero(step)``; each push allocates ``idx``, the
+        k nonzero entries and a (k, 2 * hidden_dim) copy of their fold rows.
+        A hashing step has a few nonzero entries of 128, so with the default
+        two blocks, at d_e 64 and d_h 256, a push reads about 1.28 MB of
+        weights; a dense step, as from the remote embedder, reads 1.75 MB and
+        copies the whole fold, and the unfolded products read 2.5 MB. The
+        projected query goes through block 1's own halves once, at open. The
+        other products and vector operations of a push write into rows the
+        stream allocates once; ``state`` is the last block's output row,
+        rewritten in place by every push.
+
+        The rows agree with ``run``'s on the same sequence to rounding: the
+        fold and the running sums of products add in another order than the
+        full pass's projections and causal means.
+        """
+
+        def __init__(self, mixer: "FrozenMixer", params: Mapping[str, np.ndarray], query: np.ndarray):
+            # Per block: its halves [M_top; M_bot] as a (2, in, hidden_dim)
+            # view, the running sum S, the row's two terms and its output.
+            self._blocks = [
+                (m.reshape(2, m.shape[0] // 2, m.shape[1]), np.zeros(m.shape[1]),
+                 np.empty((2, m.shape[1])), np.empty(m.shape[1]))
+                for m in mixer.matrices_t
+            ]
+            self.state = self._blocks[-1][3]
+            first, _, terms, _ = self._blocks[0]
+            fold = np.empty((params["fh_w"].shape[1], 2, first.shape[2]))
+            np.matmul(params["fh_w"].T, first, out=fold.transpose(1, 0, 2))
+            self._fold = fold.reshape(fold.shape[0], -1)
+            self._fold_bias = np.matmul(params["fh_b"], first).reshape(-1)
+            self._fold_terms = terms.reshape(-1)  # [top | bottom], a view
+            self._length = 1  # rows read: the query plus the pushed steps
+            np.matmul(query, first, out=terms)
+            self._advance()
+
+        def push(self, step: np.ndarray) -> None:
+            """Read one more step row, before its projection by f_h."""
+            self._length += 1
+            idx = np.flatnonzero(step)  # a hashing step has a few nonzero entries
+            np.matmul(step[idx], self._fold[idx], out=self._fold_terms)
+            self._fold_terms += self._fold_bias
+            self._advance()
+
+        def _advance(self) -> None:
+            """Take the row whose block-1 terms were just written through every
+            block; ``_length`` already counts it."""
+            inv = 1.0 / self._length
+            x = None
+            for halves, total, terms, out in self._blocks:
+                if x is not None:
+                    np.matmul(x, halves, out=terms)
+                total += terms[0]
+                np.multiply(total, inv, out=out)
+                out += terms[1]
+                np.tanh(out, out=out)
+                x = out
+
+
+# One backbone per (BackboneSpec, d_h): shared while any model holds it, freed
+# when none does. Two threads that race build the same backbone.
+_BACKBONES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _finite_vector(reply: dict) -> np.ndarray:
@@ -234,10 +320,17 @@ def _finite_vector(reply: dict) -> np.ndarray:
 
 
 class RemoteBackbone:
-    """Client for POST {endpoint}/encode: {"model", "sequence": [[f64]]} -> {"vector"}."""
+    """Client for POST {endpoint}/encode: {"model", "sequence": [[f64]]} -> {"vector"}.
 
-    def __init__(self, spec: BackboneSpec):
+    The service returns the hidden state after the last row of the sequence
+    it is sent, so ``run`` sends one request per prefix and returns a single
+    entry. Its states carry no gradient, so ``backward`` returns zeros and f_q
+    and f_h get zero gradient.
+    """
+
+    def __init__(self, spec: BackboneSpec, input_dim: int):
         self.spec = spec
+        self.input_dim = input_dim
         self._session = new_session()
 
     def encode(self, sequence: np.ndarray) -> np.ndarray:
@@ -250,6 +343,28 @@ class RemoteBackbone:
                 f"expected dimension {self.spec.hidden_dim}"
             )
         return vector
+
+    def run(self, sequence: np.ndarray) -> list[np.ndarray]:
+        return [np.stack([self.encode(sequence[:t]) for t in range(1, len(sequence) + 1)])]
+
+    def backward(self, outputs: list[np.ndarray], grad: np.ndarray) -> np.ndarray:
+        return np.zeros((grad.shape[0], self.input_dim))
+
+    class Stream:
+        """Keeps the projected rows; each read of ``state`` sends them all in
+        one /encode request."""
+
+        def __init__(self, backbone: "RemoteBackbone", params: Mapping[str, np.ndarray], query: np.ndarray):
+            self._backbone = backbone
+            self._params = params
+            self._rows = [query]
+
+        def push(self, step: np.ndarray) -> None:
+            self._rows.append(projected_steps(self._params, step))
+
+        @property
+        def state(self) -> np.ndarray:
+            return self._backbone.encode(np.stack(self._rows))
 
 
 def _param_shapes(d_e: int, d_h: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
@@ -281,8 +396,7 @@ class DetectorModel:
     params: FlatParams
     lam: float | None
     with_gt: bool = False
-    _mixer: FrozenMixer | None = field(default=None, repr=False, compare=False)
-    _remote: RemoteBackbone | None = field(default=None, repr=False, compare=False)
+    _encoder: FrozenMixer | RemoteBackbone | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         check_int(self.d_e, "d_e", 1)
@@ -296,7 +410,7 @@ class DetectorModel:
             and isinstance(self.backbone, BackboneSpec)
             and isinstance(self.params, FlatParams)
             and self.embedder.dimension == self.d_e
-            and self.params.shapes() == self.param_shapes()
+            and self.params.shapes() == _param_shapes(self.d_e, self.d_h, self.backbone.hidden_dim)
         ):
             raise ConfigError(
                 "with_gt must be a bool, embedder an EmbedderSpec of dimension d_e, "
@@ -337,25 +451,18 @@ class DetectorModel:
             seed=seed, with_gt=with_gt, params=params, lam=None,
         )
 
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        """The shape each parameter has for this model's dimensions."""
-        return _param_shapes(self.d_e, self.d_h, self.backbone.hidden_dim)
-
-    def mixer(self) -> FrozenMixer:
-        """The frozen mixer for this model's (backbone, d_h), shared by every
-        model with the same pair; its matrices are never written."""
-        if self._mixer is None:
+    def encoder(self) -> FrozenMixer | RemoteBackbone:
+        """The frozen backbone for this model's (backbone, d_h), shared by
+        every model with the same pair; a frozen mixer's matrices are never
+        written."""
+        if self._encoder is None:
             key = (self.backbone, self.d_h)
-            mixer = _MIXERS.get(key)
-            if mixer is None:
-                mixer = _MIXERS[key] = FrozenMixer(self.backbone, self.d_h)
-            self._mixer = mixer
-        return self._mixer
-
-    def remote(self) -> RemoteBackbone:
-        if self._remote is None:
-            self._remote = RemoteBackbone(self.backbone)
-        return self._remote
+            kind = FrozenMixer if self.backbone.kind == "frozen_mixer" else RemoteBackbone
+            # Built only when no live model holds one for the key.
+            self._encoder = _BACKBONES.get(key) or _BACKBONES.setdefault(
+                key, kind(self.backbone, self.d_h)
+            )
+        return self._encoder
 
     def param_digest(self) -> str:
         """SHA-256 of the parameter buffer's little-endian float64 bytes,
@@ -412,11 +519,7 @@ def predictions_tensor(
     T = step_matrix.shape[0]
     if T < 1:
         raise DataError("empty trajectory")
-    seq = projected_sequence(params, q_vec, step_matrix[: T - 1])
-    if model.backbone.kind == "frozen_mixer":
-        blocks = model.mixer().run(seq)
-    else:
-        blocks = [np.stack([model.remote().encode(seq[:t]) for t in range(1, T + 1)])]
+    blocks = model.encoder().run(projected_sequence(params, q_vec, step_matrix[: T - 1]))
     return blocks[-1] @ params["ft_w"].T + params["ft_b"], blocks
 
 
@@ -474,7 +577,7 @@ def trajectory_loss(
     q_vec: np.ndarray,
     step_matrix: np.ndarray,
     lam: float,
-    grads: FlatParams | None = None,
+    grads: FlatParams,
 ) -> tuple[float, float, float, np.ndarray, FlatParams]:
     """Training loss of one trajectory and its gradient (step_matrix is T x d,
     row t = h_t).
@@ -483,15 +586,10 @@ def trajectory_loss(
     proto, recon is the mean squared prediction error against x_t := h_t,
     proto is the mean cosine misalignment of each prediction with the
     trajectory's attention-updated prototype p_new, and grads holds
-    d total / d param for every parameter. ``grads`` is written in place
-    when given (training reuses one buffer for every trajectory) and
-    allocated in the model's layout otherwise. A remote backbone's states
-    carry no gradient, so f_q and f_h get zero gradient.
+    d total / d param for every parameter, written in place into ``grads``
+    (training reuses one buffer for every trajectory). A remote backbone's
+    states carry no gradient, so f_q and f_h get zero gradient.
     """
-    if grads is None:
-        grads = FlatParams(model.param_shapes())
-    step_matrix = np.asarray(step_matrix, dtype=np.float64)
-    q_vec = np.asarray(q_vec, dtype=np.float64)
     T = step_matrix.shape[0]
     x_hats, blocks = predictions_tensor(model, params, q_vec, step_matrix)
     recon = reconstruction_loss(x_hats, step_matrix)
@@ -539,18 +637,14 @@ def trajectory_loss(
     np.matmul(g_x.T, blocks[-1], out=grads["ft_w"])
     np.sum(g_x, axis=0, out=grads["ft_b"])
 
-    # Mixer blocks, then the projections. At T = 1 no step is projected:
-    # the empty product and the empty sum write +0.0 into the f_h gradients.
-    if model.backbone.kind == "frozen_mixer":
-        g_seq = model.mixer().backward(blocks, g_x @ params["ft_w"])
-        np.outer(g_seq[0], q_vec, out=grads["fq_w"])
-        grads["fq_b"][...] = g_seq[0]
-        g_h = np.array(g_seq[1:])  # a fresh copy, as in the mixer
-        np.matmul(g_h.T, step_matrix[: T - 1], out=grads["fh_w"])
-        np.sum(g_h, axis=0, out=grads["fh_b"])
-    else:
-        for name in ("fq_w", "fq_b", "fh_w", "fh_b"):
-            grads[name].fill(0.0)
+    # Backbone, then the projections. At T = 1 no step is projected: the
+    # empty product and the empty sum write +0.0 into the f_h gradients.
+    g_seq = model.encoder().backward(blocks, g_x @ params["ft_w"])
+    np.outer(g_seq[0], q_vec, out=grads["fq_w"])
+    grads["fq_b"][...] = g_seq[0]
+    g_h = np.array(g_seq[1:])  # a fresh copy, as in the mixer
+    np.matmul(g_h.T, step_matrix[: T - 1], out=grads["fh_w"])
+    np.sum(g_h, axis=0, out=grads["fh_b"])
     return total, recon, proto, p_new, grads
 
 
@@ -676,49 +770,27 @@ def score_trajectory(
 class DetectorStream:
     """In-loop detection: each step is scored before it is committed.
 
-    With the frozen mixer, a block's pre-activation at position n is
-    ``S / n + x_n @ M_bot``: S is the running sum of ``x_j @ M_top`` over the
-    rows j <= n the block has read, and M_top, M_bot are the halves of its
-    matrix that read the causal mean and the current row. The stream keeps
-    each block's S and its output after the last committed step, so a turn
-    costs the same at step 3 and step 300. Each block takes its row's two
-    terms from one product with its halves stacked as a (2, in, hidden_dim)
-    array: ``x @ [M_top; M_bot]`` gives ``[x @ M_top, x @ M_bot]``.
-
-    f_h and block 1 are both linear before block 1's tanh, so the stream
-    multiplies them together when it opens: the (d, 2 * hidden_dim) fold
-    ``F = fh_w.T @ [M_top | M_bot]``, row-major, and its bias
-    ``c = fh_b @ [M_top | M_bot]``, d * d_h * 2 * hidden_dim multiply-adds
-    once per stream. A commit makes one product for block 1, one per later
-    block and a few vector operations; scoring the next step adds the
-    f_theta head's product. Block 1's product reads only the fold rows of
-    the step's nonzero entries, ``step[idx] @ F[idx] + c`` for
-    ``idx = np.flatnonzero(step)``; each commit allocates ``idx``, the k
-    nonzero entries and a (k, 2 * hidden_dim) copy of their fold rows. A
-    hashing step has a few nonzero entries of 128, so with the default two
-    blocks, at d_e 64 and d_h 256, a turn reads about 1.28 MB of weights; a
-    dense step, as from the remote embedder, reads 1.75 MB and copies the
-    whole fold, and the unfolded products read 2.5 MB. The projected query
-    goes through block 1's own halves once, at open. The other products
-    and vector operations of a turn write into rows the stream allocates
-    once. With a remote backbone the stream keeps the projected rows and
-    sends one /encode request per scored step.
+    The stream holds its backbone's ``Stream`` over the projected query and
+    the committed steps, which gives the hidden state the next prediction
+    reads; the frozen mixer's costs the same at step 3 and step 300, and a
+    remote backbone's sends one /encode request per scored step (see each
+    backbone's ``Stream``). Scoring the next step adds the f_theta head's
+    product, once per commit.
 
     The model's parameters must stay frozen for the stream's lifetime: the
-    fold, the running sums, the hidden state and the prototype's norm (taken
-    once, when the stream opens) all come from them. Steps are not checked
-    for NaN or infinite values here, which would cost two checks a turn;
-    the embedders reject such vectors where they come from.
+    backbone stream's state, the head and the prototype's norm (taken once,
+    when the stream opens) all come from them. Steps are not checked for NaN
+    or infinite values here, which would cost two checks a turn; the
+    embedders reject such vectors where they come from.
 
     ``score`` judges a pending step against the committed history and
     leaves the stream unchanged; the prediction it compares with is computed
     at most once per commit, and the verdict comes from ``_verdict``, as
     ``score_trajectory``'s do. ``commit`` appends the step the run keeps:
     the corrected one when a correction replaced the output. Verdicts agree
-    with ``score_trajectory`` on the committed trajectory to rounding: the
-    fold and the running sums of products add in another order than the
-    full pass's projections and causal means. A query of dimension other
-    than d_e, or a step of dimension other than d, raises ConfigError.
+    with ``score_trajectory`` on the committed trajectory to rounding. A
+    query of dimension other than d_e, or a step of dimension other than d,
+    raises ConfigError.
     """
 
     def __init__(self, model: DetectorModel, q_vec: np.ndarray):
@@ -737,48 +809,12 @@ class DetectorStream:
         query = projected_sequence(
             params, np.asarray(q_vec, dtype=np.float64), np.zeros((0, model.d))
         )[0]
-        if model.backbone.kind == "frozen_mixer":
-            # Per block: its halves [M_top; M_bot] as a (2, in, hidden_dim)
-            # view, the running sum S, the row's two terms and its output.
-            self._blocks = [
-                (m.reshape(2, m.shape[0] // 2, m.shape[1]), np.zeros(m.shape[1]),
-                 np.empty((2, m.shape[1])), np.empty(m.shape[1]))
-                for m in model.mixer().matrices_t
-            ]
-            first, _, terms, _ = self._blocks[0]
-            fold = np.empty((model.d, 2, first.shape[2]))
-            np.matmul(params["fh_w"].T, first, out=fold.transpose(1, 0, 2))
-            self._fold = fold.reshape(model.d, -1)
-            self._fold_bias = np.matmul(params["fh_b"], first).reshape(-1)
-            self._fold_terms = terms.reshape(-1)  # [top | bottom], a view
-            np.matmul(query, first, out=terms)
-            self._advance()
-        else:
-            self._blocks = None
-            self._fh_w_t, self._fh_b = params["fh_w"].T, params["fh_b"]
-            self._rows = [query]  # the projected rows
-
-    def _advance(self) -> None:
-        """Take the row whose block-1 terms were just written through every
-        block; ``_length`` already counts it."""
-        inv = 1.0 / self._length
-        x = None
-        for halves, total, terms, out in self._blocks:
-            if x is not None:
-                np.matmul(x, halves, out=terms)
-            total += terms[0]
-            np.multiply(total, inv, out=out)
-            out += terms[1]
-            np.tanh(out, out=out)
-            x = out
+        encoder = model.encoder()
+        self._stream = encoder.Stream(encoder, params, query)
 
     def _prediction(self) -> np.ndarray:
         if not self._predicted:
-            if self._blocks is not None:
-                state = self._blocks[-1][3]
-            else:
-                state = self.model.remote().encode(np.stack(self._rows))
-            np.matmul(state, self._ft_w_t, out=self._x_hat)
+            np.matmul(self._stream.state, self._ft_w_t, out=self._x_hat)
             self._x_hat += self._ft_b
             self._predicted = True
         return self._x_hat
@@ -807,10 +843,4 @@ class DetectorStream:
         step = self._checked_step(step_emb)
         self._length += 1
         self._predicted = False
-        if self._blocks is None:
-            self._rows.append(step @ self._fh_w_t + self._fh_b)
-            return
-        idx = np.flatnonzero(step)  # a hashing step has a few nonzero entries
-        np.matmul(step[idx], self._fold[idx], out=self._fold_terms)
-        self._fold_terms += self._fold_bias
-        self._advance()
+        self._stream.push(step)

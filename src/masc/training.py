@@ -135,9 +135,10 @@ def train(
     if the loss goes non-finite.
 
     With a ``remote_llm`` backbone the service's hidden states carry no
-    gradient back to the projections, so f_q and f_h keep their initial
-    values (apart from weight decay); only the head f_theta, the attention
-    maps and the prototype train.
+    gradient back to the projections: ``RemoteBackbone.backward`` returns
+    zeros, so the Adam moments of f_q and f_h stay zero and they keep their
+    initial values (apart from weight decay); only the head f_theta, the
+    attention maps and the prototype train.
     """
     if not train_set:
         raise DataError("empty training set")

@@ -89,7 +89,7 @@ def continuation_reference(model, q_vec, steps):
     query = params["fq_w"] @ q_vec + params["fq_b"]
     x = np.concatenate([query[None, :], projected_steps(params, steps)])
     sums = []
-    for matrix_t in model.mixer().matrices_t:
+    for matrix_t in model.encoder().matrices_t:
         k = matrix_t.shape[0] // 2
         context = causal_context(x)
         counts = np.arange(1, x.shape[0] + 1, dtype=np.float64)[:, None]

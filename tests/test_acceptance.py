@@ -101,7 +101,9 @@ def test_criterion_01_gradient_correctness():
             p_new = prototype_attention(p, x_hats, model.d)[0]
             return reconstruction_loss(x_hats, steps) + lam * misalignment_loss(x_hats, p_new)[0]
 
-        total, _, _, _, analytic = trajectory_loss(model, params, q, steps, lam)
+        total, _, _, _, analytic = trajectory_loss(
+            model, params, q, steps, lam, model.params.zeros_like()
+        )
         assert total == loss_fn(params)
         numeric = ad.finite_diff(loss_fn, params, eps=1e-4)
         worst = max(worst, ad.max_relative_error(analytic, numeric))
@@ -140,7 +142,8 @@ def test_criterion_02_loss_identities():
             backbone=BackboneSpec(hidden_dim=4, layers=1, seed=trial), seed=trial,
         )
         total, recon, proto, _, _ = trajectory_loss(
-            model, model.params, model_rng.randn(d_e), model_rng.randn(T, 2 * d_e), lam
+            model, model.params, model_rng.randn(d_e), model_rng.randn(T, 2 * d_e), lam,
+            model.params.zeros_like(),
         )
         assert total == pytest.approx(recon + lam * proto, abs=1e-12)
 

@@ -134,7 +134,7 @@ def test_grad_squared_norm():
     model = _model(3, 5, 2, seed=1)
     rng = np.random.RandomState(1)
     q, steps = rng.randn(3), rng.randn(4, 6)
-    grads = trajectory_loss(model, model.params, q, steps, 0.0)[4]
+    grads = trajectory_loss(model, model.params, q, steps, 0.0, model.params.zeros_like())[4]
     x_hats, _ = predictions_tensor(model, model.params, q, steps)
     expected = 2.0 / 4 * (x_hats - steps).sum(axis=0)
     assert np.allclose(grads["ft_b"], expected, rtol=1e-12, atol=1e-15)
@@ -147,7 +147,9 @@ def test_grad_cosine_at_alignment_is_zero():
     model.params["wv"][...] = 2.0 * np.eye(4)
     q = np.random.RandomState(2).randn(2)
     steps = predictions_tensor(model, model.params, q, np.zeros((1, 4)))[0]
-    total, recon, proto, _, grads = trajectory_loss(model, model.params, q, steps, 1.0)
+    total, recon, proto, _, grads = trajectory_loss(
+        model, model.params, q, steps, 1.0, model.params.zeros_like()
+    )
     assert recon == 0.0
     assert proto == pytest.approx(0.0, abs=1e-12)
     for name, g in grads.items():
@@ -156,11 +158,13 @@ def test_grad_cosine_at_alignment_is_zero():
 
 def _backward_error(model, q, steps, lam):
     params = {k: v.copy() for k, v in model.params.items()}
-    analytic = trajectory_loss(model, params, q, steps, lam)[4]
+    grads = model.params.zeros_like()
+    analytic = trajectory_loss(model, params, q, steps, lam, grads)[4]
     # eps = 1e-6: at init the predictions have small norms, where the
     # cosine's curvature makes the truncation error of eps = 1e-4 too large.
     numeric = ad.finite_diff(
-        lambda p: trajectory_loss(model, p, q, steps, lam)[0], params, eps=1e-6
+        lambda p: trajectory_loss(model, p, q, steps, lam, grads.zeros_like())[0],
+        params, eps=1e-6,
     )
     return ad.max_relative_error(analytic, numeric)
 

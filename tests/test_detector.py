@@ -227,7 +227,7 @@ class TestLosses:
         model = tiny_model(seed=2)
         rng = np.random.RandomState(2)
         total, recon, _, _, _ = trajectory_loss(
-            model, model.params, rng.randn(4), rng.randn(3, 8), 0.0
+            model, model.params, rng.randn(4), rng.randn(3, 8), 0.0, model.params.zeros_like()
         )
         assert total == recon
 
@@ -236,7 +236,8 @@ class TestLosses:
         rng = np.random.RandomState(3)
         for lam in (0.2, 0.3, 1.7):
             total, recon, proto, _, _ = trajectory_loss(
-                model, model.params, rng.randn(4), rng.randn(3, 8), lam
+                model, model.params, rng.randn(4), rng.randn(3, 8), lam,
+                model.params.zeros_like(),
             )
             assert total == pytest.approx(recon + lam * proto, abs=1e-12)
 
@@ -373,7 +374,7 @@ class TestFrozenBackbone:
     def test_backbone_identical_before_and_after_training(self, small_trained):
         model, _, _ = small_trained
         fresh = FrozenMixer(model.backbone, model.d_h)
-        for a, b in zip(model.mixer().matrices_t, fresh.matrices_t):
+        for a, b in zip(model.encoder().matrices_t, fresh.matrices_t):
             assert a.tobytes() == b.tobytes()
 
     def test_seeded_regeneration_is_exact(self):
@@ -386,16 +387,16 @@ class TestFrozenBackbone:
         spec = BackboneSpec(hidden_dim=10, layers=2, seed=78)
         a = DetectorModel.init(EMB4, d_h=10, backbone=spec, seed=1)
         b = DetectorModel.init(EMB4, d_h=10, backbone=spec, seed=2)
-        assert a.mixer() is b.mixer()
+        assert a.encoder() is b.encoder()
         other = DetectorModel.init(EMB4, d_h=10, backbone=dataclasses.replace(spec, seed=79))
-        assert other.mixer() is not a.mixer()
+        assert other.encoder() is not a.encoder()
         fresh = FrozenMixer(spec, 10)
-        for shared, own in zip(a.mixer().matrices_t, fresh.matrices_t):
+        for shared, own in zip(a.encoder().matrices_t, fresh.matrices_t):
             assert shared.tobytes() == own.tobytes()
 
     def test_a_mixer_no_model_holds_is_freed(self):
         spec = BackboneSpec(hidden_dim=10, layers=2, seed=80)
-        ref = weakref.ref(DetectorModel.init(EMB4, d_h=10, backbone=spec).mixer())
+        ref = weakref.ref(DetectorModel.init(EMB4, d_h=10, backbone=spec).encoder())
         gc.collect()
         assert ref() is None
 
@@ -432,12 +433,12 @@ def test_one_row_continuation_equals_the_full_pass(n, k, h, layers, seed, scale,
     if sparse:
         for row in steps:
             row[rng.permutation(8)[rng.randint(9):]] = 0.0
-    full = model.mixer().run(projected_sequence(model.params, q, steps))
+    full = model.encoder().run(projected_sequence(model.params, q, steps))
     stream = DetectorStream(model, q)
     for i in range(n + 1):
         if i:
             stream.commit(steps[i - 1])
-        for (_, _, _, out), rows in zip(stream._blocks, full, strict=True):
+        for (_, _, _, out), rows in zip(stream._stream._blocks, full, strict=True):
             assert out.shape == (h,)
             error = np.max(np.abs(out - rows[i])) / np.max(np.abs(rows[i]))
             assert error <= 1e-12
@@ -579,7 +580,7 @@ class TestFlatParams:
         grads.flat[:] = np.nan  # every entry must be written
         out = trajectory_loss(model, model.params, q, steps, 0.2, grads)[4]
         assert out is grads
-        fresh = trajectory_loss(model, model.params, q, steps, 0.2)[4]
+        fresh = trajectory_loss(model, model.params, q, steps, 0.2, model.params.zeros_like())[4]
         assert np.array_equal(grads.flat, fresh.flat)
 
     def test_zero_gradients_overwrite_a_used_buffer(self):

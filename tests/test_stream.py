@@ -220,7 +220,7 @@ def test_stream_state_equals_the_continuation_reference(n, d_h, layers, seed):
     for count in range(n + 1):
         if count:
             stream.commit(steps[count - 1])
-        for (_, total, _, _), sums in zip(stream._blocks, reference, strict=True):
+        for (_, total, _, _), sums in zip(stream._stream._blocks, reference, strict=True):
             assert relative_error(total, sums[count]) <= 1e-12
     assert stream.score(rng.randn(8), 1.0, 1.0, math.inf).t == n + 1
 
