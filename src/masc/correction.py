@@ -10,8 +10,10 @@ Protocol rules implemented here:
 
 * "No" forces the final response back to the original flagged output, no
   matter what the payload says.
-* Unparseable or incomplete replies fall back to the original output and log
-  a protocol violation; a broken corrector must never corrupt the trajectory.
+* Unparseable or incomplete replies, and a "Yes" whose final response breaks
+  the rule a trace ``Step`` applies to an output (a non-empty string with no
+  lone surrogate), fall back to the original output and log a protocol
+  violation; a broken corrector must never corrupt the trajectory.
 * The corrector is invoked only for flagged steps, once per step; corrected
   outputs are not re-scored.
 * A corrector that raises, a remote one's transport failure included, fails
@@ -27,6 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol
 
 from .detector import AnomalyVerdict
+from .errors import TraceValidationError
+from .trace import _check_text
 
 logger = logging.getLogger(__name__)
 
@@ -132,10 +136,12 @@ def parse_correction_response(raw: str, original: str) -> CorrectionResult:
             violation = f"correction_needed={needed!r}"
         elif not needed:
             return CorrectionResult(correction_needed=False, final_response=original, raw=raw)
-        elif not isinstance(final, str):
-            violation = f"final_response={final!r}"
         else:
-            return CorrectionResult(correction_needed=True, final_response=final, raw=raw)
+            try:
+                _check_text(final, "final_response")
+                return CorrectionResult(correction_needed=True, final_response=final, raw=raw)
+            except TraceValidationError as exc:
+                violation = f"{exc}: {final!r:.80}"
     logger.warning("correction protocol violation: %s", violation)
     return CorrectionResult(
         correction_needed=False, final_response=original, raw=raw, protocol_violation=True
@@ -159,10 +165,8 @@ class ScriptedPolicy:
 
     def __init__(self, script: PolicyFn):
         self._script = script
-        self.calls = 0
 
     def reply(self, req: CorrectionRequest, prompt: str) -> str:
-        self.calls += 1
         return self._script(req, prompt)
 
 

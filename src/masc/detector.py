@@ -434,6 +434,8 @@ class DetectorModel:
     ) -> "DetectorModel":
         """Seeded initialization: uniform(+-1/sqrt(fan_in)) weights, zero
         biases, Gaussian(0, 1/sqrt(d)) prototype."""
+        check_int(d_h, "d_h", 1)  # both before the first draw
+        check_int(seed, "seed", 0, SEED_MAX)
         d_e = embedder.dimension
         d = 2 * d_e
         if backbone is None:

@@ -21,6 +21,11 @@ history, and ``DetectorStream.commit`` appends the kept step; the
 builds a ``CorrectionRequest``; it carries the full committed history,
 steps 1..t-1 as (role, output) pairs, whatever the acting agent could see.
 
+An agent's output must follow the rule a trace ``Step`` applies: a
+non-empty string with no lone surrogate. One that breaks it ends the run
+like a transport failure: ``RunReport.aborted`` and ``error`` are set, and
+the trajectory keeps the steps committed before it.
+
 An agent is a role plus a callable. The simulator judges no run: the caller
 that knows the task sets ``RunReport.task_correct``, as the fixture suite's
 ``run_fixture`` does.
@@ -42,8 +47,8 @@ from .correction import (
 )
 from .detector import AnomalyVerdict, DetectorModel, DetectorStream
 from .embedding import embed_step, embed_text
-from .errors import ConfigError, DataError, TransportError, check_int
-from .trace import Step, Trajectory, is_early_step
+from .errors import ConfigError, DataError, TraceValidationError, TransportError, check_int
+from .trace import Step, Trajectory, _check_text, is_early_step
 from .transport import chat, new_session
 
 logger = logging.getLogger(__name__)
@@ -285,7 +290,8 @@ def run_trajectory(
             # A copy: an agent that keeps or mutates its argument changes
             # nothing the run shows later turns.
             output = spec.template(query, list(seen[agent_idx]), t)
-        except TransportError as exc:
+            _check_text(output, f"agent {spec.role!r} output at step {t}")
+        except (TransportError, TraceValidationError) as exc:
             report.aborted = True
             report.error = str(exc)
             break

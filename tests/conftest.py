@@ -10,6 +10,7 @@ import pytest
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from masc import BackboneSpec, EmbedderSpec, TrainConfig, train
+from masc.correction import ScriptedPolicy
 from masc.detector import PARAM_ORDER
 from masc.synthetic import make_normal_corpus
 
@@ -102,6 +103,18 @@ class StubService:
 @pytest.fixture
 def stub_service():
     return StubService
+
+
+class CountingPolicy(ScriptedPolicy):
+    """A scripted corrector that counts its calls in ``calls``."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.calls = 0
+
+    def reply(self, req, prompt):
+        self.calls += 1
+        return super().reply(req, prompt)
 
 
 SMALL_EMBEDDER = EmbedderSpec(kind="hashing", dimension=16)

@@ -17,7 +17,7 @@ import pytest
 
 from masc.checkpoint import load_checkpoint, save_checkpoint
 from masc.cli import main
-from masc.correction import ScriptedPolicy, apply_correction, parse_correction_response
+from masc.correction import apply_correction, parse_correction_response
 from masc.detector import (
     BackboneSpec,
     DetectorModel,
@@ -43,6 +43,7 @@ from masc.trace import (
 )
 from masc.training import TrainConfig, calibrate_threshold, train
 from tests import gradcheck as ad
+from tests.conftest import CountingPolicy
 
 CRITERIA = {
     "test_criterion_01_gradient_correctness":
@@ -334,7 +335,7 @@ def test_criterion_08_correction_protocol():
     from masc.detector import AnomalyVerdict
     from masc.correction import CorrectionRequest
 
-    policy = ScriptedPolicy(
+    policy = CountingPolicy(
         lambda _req, _prompt: '{"correction_needed": "No", "final_response": ""}'
     )
     flags = [True, False, True, False, False, True, True]
@@ -359,9 +360,9 @@ def test_criterion_08_correction_protocol():
         embedder, d_h=16, backbone=BackboneSpec(hidden_dim=16, layers=2, seed=0),
         seed=0,
     )
+    oracle = oracle_corrector([s.output for s in plain.trajectory.steps])
     hook = MascHook(
-        model=model, alpha=1.0, beta=1.0, delta=math.inf,
-        policy=oracle_corrector([s.output for s in plain.trajectory.steps]),
+        model=model, alpha=1.0, beta=1.0, delta=math.inf, policy=CountingPolicy(oracle.reply)
     )
     gated = run_fixture(fixture, topology, fault=fault, masc=hook)
     assert serialize_trajectory(gated.trajectory) == serialize_trajectory(

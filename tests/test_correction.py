@@ -1,6 +1,7 @@
 import json
 import logging
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from masc.correction import (
     render_transcript,
 )
 from masc.detector import AnomalyVerdict
+from tests.conftest import CountingPolicy
 
 
 def req(history=((("planner", "made a plan"),)), output="the answer is 12"):
@@ -30,7 +32,7 @@ def scripted(correction_needed, final_response=""):
     reply = json.dumps(
         {"correction_needed": correction_needed, "final_response": final_response}
     )
-    return ScriptedPolicy(lambda _req, _prompt: reply)
+    return CountingPolicy(lambda _req, _prompt: reply)
 
 
 def verdict(flagged, score=2.0, delta=1.0):
@@ -130,6 +132,16 @@ class TestParse:
         raw = '{"correction_needed": false, "final_response": "whatever"}'
         result = parse_correction_response(raw, "orig")
         assert result.final_response == "orig"
+
+    @pytest.mark.parametrize("bad", ["", "x \ud800 y"], ids=["empty", "lone surrogate"])
+    def test_a_final_response_no_step_can_hold_falls_back(self, bad):
+        raw = json.dumps({"correction_needed": "Yes", "final_response": bad})
+        result = parse_correction_response(raw, "orig")
+        assert result.protocol_violation
+        assert result.final_response == "orig"
+        outcome = apply_correction(scripted("Yes", bad), verdict(True), req())
+        assert outcome.output == "the answer is 12"
+        assert outcome.invoked and not outcome.replaced
 
     def test_non_string_final_response_falls_back(self):
         raw = '{"correction_needed": "Yes", "final_response": 5}'

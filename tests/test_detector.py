@@ -403,8 +403,15 @@ class TestFrozenBackbone:
 
 def test_a_model_without_projection_rows_is_a_config_error():
     # d_h 0 would otherwise end in a ZeroDivisionError when the mixer is built.
-    with pytest.raises(ConfigError, match="d_h"):
-        DetectorModel.init(EMB4, d_h=0, backbone=BackboneSpec(hidden_dim=8))
+    # Both values are checked before the first draw: a negative d_h would end
+    # in numpy's reshape error, a float d_h in a TypeError and a negative
+    # seed in numpy's seed error.
+    backbone = BackboneSpec(hidden_dim=8)
+    for d_h in (0, -1, 2.5):
+        with pytest.raises(ConfigError, match="d_h"):
+            DetectorModel.init(EMB4, d_h=d_h, backbone=backbone)
+    with pytest.raises(ConfigError, match="seed"):
+        DetectorModel.init(EMB4, d_h=8, backbone=backbone, seed=-1)
 
 
 @settings(max_examples=150, deadline=None)

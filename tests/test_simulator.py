@@ -38,7 +38,7 @@ from masc.simulator import (
     schedule,
 )
 from masc.trace import serialize_trajectory
-from tests.conftest import MALFORMED_REPLIES
+from tests.conftest import MALFORMED_REPLIES, CountingPolicy
 from tests.reference import checker_reference
 
 
@@ -243,6 +243,36 @@ class TestRunTrajectory:
         assert len(report.trajectory.steps) == 1  # decomposer only
         assert report.task_correct is None
 
+    @pytest.mark.parametrize("bad", ["", "x \ud800 y"], ids=["empty", "lone surrogate"])
+    @pytest.mark.parametrize("detect", [False, True], ids=["plain", "masc"])
+    def test_an_output_no_step_can_hold_aborts_with_partial_report(self, bad, detect):
+        agents = fixture_agents()
+        broken = AgentSpec("solver", lambda query, visible, t: bad)
+        hook = MascHook(
+            model=tiny_detector(), alpha=1.0, beta=1.0, delta=-math.inf,
+            policy=ScriptedPolicy(lambda req, prompt: "no json"),
+        ) if detect else None
+        report = run_trajectory([agents[0], broken, agents[2]], CHAIN, FIXTURE.query, masc=hook)
+        assert report.aborted
+        assert "'solver' output at step 2" in report.error
+        assert len(report.trajectory.steps) == 1  # decomposer only
+        assert len(report.verdicts) == int(detect)
+
+    @pytest.mark.parametrize("bad", ["", "x \ud800 y"], ids=["empty", "lone surrogate"])
+    def test_a_correction_no_step_can_hold_keeps_the_original(self, bad, caplog):
+        reply = json.dumps({"correction_needed": "Yes", "final_response": bad})
+        hook = MascHook(
+            model=tiny_detector(), alpha=1.0, beta=1.0, delta=-math.inf,
+            policy=ScriptedPolicy(lambda req, prompt: reply),
+        )
+        plain = run_trajectory(fixture_agents(), CHAIN, FIXTURE.query)
+        report = run_trajectory(fixture_agents(), CHAIN, FIXTURE.query, masc=hook)
+        assert not report.aborted
+        assert report.trajectory == plain.trajectory
+        assert report.flagged == 3 and report.interventions == 0
+        violations = [r for r in caplog.records if "protocol violation" in r.message]
+        assert len(violations) == 3
+
     def test_run_fixture_leaves_an_aborted_run_unjudged(self, monkeypatch):
         agents = fixture_agents()
         broken = remote_chat_agent("solver", "http://127.0.0.1:1", "m")
@@ -282,6 +312,12 @@ class TestRunTrajectory:
         assert report.task_correct is None
 
 
+def tiny_detector():
+    return DetectorModel.init(
+        EmbedderSpec(kind="hashing", dimension=4), d_h=6, backbone=BackboneSpec(hidden_dim=6)
+    )
+
+
 def _star_seed():
     # find a seed whose 3-node connected graph is exactly {0-1, 0-2}
     target = frozenset({frozenset({0, 1}), frozenset({0, 2})})
@@ -309,7 +345,9 @@ class TestMascInLoop:
         fixture, clean_report = fixtures[0], clean[0]
         hook = MascHook(
             model=model, alpha=1.0, beta=1.0, delta=math.inf,
-            policy=oracle_corrector([s.output for s in clean_report.trajectory.steps]),
+            policy=CountingPolicy(
+                oracle_corrector([s.output for s in clean_report.trajectory.steps]).reply
+            ),
         )
         fault = FaultSpec(target_agent=1, seed=3)
         with_masc = run_fixture(fixture, CHAIN, fault=fault, masc=hook)
@@ -356,7 +394,9 @@ class TestMascInLoop:
         fixtures, clean, model, calibration = suite_detector
         hook = MascHook(
             model=model, alpha=1.0, beta=1.0, delta=calibration.delta,
-            policy=oracle_corrector([s.output for s in clean[2].trajectory.steps]),
+            policy=CountingPolicy(
+                oracle_corrector([s.output for s in clean[2].trajectory.steps]).reply
+            ),
         )
         report = run_fixture(
             fixtures[2], CHAIN, fault=FaultSpec(target_agent=1, seed=2), masc=hook
