@@ -263,7 +263,9 @@ class FrozenMixer:
         full pass's projections and causal means.
         """
 
-        def __init__(self, mixer: "FrozenMixer", params: Mapping[str, np.ndarray], query: np.ndarray):
+        def __init__(
+            self, mixer: FrozenMixer, params: Mapping[str, np.ndarray], query: np.ndarray
+        ):
             # Per block: its halves [M_top; M_bot] as a (2, in, hidden_dim)
             # view, the running sum S, the row's two terms and its output.
             self._blocks = [
@@ -354,7 +356,9 @@ class RemoteBackbone:
         """Keeps the projected rows; each read of ``state`` sends them all in
         one /encode request."""
 
-        def __init__(self, backbone: "RemoteBackbone", params: Mapping[str, np.ndarray], query: np.ndarray):
+        def __init__(
+            self, backbone: RemoteBackbone, params: Mapping[str, np.ndarray], query: np.ndarray
+        ):
             self._backbone = backbone
             self._params = params
             self._rows = [query]
@@ -410,7 +414,8 @@ class DetectorModel:
             and isinstance(self.backbone, BackboneSpec)
             and isinstance(self.params, FlatParams)
             and self.embedder.dimension == self.d_e
-            and self.params.shapes() == _param_shapes(self.d_e, self.d_h, self.backbone.hidden_dim)
+            and self.params.shapes()
+            == _param_shapes(self.d_e, self.d_h, self.backbone.hidden_dim)
         ):
             raise ConfigError(
                 "with_gt must be a bool, embedder an EmbedderSpec of dimension d_e, "

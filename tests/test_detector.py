@@ -587,7 +587,8 @@ class TestFlatParams:
         grads.flat[:] = np.nan  # every entry must be written
         out = trajectory_loss(model, model.params, q, steps, 0.2, grads)[4]
         assert out is grads
-        fresh = trajectory_loss(model, model.params, q, steps, 0.2, model.params.zeros_like())[4]
+        fresh = model.params.zeros_like()
+        trajectory_loss(model, model.params, q, steps, 0.2, fresh)
         assert np.array_equal(grads.flat, fresh.flat)
 
     def test_zero_gradients_overwrite_a_used_buffer(self):
