@@ -464,10 +464,10 @@ def remote_spec(endpoint):
                         model_name="llm")
 
 
-# Recorded with the remote path's per-prefix /encode calls on the stub service.
+# Recorded with the remote path's per-prefix /encode calls on the stub service;
+# the batched pass and the stream gave the same score bits.
 REMOTE_DIGEST = "feee188c93c3743735b348190e44242e5608a9751d13751564128db37d16da1c"
-REMOTE_BATCH_SCORES = ["0x1.ddde806c984bep+0", "0x1.42a66ab51b428p+1", "0x1.63b30eafafcc6p+1"]
-REMOTE_STREAM_SCORES = REMOTE_BATCH_SCORES
+REMOTE_SCORES = ["0x1.ddde806c984bep+0", "0x1.42a66ab51b428p+1", "0x1.63b30eafafcc6p+1"]
 
 
 class TestRemoteBackbone:
@@ -525,8 +525,8 @@ class TestRemoteBackbone:
                 stream.commit(step)
             requests = len(stub.requests)
         assert model.param_digest() == REMOTE_DIGEST
-        assert [v.score.hex() for v in batch] == REMOTE_BATCH_SCORES
-        assert [v.score.hex() for v in streamed] == REMOTE_STREAM_SCORES
+        assert [v.score.hex() for v in batch] == REMOTE_SCORES
+        assert [v.score.hex() for v in streamed] == REMOTE_SCORES
         assert requests == 2 * 3 * 3 + 3 + 3
 
     def test_a_reply_of_the_wrong_dimension_is_a_config_error(self, stub_service):
