@@ -65,7 +65,7 @@ import numpy as np
 
 from .embedding import EmbedderSpec
 from .errors import ConfigError, DataError, check_int, check_number
-from .transport import new_session, post_json
+from .transport import float_vectors, new_session, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -312,22 +312,16 @@ class FrozenMixer:
 _BACKBONES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _finite_vector(reply: dict) -> np.ndarray:
-    # Python's json reads NaN and Infinity; a non-finite state would make
-    # every later score NaN, which no threshold flags.
-    vector = np.asarray(reply["vector"], dtype=np.float64)
-    if not np.isfinite(vector).all():
-        raise ValueError("non-finite value in the vector")
-    return vector
-
-
 class RemoteBackbone:
     """Client for POST {endpoint}/encode: {"model", "sequence": [[f64]]} -> {"vector"}.
 
     The service returns the hidden state after the last row of the sequence
     it is sent, so ``run`` sends one request per prefix and returns a single
     entry. Its states carry no gradient, so ``backward`` returns zeros and f_q
-    and f_h get zero gradient.
+    and f_h get zero gradient. Each reply goes through
+    ``transport.float_vectors``: a NaN or infinite value is a failed attempt,
+    and a state of another dimension than ``hidden_dim`` ends the call with
+    ConfigError.
     """
 
     def __init__(self, spec: BackboneSpec, input_dim: int):
@@ -338,13 +332,11 @@ class RemoteBackbone:
     def encode(self, sequence: np.ndarray) -> np.ndarray:
         url = self.spec.endpoint.rstrip("/") + "/encode"
         body = {"model": self.spec.model_name, "sequence": sequence.tolist()}
-        vector = post_json(self._session, url, body, _finite_vector)
-        if vector.shape != (self.spec.hidden_dim,):
-            raise ConfigError(
-                f"backbone service returned a vector of shape {vector.shape}, "
-                f"expected dimension {self.spec.hidden_dim}"
-            )
-        return vector
+        dim = self.spec.hidden_dim
+        return post_json(
+            self._session, url, body,
+            lambda reply: float_vectors([reply["vector"]], 1, dim, "backbone service")[0],
+        )
 
     def run(self, sequence: np.ndarray) -> list[np.ndarray]:
         return [np.stack([self.encode(sequence[:t]) for t in range(1, len(sequence) + 1)])]

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, check_int, check_number
 from .trace import Trajectory
-from .transport import new_session, post_json
+from .transport import float_vectors, new_session, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -238,7 +238,13 @@ def cache_key(model_name: str, text: str) -> bytes:
 
 
 class RemoteEmbedder:
-    """Client for the POST {endpoint}/embed JSON contract."""
+    """Client for POST {endpoint}/embed: {"model", "texts": [str]} -> {"vectors"}.
+
+    The reply and every cache hit go through ``transport.float_vectors``:
+    a wrong vector count or a NaN or infinite value is a failed attempt,
+    and a vector of another dimension than the spec's ends the call with
+    ConfigError. Only checked replies are cached.
+    """
 
     def __init__(self, spec: EmbedderSpec):
         self.spec = spec
@@ -254,45 +260,24 @@ class RemoteEmbedder:
             if self.cache is not None:
                 hit = self.cache.get(cache_key(spec.model_name, text))
                 if hit is not None:
-                    out[i] = self._checked(hit, "embedding cache")
+                    (out[i],) = float_vectors([hit], 1, spec.dimension, "embedding cache")
                     continue
             missing.append(i)
         if missing:
-            vectors = self._post([texts[i] for i in missing])
+            body = {"model": spec.model_name, "texts": [texts[i] for i in missing]}
+            with self._sem:
+                vectors = post_json(
+                    self._session, spec.endpoint.rstrip("/") + "/embed", body,
+                    lambda reply: float_vectors(
+                        reply["vectors"], len(missing), spec.dimension, "embedding service"
+                    ),
+                    spec.max_attempts, spec.timeout,
+                )
             for i, vec in zip(missing, vectors):
-                self._checked(vec, "embedding service")
                 if self.cache is not None:
                     self.cache.put(cache_key(spec.model_name, texts[i]), vec)
                 out[i] = vec
         return out
-
-    def _checked(self, vec: np.ndarray, source: str) -> np.ndarray:
-        if vec.shape != (self.spec.dimension,):
-            raise ConfigError(
-                f"{source} returned a vector of shape {vec.shape}, "
-                f"expected dimension {self.spec.dimension}"
-            )
-        return vec
-
-    def _post(self, texts: list[str]) -> list[np.ndarray]:
-        spec = self.spec
-
-        def parse(reply: dict) -> list[np.ndarray]:
-            vectors = [np.asarray(v, dtype=np.float64) for v in reply["vectors"]]
-            if len(vectors) != len(texts):
-                raise ValueError(f"{len(vectors)} vectors for {len(texts)} texts")
-            # Python's json reads NaN and Infinity; such a vector would make
-            # every later score NaN, which no threshold flags.
-            if not all(np.isfinite(v).all() for v in vectors):
-                raise ValueError("non-finite value in a vector")
-            return vectors
-
-        body = {"model": spec.model_name, "texts": texts}
-        with self._sem:
-            return post_json(
-                self._session, spec.endpoint.rstrip("/") + "/embed", body, parse,
-                spec.max_attempts, spec.timeout,
-            )
 
 
 _BACKENDS: dict[EmbedderSpec, RemoteEmbedder] = {}

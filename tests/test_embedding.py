@@ -425,6 +425,17 @@ class TestRemoteEmbedder:
             with pytest.raises(ConfigError, match="dimension"):
                 embed_text(spec, "x")
 
+    def test_a_non_finite_vector_is_retried_before_a_wrong_dimension_ends_the_call(
+        self, stub_service
+    ):
+        # Every vector's values are checked before any vector's shape.
+        with stub_service(raw=b'{"vectors": [[0, 1, 2], [0, NaN, 2, 3]]}') as stub:
+            spec = EmbedderSpec(kind="remote", dimension=4,
+                                endpoint=stub.endpoint, model_name="m")
+            with pytest.raises(TransportError, match="non-finite"):
+                embedding._text_matrix(spec, ["one", "two"])
+            assert len(stub.requests) == 3
+
     def test_cache_prevents_second_request(self, stub_service, tmp_path):
         with stub_service(dimension=4) as stub:
             spec = EmbedderSpec(kind="remote", dimension=4,
