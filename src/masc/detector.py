@@ -773,8 +773,8 @@ class DetectorStream:
     the committed steps, which gives the hidden state the next prediction
     reads; the frozen mixer's costs the same at step 3 and step 300, and a
     remote backbone's sends one /encode request per scored step (see each
-    backbone's ``Stream``). Scoring the next step adds the f_theta head's
-    product, once per commit.
+    backbone's ``Stream``). Each ``score`` adds the f_theta head's product on
+    that state; the run loop scores a turn once, then commits.
 
     The model's parameters must stay frozen for the stream's lifetime: the
     backbone stream's state, the head and the prototype's norm (taken once,
@@ -783,8 +783,7 @@ class DetectorStream:
     embedders reject such vectors where they come from.
 
     ``score`` judges a pending step against the committed history and
-    leaves the stream unchanged; the prediction it compares with is computed
-    at most once per commit, and the verdict comes from ``_verdict``, as
+    leaves the stream unchanged; the verdict comes from ``_verdict``, as
     ``score_trajectory``'s do. ``commit`` appends the step the run keeps:
     the corrected one when a correction replaced the output. Verdicts agree
     with ``score_trajectory`` on the committed trajectory to rounding. A
@@ -803,20 +802,11 @@ class DetectorStream:
         self._p_norm = float(np.linalg.norm(self._p))
         self._x_hat = np.empty(model.d)
         self._squared = np.empty(model.d)
-        self._predicted = False  # whether _x_hat holds the next prediction
         self._length = 1  # rows encoded: the query plus the committed steps
-        query = projected_sequence(
-            params, np.asarray(q_vec, dtype=np.float64), np.zeros((0, model.d))
-        )[0]
+        # The first row ``projected_sequence`` gives, bit for bit.
+        query = params["fq_w"] @ np.asarray(q_vec, dtype=np.float64) + params["fq_b"]
         encoder = model.encoder()
         self._stream = encoder.Stream(encoder, params, query)
-
-    def _prediction(self) -> np.ndarray:
-        if not self._predicted:
-            np.matmul(self._stream.state, self._ft_w_t, out=self._x_hat)
-            self._x_hat += self._ft_b
-            self._predicted = True
-        return self._x_hat
 
     def _checked_step(self, step_emb) -> np.ndarray:
         if np.shape(step_emb) != (self.model.d,):
@@ -829,7 +819,8 @@ class DetectorStream:
         """Verdict on the pending step t = (committed steps) + 1."""
         step = self._checked_step(step_emb)
         _check_weights(alpha, beta)
-        x_hat = self._prediction()
+        x_hat = np.matmul(self._stream.state, self._ft_w_t, out=self._x_hat)
+        x_hat += self._ft_b
         squared = np.subtract(x_hat, step, out=self._squared)
         squared *= squared
         return _verdict(
@@ -841,5 +832,4 @@ class DetectorStream:
         """Append a step to the history the next prediction reads."""
         step = self._checked_step(step_emb)
         self._length += 1
-        self._predicted = False
         self._stream.push(step)

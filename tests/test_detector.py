@@ -699,8 +699,9 @@ def test_public_scoring_paths_equal_per_step_scoring(d_e, d_h, T, seed):
     )
     stream = DetectorStream(model, q)
     for t, step in enumerate(steps, start=1):
-        prediction = stream._prediction()
-        assert _bits([stream.score(step, 1.0, 0.5, 2.0)]) == _bits(
+        verdict = stream.score(step, 1.0, 0.5, 2.0)
+        prediction = stream._x_hat  # the prediction the verdict compared with
+        assert _bits([verdict]) == _bits(
             verdicts_reference(prediction[None, :], step[None, :], p, 1.0, 0.5, 2.0, t)
         )
         stream.commit(step)

@@ -186,7 +186,7 @@ def test_stream_verdict_equals_verdicts_on_its_row(
     for t in range(1, T + 1):
         step = rng.randn(2 * d_e)
         verdict = stream.score(step, alpha, beta, delta)
-        x_hat = stream._prediction().copy()
+        x_hat = stream._x_hat.copy()  # the prediction the verdict compared with
         (expected,) = _verdicts(x_hat[None, :], step[None, :], p, p_norm, alpha, beta, delta, t)
         assert bits(verdict) == bits(expected)
         assert verdict.t == t and verdict.flagged == (verdict.score > delta)
