@@ -197,7 +197,9 @@ def inject_fault(step_output: str, corruption: str, seed: int = 0) -> str:
 
     ``misleading_template`` rewrites the answer span: every occurrence of the
     last integer in the text is replaced by that value plus one. ``scramble``
-    applies a seeded token permutation.
+    applies a seeded token permutation; an output it cannot change that way
+    (one token, or only whitespace) gets `` (scrambled)`` appended, so the
+    result is never empty.
     """
     if not step_output:
         raise DataError("cannot corrupt empty output")
@@ -219,7 +221,7 @@ def inject_fault(step_output: str, corruption: str, seed: int = 0) -> str:
     if scrambled == tokens:
         scrambled = scrambled[1:] + scrambled[:1]
     out = " ".join(scrambled)
-    if out == step_output:
+    if out in (step_output, ""):  # no token to move, or only whitespace
         out = step_output + " (scrambled)"
     return out
 

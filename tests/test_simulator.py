@@ -119,6 +119,10 @@ class TestInjectFault:
         with pytest.raises(DataError):
             inject_fault("", "scramble")
 
+    def test_scramble_of_only_whitespace_is_a_changed_non_empty_text(self):
+        out = inject_fault("   ", "scramble", 0)
+        assert out.strip() and out != "   "
+
 
 class TestResolveFault:
     def test_fixed_step(self):
@@ -272,6 +276,15 @@ class TestRunTrajectory:
         assert report.flagged == 3 and report.interventions == 0
         violations = [r for r in caplog.records if "protocol violation" in r.message]
         assert len(violations) == 3
+
+    def test_a_scramble_fault_on_a_whitespace_output_keeps_the_run(self):
+        agents = fixture_agents()
+        blank = AgentSpec("solver", lambda query, visible, t: "  ")
+        fault = FaultSpec(target_agent=1, corruption="scramble")
+        report = run_trajectory([agents[0], blank, agents[2]], CHAIN, FIXTURE.query, fault=fault)
+        assert not report.aborted
+        faulted = report.trajectory.steps[report.fault_step - 1]
+        assert faulted.role == "solver" and faulted.output.strip()
 
     def test_run_fixture_leaves_an_aborted_run_unjudged(self, monkeypatch):
         agents = fixture_agents()
