@@ -176,15 +176,19 @@ class VectorCache:
     File layout is a sequence of length-prefixed records (key digest,
     dimension, raw little-endian float64 values). On load, a record whose
     length disagrees with its dimension, or that holds a NaN or infinite
-    value, is skipped with a warning, and loading goes on after it; a
-    truncated trailing record is ignored. Writes are serialized by an
-    internal lock.
+    value, is skipped with a warning, and loading goes on after it. A torn
+    trailing record (an append cut short) is dropped with a warning, and the
+    next ``put`` cuts the file back to the end of the last whole record
+    before it appends, so later records stay readable. ``put`` stores what
+    it is given; the remote embedder gives it only checked replies. Writes
+    are serialized by an internal lock.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
         self._mem: dict[bytes, np.ndarray] = {}
+        self._torn_at: int | None = None  # where a torn tail starts; cut before appending
         self._load()
 
     def _load(self):
@@ -197,7 +201,7 @@ class VectorCache:
             (length,) = _RECORD_HEAD.unpack_from(blob, pos)
             start = pos + _RECORD_HEAD.size
             if start + length > len(blob):
-                break  # truncated tail
+                break
             payload = blob[start : start + length]
             pos = start + length
             if length < _KEY_DIM.size:
@@ -216,6 +220,10 @@ class VectorCache:
                                "non-finite value", self.path, start - _RECORD_HEAD.size)
                 continue
             self._mem[digest] = values.astype(np.float64)
+        if pos < len(blob):
+            logger.warning("%s: dropping a torn %d-byte cache record at byte %d",
+                           self.path, len(blob) - pos, pos)
+            self._torn_at = pos
 
     def get(self, digest: bytes) -> np.ndarray | None:
         vec = self._mem.get(digest)
@@ -228,6 +236,9 @@ class VectorCache:
                 return
             self._mem[digest] = vector.copy()
             with open(self.path, "ab") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
                 fh.write(_RECORD_HEAD.pack(len(payload)) + payload)
 
 

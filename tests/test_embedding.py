@@ -360,6 +360,44 @@ class TestVectorCache:
         assert np.array_equal(reloaded.get(cache_key("m", "b")), np.full(3, 2.0))
         assert any("non-finite" in r.message for r in caplog.records)
 
+    def test_a_torn_append_loses_no_later_record(self, tmp_path, caplog):
+        path = tmp_path / "cache.bin"
+        vectors = {f"t{i}": np.full(4, float(i)) for i in range(8)}
+        cache = VectorCache(str(path))
+        for text in ("t0", "t1", "t2"):
+            cache.put(cache_key("m", text), vectors[text])
+        path.write_bytes(path.read_bytes()[:-20])  # t2's record, torn
+        with caplog.at_level(logging.WARNING, logger="masc.embedding"):
+            cache = VectorCache(str(path))
+        assert any("torn 52-byte" in r.message for r in caplog.records)
+        for text in ("t3", "t4", "t5", "t6", "t7"):
+            cache.put(cache_key("m", text), vectors[text])
+        reloaded = VectorCache(str(path))
+        whole = [t for t in vectors if t != "t2"]
+        assert [t for t in whole if reloaded.get(cache_key("m", t)) is not None] == whole
+        for text in whole:
+            assert np.array_equal(reloaded.get(cache_key("m", text)), vectors[text])
+
+    @given(blob=st.binary(max_size=400) | st.builds(
+        lambda head, tail: head + tail,
+        st.lists(st.sampled_from([
+            struct.pack("<I", 44) + b"\x01" * 32 + struct.pack("<I", 1) + b"\x00" * 8,
+            struct.pack("<I", 44) + b"\x02" * 32 + struct.pack("<I", 1)
+            + struct.pack("<d", math.nan),
+            struct.pack("<I", 3) + b"abc",
+        ]), max_size=4).map(b"".join),
+        st.binary(max_size=60),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_load_and_then_take_a_put(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "any_bytes_cache.bin"
+        path.write_bytes(blob)
+        cache = VectorCache(str(path))
+        assert all(np.isfinite(v).all() for v in cache._mem.values())
+        key, vec = cache_key("m", "new"), np.arange(3.0)
+        cache.put(key, vec)
+        assert np.array_equal(VectorCache(str(path)).get(key), vec)
+
     def test_concurrent_writers(self, tmp_path):
         cache = VectorCache(str(tmp_path / "cache.bin"))
 
