@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -43,7 +44,15 @@ _LEN = struct.Struct("<I")
 def save_checkpoint(
     model: DetectorModel, calibration: Calibration | None, path: str
 ) -> str:
-    """Write model (+ optional calibration) to ``path``; returns payload digest."""
+    """Write model (+ optional calibration) to ``path``; returns payload digest.
+
+    The file is written whole or not at all: the bytes go to a temporary
+    file in the same directory, which is flushed, synced to disk and then
+    renamed over ``path``. On any failure the temporary file is removed, the
+    error re-raised and ``path`` left as it was. A replaced file gets a new
+    file's mode, not the old one's; a symlink at ``path`` keeps pointing at
+    the file it named, which is the one replaced.
+    """
     payload = model.params.flat.astype("<f8", copy=False).tobytes()
     digest = hashlib.sha256(payload).hexdigest()
     header = {
@@ -62,11 +71,18 @@ def save_checkpoint(
         "payload_sha256": digest,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_LEN.pack(len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC + _LEN.pack(len(blob)) + blob + payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return digest
 
 

@@ -26,7 +26,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .detector import BackboneSpec, score_trajectory
 from .embedding import EmbedderSpec, embed_trajectory
-from .errors import ConfigError, DataError, DivergenceError, MascError
+from .errors import ConfigError, DataError, DivergenceError, MascError, check_int
 from .evaluation import (
     ScoredStep,
     compute_metrics,
@@ -127,8 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="metrics JSON output path (default stdout)")
     p.add_argument("--hist", help="write score histogram CSV here")
     p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--alpha", type=float, help="override the checkpoint's alpha")
-    p.add_argument("--beta", type=float, help="override the checkpoint's beta")
+    p.add_argument("--alpha", type=float,
+                   help="override the checkpoint's alpha (with --checkpoint only)")
+    p.add_argument("--beta", type=float,
+                   help="override the checkpoint's beta (with --checkpoint only)")
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("diag", help="embedding distance and error-position diagnostics")
@@ -353,9 +355,12 @@ def _scores_from_csv(path: str) -> list[tuple[str, int, float, bool]]:
 
 
 def cmd_eval(args) -> int:
-    trajectories = load_trajectories(args.traces, strict=args.strict)
     if args.scores is None and args.checkpoint is None:
         raise ConfigError("eval needs --scores or --checkpoint")
+    if args.scores and (args.alpha, args.beta) != (None, None):
+        raise ConfigError("--alpha and --beta act only with --checkpoint, not --scores")
+    check_int(args.bins, "bins", 2)
+    trajectories = load_trajectories(args.traces, strict=args.strict)
     if args.scores:
         rows = _scores_from_csv(args.scores)
     else:
@@ -390,8 +395,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    trajectories = load_trajectories(args.traces, strict=args.strict)
+    check_int(args.bins, "bins", 1)
     embedder = EmbedderSpec(**_given(dimension=args.dim))
+    trajectories = load_trajectories(args.traces, strict=args.strict)
     raw, augmented = embedding_distance_diagnostics(
         trajectories, [embed_trajectory(embedder, t)[1] for t in trajectories]
     )

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -365,6 +366,36 @@ class TestTrain:
         assert "quantile" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_in_place_calibrate_whose_write_fails_keeps_the_checkpoint(
+        self, trained_checkpoint, corpus_file, tmp_path
+    ):
+        # A file-size limit, set in a child process only, stands in for a
+        # full disk: the write fails part way with EFBIG.
+        directory = tmp_path / "ckpt"
+        directory.mkdir()
+        ckpt = directory / "model.ckpt"
+        ckpt.write_bytes(Path(trained_checkpoint[0]).read_bytes())
+        before = ckpt.read_bytes()
+        assert len(before) > 4096
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+            "from masc.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "calibrate", "--checkpoint", str(ckpt),
+             "--traces", corpus_file],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "File too large" in proc.stderr
+        assert ckpt.read_bytes() == before
+        assert os.listdir(directory) == ["model.ckpt"]
+
     def test_golden_digest(self, tmp_path, capsys):
         """SHA-256 of the payload (``train_digest.txt``) and of the whole
         file, header included (``checkpoint_digest.txt``), that ``masc
@@ -488,6 +519,17 @@ class TestNonFiniteInput:
                      "--traces", corpus_file]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "NaN" in err and "Traceback" not in err
+
+
+@pytest.fixture
+def no_reads(monkeypatch):
+    """Make every input read of a command fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input file was read")
+
+    for name in ("load_trajectories", "load_checkpoint", "_scores_from_csv"):
+        monkeypatch.setattr(cli, name, refuse)
 
 
 class TestEval:
@@ -638,6 +680,23 @@ class TestEval:
     def test_needs_scores_or_checkpoint(self, labeled_file, capsys):
         assert main(["eval", "--traces", labeled_file]) == 2
 
+    def test_one_bin_exits_two_before_any_read(self, trained_checkpoint, labeled_file,
+                                               tmp_path, no_reads, capsys):
+        ckpt, _ = trained_checkpoint
+        out = tmp_path / "metrics.json"
+        assert main(["eval", "--checkpoint", ckpt, "--traces", labeled_file,
+                     "--hist", str(tmp_path / "hist.csv"), "--bins", "1",
+                     "--out", str(out)]) == 2
+        assert "bins" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alpha_or_beta_with_scores_exits_two_before_any_read(
+        self, labeled_file, tmp_path, no_reads, capsys
+    ):
+        assert main(["eval", "--scores", str(tmp_path / "scores.csv"),
+                     "--traces", labeled_file, "--alpha", "0", "--beta", "5"]) == 2
+        assert "--checkpoint" in capsys.readouterr().err
+
     def test_perfect_separation_fixture(self, tmp_path, capsys):
         # hand-written score CSV with perfect separation -> auc 1.0
         traces = tmp_path / "t.jsonl"
@@ -684,6 +743,10 @@ class TestDiag:
 
     def test_unlabeled_exits_three(self, corpus_file, capsys):
         assert main(["diag", "--traces", corpus_file]) == 3
+
+    def test_zero_bins_exits_two_before_any_read(self, labeled_file, no_reads, capsys):
+        assert main(["diag", "--traces", labeled_file, "--bins", "0"]) == 2
+        assert "bins" in capsys.readouterr().err
 
     def test_embeds_each_trajectory_once(self, labeled_file, monkeypatch, capsys):
         calls = []
