@@ -201,7 +201,7 @@ class VectorCache:
             (length,) = _RECORD_HEAD.unpack_from(blob, pos)
             start = pos + _RECORD_HEAD.size
             if start + length > len(blob):
-                break
+                break  # a torn tail
             payload = blob[start : start + length]
             pos = start + length
             if length < _KEY_DIM.size:

@@ -62,6 +62,17 @@ def trained_checkpoint(tmp_path_factory, corpus_file):
     return ckpt, report
 
 
+@pytest.fixture
+def no_reads(monkeypatch):
+    """Make every input read of a command fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input file was read")
+
+    for name in ("load_trajectories", "load_checkpoint", "_scores_from_csv"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 class TestParsing:
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -100,6 +111,20 @@ class TestParsing:
             main(["simulate", flag, value])
         assert exc.value.code == 2
         assert "expected an index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--checkpoint", "m.ckpt", "--traces", "l.jsonl", "--hist", "h.csv",
+          "--bins", "1", "--out", "e.json"], "bins"),
+        (["eval", "--scores", "s.csv", "--traces", "l.jsonl", "--alpha", "0",
+          "--beta", "5"], "--checkpoint"),
+        (["diag", "--traces", "l.jsonl", "--bins", "0", "--out", "d.json"], "bins"),
+    ], ids=["eval one bin", "eval alpha and beta with scores", "diag zero bins"])
+    def test_bad_flag_exits_two_before_any_read(self, no_reads, tmp_path, monkeypatch,
+                                                capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # nothing written
 
     def test_unknown_topology_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -521,17 +546,6 @@ class TestNonFiniteInput:
         assert err.startswith("error:") and "NaN" in err and "Traceback" not in err
 
 
-@pytest.fixture
-def no_reads(monkeypatch):
-    """Make every input read of a command fail the test."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an input file was read")
-
-    for name in ("load_trajectories", "load_checkpoint", "_scores_from_csv"):
-        monkeypatch.setattr(cli, name, refuse)
-
-
 class TestEval:
     def test_checkpoint_mode_metrics(self, trained_checkpoint, labeled_file,
                                      tmp_path, capsys):
@@ -680,23 +694,6 @@ class TestEval:
     def test_needs_scores_or_checkpoint(self, labeled_file, capsys):
         assert main(["eval", "--traces", labeled_file]) == 2
 
-    def test_one_bin_exits_two_before_any_read(self, trained_checkpoint, labeled_file,
-                                               tmp_path, no_reads, capsys):
-        ckpt, _ = trained_checkpoint
-        out = tmp_path / "metrics.json"
-        assert main(["eval", "--checkpoint", ckpt, "--traces", labeled_file,
-                     "--hist", str(tmp_path / "hist.csv"), "--bins", "1",
-                     "--out", str(out)]) == 2
-        assert "bins" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_alpha_or_beta_with_scores_exits_two_before_any_read(
-        self, labeled_file, tmp_path, no_reads, capsys
-    ):
-        assert main(["eval", "--scores", str(tmp_path / "scores.csv"),
-                     "--traces", labeled_file, "--alpha", "0", "--beta", "5"]) == 2
-        assert "--checkpoint" in capsys.readouterr().err
-
     def test_perfect_separation_fixture(self, tmp_path, capsys):
         # hand-written score CSV with perfect separation -> auc 1.0
         traces = tmp_path / "t.jsonl"
@@ -743,10 +740,6 @@ class TestDiag:
 
     def test_unlabeled_exits_three(self, corpus_file, capsys):
         assert main(["diag", "--traces", corpus_file]) == 3
-
-    def test_zero_bins_exits_two_before_any_read(self, labeled_file, no_reads, capsys):
-        assert main(["diag", "--traces", labeled_file, "--bins", "0"]) == 2
-        assert "bins" in capsys.readouterr().err
 
     def test_embeds_each_trajectory_once(self, labeled_file, monkeypatch, capsys):
         calls = []
