@@ -11,6 +11,12 @@ order with shapes, and the SHA-256 of the payload. The payload is the
 model's parameter buffer (``params.flat``): all parameter arrays as raw
 little-endian float64, concatenated in ``PARAM_ORDER``. A header with any other block order is rejected.
 
+Neither direction copies the parameter buffer whole. ``save_checkpoint``
+hashes ``params.flat`` through the buffer protocol and writes the header
+bytes and then the buffer itself to the file. ``load_checkpoint`` reads the
+file's bytes once, hashes the payload through a ``memoryview`` of them and
+decodes it straight into the new model's buffer, which is the only copy.
+
 ``load_checkpoint`` checks the framing: the magic, the header length, that
 the header is a JSON object, the version, the payload digest, the block
 order, the payload size and that ``d`` is the integer ``2 * d_e``. Every
@@ -53,7 +59,7 @@ def save_checkpoint(
     file's mode, not the old one's; a symlink at ``path`` keeps pointing at
     the file it named, which is the one replaced.
     """
-    payload = model.params.flat.astype("<f8", copy=False).tobytes()
+    payload = model.params.flat.astype("<f8", copy=False)  # no copy on little-endian hosts
     digest = hashlib.sha256(payload).hexdigest()
     header = {
         "format_version": FORMAT_VERSION,
@@ -76,7 +82,8 @@ def save_checkpoint(
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(MAGIC + _LEN.pack(len(blob)) + blob + payload)
+            fh.write(MAGIC + _LEN.pack(len(blob)) + blob)
+            fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -112,7 +119,7 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
             f"checkpoint format version {version} not supported "
             f"(expected {FORMAT_VERSION})"
         )
-    payload = blob[header_start + header_len :]
+    payload = memoryview(blob)[header_start + header_len :]
     try:
         if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
             raise CheckpointError("corrupt checkpoint: payload digest mismatch")

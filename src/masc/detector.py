@@ -80,8 +80,9 @@ class FlatParams(Mapping[str, np.ndarray]):
     """Named, reshaped views into one contiguous float64 vector, ``flat``.
 
     The parameters, their gradients and the Adam moments share this layout,
-    so an optimizer step is a few passes over whole vectors. Writing through
-    a view (``params["p"][...] = x``) writes into ``flat``. There is no
+    so an optimizer step is a few elementwise passes over it, which
+    ``optim.adam_step`` makes block by block. Writing through a view
+    (``params["p"][...] = x``) writes into ``flat``. There is no
     ``__setitem__``: rebinding a name would silently detach its view from
     the buffer, so ``params["p"] = x`` raises TypeError.
     """
@@ -465,8 +466,9 @@ class DetectorModel:
 
     def param_digest(self) -> str:
         """SHA-256 of the parameter buffer's little-endian float64 bytes,
-        which hold the parameters in ``PARAM_ORDER``."""
-        return hashlib.sha256(self.params.flat.astype("<f8", copy=False).tobytes()).hexdigest()
+        which hold the parameters in ``PARAM_ORDER``. The buffer is hashed
+        in place through the buffer protocol, with no copy of its bytes."""
+        return hashlib.sha256(self.params.flat.astype("<f8", copy=False)).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ Two embedder kinds are supported:
   ``hash % dim``; the vector is then L2-normalized, so every embedding has
   norm <= 1.
 * ``remote`` -- a JSON-over-HTTP client (POST {endpoint}/embed) so any
-  embedding service can be adapted. Responses are cached on disk keyed by
-  SHA-256 of (model_name, text).
+  embedding service can be adapted. A batch sends each distinct uncached
+  text once. Responses are cached on disk keyed by SHA-256 of (model_name,
+  text), a reply's new records appended with one open of the file.
 
 Step embeddings are the concatenation [role_embedding ; output_embedding],
 role half first, giving vectors of dimension 2 * d_e. There are three entry
@@ -50,6 +51,7 @@ import os
 import re
 import struct
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,17 +231,27 @@ class VectorCache:
         vec = self._mem.get(digest)
         return None if vec is None else vec.copy()
 
-    def put(self, digest: bytes, vector: np.ndarray):
-        payload = _KEY_DIM.pack(digest, vector.size) + vector.astype("<f8").tobytes()
+    def put(self, records: Iterable[tuple[bytes, np.ndarray]]):
+        """Store each (digest, vector) pair whose digest is not cached yet.
+
+        The new records, one per digest, are appended with one open of the
+        file under one hold of the lock; with none, the file is not opened.
+        """
         with self._lock:
-            if digest in self._mem:
+            blobs = []
+            for digest, vector in records:
+                if digest in self._mem:
+                    continue
+                self._mem[digest] = vector.copy()
+                payload = _KEY_DIM.pack(digest, vector.size) + vector.astype("<f8").tobytes()
+                blobs.append(_RECORD_HEAD.pack(len(payload)) + payload)
+            if not blobs:
                 return
-            self._mem[digest] = vector.copy()
             with open(self.path, "ab") as fh:
                 if self._torn_at is not None:
                     fh.truncate(self._torn_at)
                     self._torn_at = None
-                fh.write(_RECORD_HEAD.pack(len(payload)) + payload)
+                fh.writelines(blobs)
 
 
 def cache_key(model_name: str, text: str) -> bytes:
@@ -264,18 +276,20 @@ class RemoteEmbedder:
         self.cache = VectorCache(spec.cache_path) if spec.cache_path else None
 
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
+        """One vector per text. Each distinct uncached text is sent once, in
+        first-seen order, and the positions that repeat it share its vector."""
         spec = self.spec
         out: list[np.ndarray | None] = [None] * len(texts)
-        missing: list[int] = []
+        missing: dict[str, list[int]] = {}  # text -> its positions
         for i, text in enumerate(texts):
             if self.cache is not None:
                 hit = self.cache.get(cache_key(spec.model_name, text))
                 if hit is not None:
                     (out[i],) = float_vectors([hit], 1, spec.dimension, "embedding cache")
                     continue
-            missing.append(i)
+            missing.setdefault(text, []).append(i)
         if missing:
-            body = {"model": spec.model_name, "texts": [texts[i] for i in missing]}
+            body = {"model": spec.model_name, "texts": list(missing)}
             with self._sem:
                 vectors = post_json(
                     self._session, spec.endpoint.rstrip("/") + "/embed", body,
@@ -284,10 +298,13 @@ class RemoteEmbedder:
                     ),
                     spec.max_attempts, spec.timeout,
                 )
-            for i, vec in zip(missing, vectors):
-                if self.cache is not None:
-                    self.cache.put(cache_key(spec.model_name, texts[i]), vec)
-                out[i] = vec
+            if self.cache is not None:
+                self.cache.put(
+                    (cache_key(spec.model_name, text), vec) for text, vec in zip(missing, vectors)
+                )
+            for positions, vec in zip(missing.values(), vectors):
+                for i in positions:
+                    out[i] = vec
         return out
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -130,6 +131,17 @@ def views_tile(params) -> bool:
             return False
         offset += view.size
     return offset == params.flat.size
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs
+    (numpy reports its array buffers to tracemalloc too)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

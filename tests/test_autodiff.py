@@ -18,8 +18,9 @@ from masc.detector import (
 )
 from masc.embedding import EmbedderSpec
 from masc.errors import DataError, DivergenceError
-from masc.optim import AdamState, adam_step
+from masc.optim import BLOCK, AdamState, adam_step
 from tests import gradcheck as ad
+from tests.conftest import traced_peak
 
 
 def _query_row(w, b, x):
@@ -301,20 +302,34 @@ def _reference_adam(state, params, grads, lr, weight_decay, beta1=0.9, beta2=0.9
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_adam_matches_the_dict_based_update_bit_for_bit(weight_decay):
-    rng = np.random.RandomState(12)
-    shapes = {"w": (7, 5), "b": (5,), "p": (11,)}
-    start = {name: rng.randn(*shape) for name, shape in shapes.items()}
-    params = _flat(**start)
-    grads = params.zeros_like()
-    state = AdamState.init(params, lr=3e-3, weight_decay=weight_decay)
-    ref = {k: v.copy() for k, v in start.items()}
-    ref_state = {"t": 0, "m": np.zeros(params.flat.size), "v": np.zeros(params.flat.size)}
-    for _ in range(50):
-        for name, shape in shapes.items():
-            grads[name][...] = rng.randn(*shape) * rng.choice([1e-3, 1.0, 1e3])
-        ref = _reference_adam(ref_state, ref, grads, 3e-3, weight_decay)
-        adam_step(state, params, grads)
-        for name in shapes:
-            assert params[name].tobytes() == ref[name].tobytes(), name
-    assert state.m.tobytes() == ref_state["m"].tobytes()
-    assert state.v.tobytes() == ref_state["v"].tobytes()
+    # Sizes within one block and around the block edges: one element short
+    # of a block, exactly one, one over, and two blocks and a short third.
+    for size in (51, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7):
+        rng = np.random.RandomState(12)
+        shapes = {"w": (7, 5), "b": (5,), "p": (size - 40,)}
+        start = {name: rng.randn(*shape) for name, shape in shapes.items()}
+        params = _flat(**start)
+        grads = params.zeros_like()
+        state = AdamState.init(params, lr=3e-3, weight_decay=weight_decay)
+        ref = {k: v.copy() for k, v in start.items()}
+        ref_state = {"t": 0, "m": np.zeros(size), "v": np.zeros(size)}
+        for _ in range(50):
+            for name, shape in shapes.items():
+                grads[name][...] = rng.randn(*shape) * rng.choice([1e-3, 1.0, 1e3])
+            ref = _reference_adam(ref_state, ref, grads, 3e-3, weight_decay)
+            adam_step(state, params, grads)
+            for name in shapes:
+                assert params[name].tobytes() == ref[name].tobytes(), (size, name)
+        assert state.m.tobytes() == ref_state["m"].tobytes(), size
+        assert state.v.tobytes() == ref_state["v"].tobytes(), size
+
+
+def test_adam_allocates_less_than_one_buffer_beyond_its_moments():
+    n = 4 * BLOCK + 3
+    params, grads = _flat(w=np.ones(n)), _flat(w=np.full(n, 0.5))
+
+    def init_and_step():
+        adam_step(AdamState.init(params, lr=0.1, weight_decay=0.01), params, grads)
+
+    # m and v, then two block-sized scratch vectors and the finiteness mask.
+    assert traced_peak(init_and_step) < 3 * params.flat.nbytes

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+import os
 import struct
 import sys
 import threading
@@ -19,8 +20,10 @@ from masc.embedding import (
     embed_step,
     embed_text,
     embed_trajectory,
+    query_text,
 )
 from masc.errors import ConfigError, DataError, TransportError
+from masc.synthetic import make_normal_corpus
 from masc.trace import Step, Trajectory
 from tests.conftest import MALFORMED_REPLIES
 from tests.reference import hashing_embed_reference
@@ -312,19 +315,19 @@ class TestVectorCache:
         cache = VectorCache(str(tmp_path / "cache.bin"))
         vec = np.random.RandomState(0).randn(16)
         key = cache_key("model", "text")
-        cache.put(key, vec)
+        cache.put([(key, vec)])
         assert np.array_equal(cache.get(key), vec)
 
     def test_survives_reload(self, tmp_path):
         path = str(tmp_path / "cache.bin")
         vec = np.random.RandomState(1).randn(8)
-        VectorCache(path).put(cache_key("m", "t"), vec)
+        VectorCache(path).put([(cache_key("m", "t"), vec)])
         assert np.array_equal(VectorCache(path).get(cache_key("m", "t")), vec)
 
     def test_truncated_tail_ignored(self, tmp_path):
         path = str(tmp_path / "cache.bin")
         cache = VectorCache(path)
-        cache.put(cache_key("m", "a"), np.ones(4))
+        cache.put([(cache_key("m", "a"), np.ones(4))])
         with open(path, "ab") as fh:
             fh.write(b"\x40\x00\x00\x00partial")
         reloaded = VectorCache(path)
@@ -336,10 +339,10 @@ class TestVectorCache:
     ], ids=["shorter than 36 bytes", "dim past the record's end"])
     def test_malformed_record_is_skipped(self, tmp_path, caplog, record):
         path = str(tmp_path / "cache.bin")
-        VectorCache(path).put(cache_key("m", "a"), np.ones(4))
+        VectorCache(path).put([(cache_key("m", "a"), np.ones(4))])
         with open(path, "ab") as fh:
             fh.write(record)
-        VectorCache(path).put(cache_key("m", "b"), np.full(3, 2.0))
+        VectorCache(path).put([(cache_key("m", "b"), np.full(3, 2.0))])
         with caplog.at_level(logging.WARNING, logger="masc.embedding"):
             reloaded = VectorCache(path)
         assert np.array_equal(reloaded.get(cache_key("m", "a")), np.ones(4))
@@ -352,8 +355,8 @@ class TestVectorCache:
         # checked; put() itself stores what it is given.
         path = str(tmp_path / "cache.bin")
         cache = VectorCache(path)
-        cache.put(cache_key("m", "a"), np.array([1.0, bad, 0.0]))
-        cache.put(cache_key("m", "b"), np.full(3, 2.0))
+        cache.put([(cache_key("m", "a"), np.array([1.0, bad, 0.0]))])
+        cache.put([(cache_key("m", "b"), np.full(3, 2.0))])
         with caplog.at_level(logging.WARNING, logger="masc.embedding"):
             reloaded = VectorCache(path)
         assert reloaded.get(cache_key("m", "a")) is None
@@ -365,13 +368,13 @@ class TestVectorCache:
         vectors = {f"t{i}": np.full(4, float(i)) for i in range(8)}
         cache = VectorCache(str(path))
         for text in ("t0", "t1", "t2"):
-            cache.put(cache_key("m", text), vectors[text])
+            cache.put([(cache_key("m", text), vectors[text])])
         path.write_bytes(path.read_bytes()[:-20])  # t2's record, torn
         with caplog.at_level(logging.WARNING, logger="masc.embedding"):
             cache = VectorCache(str(path))
         assert any("torn 52-byte" in r.message for r in caplog.records)
         for text in ("t3", "t4", "t5", "t6", "t7"):
-            cache.put(cache_key("m", text), vectors[text])
+            cache.put([(cache_key("m", text), vectors[text])])
         reloaded = VectorCache(str(path))
         whole = [t for t in vectors if t != "t2"]
         assert [t for t in whole if reloaded.get(cache_key("m", t)) is not None] == whole
@@ -395,14 +398,35 @@ class TestVectorCache:
         cache = VectorCache(str(path))
         assert all(np.isfinite(v).all() for v in cache._mem.values())
         key, vec = cache_key("m", "new"), np.arange(3.0)
-        cache.put(key, vec)
+        cache.put([(key, vec)])
         assert np.array_equal(VectorCache(str(path)).get(key), vec)
+
+    def test_a_reply_of_new_texts_is_appended_with_one_open(
+        self, stub_service, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "cache.bin")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(embedding, "open", counting_open, raising=False)
+        texts = ["alpha", "beta", "gamma", "delta", "epsilon"]
+        with stub_service(dimension=4) as stub:
+            spec = EmbedderSpec(kind="remote", dimension=4, endpoint=stub.endpoint,
+                                model_name="m", cache_path=path)
+            rows = embedding._text_matrix(spec, texts)
+        assert opened == [path]
+        reloaded = VectorCache(path)
+        for text, row in zip(texts, rows):
+            assert np.array_equal(reloaded.get(cache_key("m", text)), row)
 
     def test_concurrent_writers(self, tmp_path):
         cache = VectorCache(str(tmp_path / "cache.bin"))
 
         def work(i):
-            cache.put(cache_key("m", f"t{i}"), np.full(4, float(i)))
+            cache.put([(cache_key("m", f"t{i}"), np.full(4, float(i)))])
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(20)]
         for t in threads:
@@ -478,7 +502,9 @@ class TestRemoteEmbedder:
 
     def test_a_non_finite_cached_vector_is_fetched_again(self, stub_service, tmp_path):
         cache_path = str(tmp_path / "c.bin")
-        VectorCache(cache_path).put(cache_key("m", "x"), np.array([0.0, math.nan, 0.0, 0.0]))
+        VectorCache(cache_path).put(
+            [(cache_key("m", "x"), np.array([0.0, math.nan, 0.0, 0.0]))]
+        )
         with stub_service(dimension=4) as stub:
             spec = EmbedderSpec(kind="remote", dimension=4, endpoint=stub.endpoint,
                                 model_name="m", cache_path=cache_path)
@@ -488,7 +514,7 @@ class TestRemoteEmbedder:
     def test_cached_vector_of_another_dimension_is_config_error(self, stub_service, tmp_path):
         # The cache is keyed by model and text, not by dimension.
         cache_path = str(tmp_path / "c.bin")
-        VectorCache(cache_path).put(cache_key("m", "x"), np.ones(6))
+        VectorCache(cache_path).put([(cache_key("m", "x"), np.ones(6))])
         with stub_service(dimension=4) as stub:
             spec = EmbedderSpec(kind="remote", dimension=4, endpoint=stub.endpoint,
                                 model_name="m", cache_path=cache_path)
@@ -505,6 +531,32 @@ class TestRemoteEmbedder:
             assert np.array_equal(q, vecs[0])
             assert steps.shape == (3, 8)
             assert np.array_equal(steps[0], np.concatenate(vecs[1:]))
+
+    def test_repeated_texts_are_sent_once(self, stub_service, tmp_path):
+        trajectory = make_normal_corpus(1, seed=3, T=6)[0]
+        texts = [query_text(trajectory, False)]
+        for step in trajectory.steps:
+            texts += [step.role, step.output]
+        distinct = list(dict.fromkeys(texts))
+        assert (len(texts), len(distinct)) == (13, 10)
+
+        def vector(text):  # one per text, so a row given another text's vector shows
+            return [float(b) for b in hashlib.sha256(text.encode()).digest()[:4]]
+
+        with stub_service(dimension=4) as stub:
+            stub.payload = lambda path, body: {"vectors": [vector(t) for t in body["texts"]]}
+            spec = EmbedderSpec(kind="remote", dimension=4, endpoint=stub.endpoint,
+                                model_name="m", cache_path=str(tmp_path / "c.bin"))
+            q, steps = embed_trajectory(spec, trajectory)
+        assert [r["body"]["texts"] for r in stub.requests] == [distinct]
+        rows = np.array([vector(t) for t in texts])
+        assert np.array_equal(q, rows[0])
+        assert np.array_equal(steps, rows[1:].reshape(6, 8))
+        # Each vector cached once: ten records of head, digest and dimension, values.
+        assert os.path.getsize(spec.cache_path) == 10 * (4 + 36 + 8 * 4)
+        reloaded = VectorCache(spec.cache_path)
+        for text, row in zip(texts, rows):
+            assert np.array_equal(reloaded.get(cache_key("m", text)), row)
 
 
 def test_spec_validation():

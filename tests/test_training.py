@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -11,13 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masc.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
-from masc.detector import PARAM_ORDER, BackboneSpec, score_trajectory, trajectory_loss
+from masc.detector import (
+    PARAM_ORDER,
+    BackboneSpec,
+    DetectorModel,
+    score_trajectory,
+    trajectory_loss,
+)
 from masc.embedding import EmbedderSpec, embed_trajectory
 from masc.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from masc.synthetic import make_normal_corpus
 from masc.trace import Step, Trajectory, load_trajectories
 from masc.training import PROFILES, Calibration, TrainConfig, calibrate_threshold, train
-from tests.conftest import views_tile
+from tests.conftest import traced_peak, views_tile
 
 EMB = EmbedderSpec(kind="hashing", dimension=16)
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -281,6 +288,17 @@ class TestCheckpoint:
         assert loaded.params.flat.flags.writeable
         loaded.params["p"][...] = 0.0
         assert not loaded.params.flat[-model.d:].any()
+
+    def test_digest_save_and_load_copy_no_whole_buffer(self, tmp_path):
+        model = DetectorModel.init(EmbedderSpec(dimension=64), d_h=384)  # a 1.4 MB buffer
+        buffer = model.params.flat.nbytes
+        path = str(tmp_path / "model.ckpt")
+        assert traced_peak(model.param_digest) < buffer
+        assert traced_peak(lambda: save_checkpoint(model, None, path)) < buffer
+        # The file's bytes and the new model's buffer, plus 64 KiB for the
+        # parsed header and the model's small objects, all alive at the end.
+        peak = traced_peak(lambda: load_checkpoint(path))
+        assert peak < os.path.getsize(path) + buffer + 64 * 1024
 
     def test_permuted_param_order_is_corrupt(self, small_trained, tmp_path):
         model, _, _ = small_trained
