@@ -12,10 +12,11 @@ model's parameter buffer (``params.flat``): all parameter arrays as raw
 little-endian float64, concatenated in ``PARAM_ORDER``. A header with any other block order is rejected.
 
 Neither direction copies the parameter buffer whole. ``save_checkpoint``
-hashes ``params.flat`` through the buffer protocol and writes the header
-bytes and then the buffer itself to the file. ``load_checkpoint`` reads the
-file's bytes once, hashes the payload through a ``memoryview`` of them and
-decodes it straight into the new model's buffer, which is the only copy.
+hashes ``params.flat`` through the buffer protocol and hands the header
+bytes and then the buffer itself to ``trace.write_file``, which writes the
+file whole or not at all. ``load_checkpoint`` reads the file's bytes once,
+hashes the payload through a ``memoryview`` of them and decodes it straight
+into the new model's buffer, which is the only copy.
 
 ``load_checkpoint`` checks the framing: the magic, the header length, that
 the header is a JSON object, the version, the payload digest, the block
@@ -31,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict
 
@@ -40,6 +40,7 @@ import numpy as np
 from .detector import PARAM_ORDER, BackboneSpec, DetectorModel, FlatParams
 from .embedding import EmbedderSpec
 from .errors import CheckpointError, ConfigError
+from .trace import write_file
 from .training import Calibration
 
 MAGIC = b"MASCCKPT"
@@ -50,15 +51,8 @@ _LEN = struct.Struct("<I")
 def save_checkpoint(
     model: DetectorModel, calibration: Calibration | None, path: str
 ) -> str:
-    """Write model (+ optional calibration) to ``path``; returns payload digest.
-
-    The file is written whole or not at all: the bytes go to a temporary
-    file in the same directory, which is flushed, synced to disk and then
-    renamed over ``path``. On any failure the temporary file is removed, the
-    error re-raised and ``path`` left as it was. A replaced file gets a new
-    file's mode, not the old one's; a symlink at ``path`` keeps pointing at
-    the file it named, which is the one replaced.
-    """
+    """Write model (+ optional calibration) to ``path`` through
+    ``trace.write_file``, whole or not at all; returns payload digest."""
     payload = model.params.flat.astype("<f8", copy=False)  # no copy on little-endian hosts
     digest = hashlib.sha256(payload).hexdigest()
     header = {
@@ -77,19 +71,7 @@ def save_checkpoint(
         "payload_sha256": digest,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            fh.write(MAGIC + _LEN.pack(len(blob)) + blob)
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_file(path, (MAGIC + _LEN.pack(len(blob)) + blob, payload))
     return digest
 
 

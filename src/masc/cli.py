@@ -8,8 +8,12 @@ its default from the config dataclasses (``TrainConfig``, ``EmbedderSpec``,
 ``BackboneSpec``, ``ExperimentConfig``, ``MascSettings``, ``FaultSpec``), the
 only place a default is written. Those dataclasses also check every value,
 whether it comes from a flag, a file or the API; ``_load_config_file`` checks
-only that a file holds an object whose keys it knows. Reports embed the
-effective configuration and the tool version.
+only that a file holds an object whose keys it knows. The frozen backbone's
+seed follows ``--seed``, as it does in ``DetectorModel.init``. Reports embed
+the effective configuration and the tool version.
+
+Text a command writes, to a file or to stdout, is UTF-8 whatever the
+locale, and every file is written whole or not at all (``trace.write_file``).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .trace import (
     error_position_histogram,
     load_trajectories,
     save_trajectories,
+    write_file,
 )
 from .training import PROFILES, TrainConfig, calibrate_threshold, train
 
@@ -236,10 +241,14 @@ def _config_echo(cfg: TrainConfig) -> dict:
 
 
 def _write_text(path: str | None, text: str):
+    """``text`` as UTF-8 to ``path`` through ``write_file``, or to stdout."""
+    data = text.encode("utf-8")
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
+        write_file(path, (data,))
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:  # a text-only stream, such as io.StringIO, takes any str
         sys.stdout.write(text)
 
 
@@ -254,7 +263,7 @@ def cmd_ingest(args) -> int:
         "steps": sum(len(t) for t in trajectories),
         "labeled_trajectories": labeled,
     }
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    _write_text(None, json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -281,7 +290,7 @@ def cmd_calibrate(args) -> int:
     out_path = args.out or args.checkpoint
     save_checkpoint(model, calibration, out_path)
     payload = {"version": __version__, **asdict(calibration), "checkpoint": out_path}
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _write_text(None, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -330,7 +339,7 @@ def _scores_from_csv(path: str) -> list[tuple[str, int, float, bool]]:
     the file and line.
     """
     rows = {}
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             missing = [c for c in _SCORE_COLUMNS if c not in (reader.fieldnames or ())]

@@ -431,13 +431,15 @@ class DetectorModel:
         with_gt: bool = False,
     ) -> "DetectorModel":
         """Seeded initialization: uniform(+-1/sqrt(fan_in)) weights, zero
-        biases, Gaussian(0, 1/sqrt(d)) prototype."""
+        biases, Gaussian(0, 1/sqrt(d)) prototype. Without ``backbone`` the
+        model gets a frozen mixer of width ``d_h`` drawn from the same
+        ``seed``, as ``masc train --seed`` builds it."""
         check_int(d_h, "d_h", 1)  # both before the first draw
         check_int(seed, "seed", 0, SEED_MAX)
         d_e = embedder.dimension
         d = 2 * d_e
         if backbone is None:
-            backbone = BackboneSpec(hidden_dim=d_h)
+            backbone = BackboneSpec(hidden_dim=d_h, seed=seed)
         rng = np.random.RandomState(seed)
         params = FlatParams(_param_shapes(d_e, d_h, backbone.hidden_dim))
         # Drawn in PARAM_ORDER; the biases stay zero.

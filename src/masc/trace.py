@@ -19,6 +19,10 @@ may be ``""`` or null) and a label of 0, 1 or null, however they are built.
 ``parse_trajectory`` checks only the framing: the JSON object, its keys and
 that ``steps`` is an array of objects. ``load_trajectories`` adds the one
 check that spans lines, that no trajectory id repeats.
+
+``write_file`` is the package's one way to write a file: every file that
+``masc`` writes, traces, checkpoints and reports alike, goes through it
+whole or not at all.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DataError, TraceParseError, TraceValidationError
@@ -196,10 +202,39 @@ def load_trajectories(path: str, strict: bool = False) -> list[Trajectory]:
     return out
 
 
+def write_file(path: str, chunks: Iterable) -> None:
+    """Write the bytes-like ``chunks`` to ``path``, whole or not at all.
+
+    The chunks go to a temporary file beside the file ``path`` names, after
+    symlinks, which is flushed, synced to disk and then renamed over it. On
+    any failure the temporary file is removed, the error re-raised and
+    ``path`` left as it was. A replaced file gets a new file's mode, not the
+    old one's; a symlink at ``path`` keeps pointing at the file it named.
+    A target that exists but is not a regular file, such as ``/dev/stdout``
+    or a FIFO, cannot be renamed over and is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_trajectories(path: str, trajectories: list[Trajectory]):
-    with open(path, "wb") as fh:
-        for trajectory in trajectories:
-            fh.write(serialize_trajectory(trajectory))
+    """Write ``trajectories`` to ``path`` as canonical JSONL, through
+    ``write_file``."""
+    write_file(path, map(serialize_trajectory, trajectories))
 
 
 def split_dataset(

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,13 +18,14 @@ from masc.checkpoint import load_checkpoint, save_checkpoint
 from masc.cli import main
 from masc.detector import BackboneSpec
 from masc.embedding import EmbedderSpec, embed_trajectory
+from masc.errors import MascError
 from masc.evaluation import ScoredStep, compute_metrics
 from masc.experiment import ExperimentConfig, MascSettings
 from masc.fixtures import run_fixture
 from masc.simulator import FaultSpec
 from masc.synthetic import make_anomaly_corpus, make_normal_corpus
 from masc.trace import load_trajectories, save_trajectories
-from masc.training import TrainConfig
+from masc.training import TrainConfig, train
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -71,6 +74,21 @@ def no_reads(monkeypatch):
 
     for name in ("load_trajectories", "load_checkpoint", "_scores_from_csv"):
         monkeypatch.setattr(cli, name, refuse)
+
+
+def run_masc(argv: list[str], limit: int | None = None, **env: str) -> subprocess.CompletedProcess:
+    """``masc argv`` in a child process whose environment adds ``env``. A
+    ``limit`` caps, in the child only, the size of any file it writes: a
+    write past it fails with EFBIG, as on a full disk."""
+    child = "import sys\nfrom masc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    if limit is not None:
+        child = (f"import resource\nresource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+                 + child)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    ), **env)
+    return subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                          capture_output=True, timeout=120)
 
 
 class TestParsing:
@@ -143,6 +161,11 @@ class TestIngest:
         report = json.loads(capsys.readouterr().out)
         assert report["trajectories"] == 12
         assert report["steps"] == 48
+
+    def test_report_goes_to_a_text_only_stdout(self, corpus_file):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["ingest", "--traces", corpus_file]) == 0
+        assert json.loads(out.getvalue())["steps"] == 48
 
     def test_canonicalize_roundtrip(self, corpus_file, tmp_path, capsys):
         out = str(tmp_path / "canon.jsonl")
@@ -391,35 +414,16 @@ class TestTrain:
         assert "quantile" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_in_place_calibrate_whose_write_fails_keeps_the_checkpoint(
-        self, trained_checkpoint, corpus_file, tmp_path
-    ):
-        # A file-size limit, set in a child process only, stands in for a
-        # full disk: the write fails part way with EFBIG.
-        directory = tmp_path / "ckpt"
-        directory.mkdir()
-        ckpt = directory / "model.ckpt"
-        ckpt.write_bytes(Path(trained_checkpoint[0]).read_bytes())
-        before = ckpt.read_bytes()
-        assert len(before) > 4096
-        child = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
-            "from masc.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
+    def test_api_and_cli_build_the_same_default_backbone(self, tmp_path, capsys):
+        """Both seed the frozen mixer with the run's seed."""
+        fixture = str(GOLDEN_DIR / "train_fixture.jsonl")
+        model, _ = train(
+            TrainConfig(epochs=1, d_h=8, seed=5, embedder=EmbedderSpec(dimension=4)),
+            load_trajectories(fixture),
         )
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
-            p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "calibrate", "--checkpoint", str(ckpt),
-             "--traces", corpus_file],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 3, proc.stderr
-        assert "File too large" in proc.stderr
-        assert ckpt.read_bytes() == before
-        assert os.listdir(directory) == ["model.ckpt"]
+        assert main(["train", "--traces", fixture, "--checkpoint", str(tmp_path / "m.ckpt"),
+                     "--epochs", "1", "--hidden", "8", "--dim", "4", "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["checkpoint_digest"] == model.param_digest()
 
     def test_golden_digest(self, tmp_path, capsys):
         """SHA-256 of the payload (``train_digest.txt``) and of the whole
@@ -505,6 +509,73 @@ class TestScore:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage")
         assert main(["score", "--checkpoint", str(bad), "--traces", corpus_file]) == 2
+
+
+class TestWrites:
+    LIMIT = 256  # bytes; each command below writes more
+
+    @pytest.mark.parametrize("command", ["calibrate", "score", "ingest", "diag", "stdout"])
+    def test_a_failed_write_keeps_the_old_file(
+        self, trained_checkpoint, corpus_file, labeled_file, tmp_path, command
+    ):
+        """Under a file-size limit every write fails part way, and the file
+        it was to replace keeps its old bytes, with no temporary file left.
+        A pipe is no regular file: ``--out /dev/stdout`` writes it in place,
+        where the limit does not apply."""
+        directory = tmp_path / "out"
+        directory.mkdir()
+        target = directory / "old"
+        ckpt = trained_checkpoint[0]
+        if command == "calibrate":  # in place
+            target.write_bytes(Path(ckpt).read_bytes())
+            ckpt = str(target)
+        else:
+            target.write_bytes(b"old bytes\n" * 100)
+        before = target.read_bytes()
+        assert len(before) > self.LIMIT
+        score = ["score", "--checkpoint", ckpt, "--traces", corpus_file, "--out"]
+        argv = {
+            "calibrate": ["calibrate", "--checkpoint", ckpt, "--traces", corpus_file],
+            "score": score + [str(target)],
+            "ingest": ["ingest", "--traces", corpus_file, "--out", str(target)],
+            "diag": ["diag", "--traces", labeled_file, "--out", str(target)],
+            "stdout": score + ["/dev/stdout"],
+        }[command]
+        proc = run_masc(argv, limit=self.LIMIT)
+        if command == "stdout":
+            assert proc.returncode == 0, proc.stderr
+            expected = tmp_path / "scores.csv"
+            assert main(score + [str(expected)]) == 0
+            assert proc.stdout == expected.read_bytes()
+        else:
+            assert proc.returncode == 3, proc.stderr
+            assert b"File too large" in proc.stderr
+        assert target.read_bytes() == before
+        assert os.listdir(directory) == ["old"]
+
+    def test_score_and_eval_read_and_write_utf8_under_any_locale(
+        self, trained_checkpoint, tmp_path
+    ):
+        """A C locale with UTF-8 mode off, in a child only, makes ASCII the
+        default encoding of open() and of stdout. PYTHONIOENCODING is set too,
+        so that the caller's cannot make stdout UTF-8."""
+        ckpt, _ = trained_checkpoint
+        corpus = make_anomaly_corpus(3, seed=22, T=4)
+        traces = tmp_path / "traces.jsonl"
+        save_trajectories(str(traces), [replace(corpus[0], id="traj-é-日本"), *corpus[1:]])
+        score = ["score", "--checkpoint", ckpt, "--traces", str(traces)]
+        expected, out = tmp_path / "expected.csv", tmp_path / "scores.csv"
+        assert main(score + ["--out", str(expected)]) == 0
+        locale = dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                      PYTHONIOENCODING="ascii")
+        runs = [
+            run_masc(score + ["--out", str(out)], **locale),
+            run_masc(score, **locale),
+            run_masc(["eval", "--traces", str(traces), "--scores", str(out)], **locale),
+        ]
+        assert [proc.returncode for proc in runs] == [0, 0, 0], [p.stderr for p in runs]
+        assert out.read_bytes() == runs[1].stdout == expected.read_bytes()
+        assert "traj-é-日本".encode() in out.read_bytes()
 
 
 class TestNonFiniteInput:
@@ -909,3 +980,89 @@ class TestSimulate:
         lines = open(csv_path).read().strip().split("\n")
         assert lines[0].startswith("topology,condition")
         assert len(lines) == 2
+
+
+@st.composite
+def mutated(draw, valid: bytes) -> bytes:
+    """``valid`` with one to four bytes replaced, inserted or deleted."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = draw(st.integers(0, 255))
+        if edit == "replace":
+            data[i] = byte
+        elif edit == "insert":
+            data.insert(i, byte)
+        else:
+            del data[i]
+    return bytes(data)
+
+
+SMALL_TRAIN = ["--epochs", "1", "--hidden", "8", "--dim", "4", "--layers", "1"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory holding one small valid file of each kind a command reads,
+    and those files' bytes by suffix."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    traces, labeled = str(directory / "valid.jsonl"), str(directory / "labeled.jsonl")
+    ckpt, scores = str(directory / "valid.ckpt"), str(directory / "valid.csv")
+    save_trajectories(traces, make_normal_corpus(2, seed=3, T=3))
+    save_trajectories(labeled, make_anomaly_corpus(2, seed=4, T=3))
+    assert main(["train", "--traces", traces, "--checkpoint", ckpt] + SMALL_TRAIN) == 0
+    assert main(["calibrate", "--checkpoint", ckpt, "--traces", traces]) == 0
+    assert main(["score", "--checkpoint", ckpt, "--traces", labeled, "--out", scores]) == 0
+    valid = {
+        suffix: Path(path).read_bytes()
+        for suffix, path in ((".jsonl", traces), (".ckpt", ckpt), (".csv", scores))
+    }
+    valid[".json"] = b'{"lr": 0.001, "lambda": 0.2, "with_gt": false}\n'
+    valid[".toml"] = b"lr = 0.001\nlambda = 0.2\nwith_gt = false\n"
+    return directory, valid
+
+
+class TestByteFuzz:
+    """Arbitrary bytes, and small mutations of a valid file, end in a value
+    or a MascError in every reader, and in a documented exit code in main."""
+
+    READERS = {
+        ".jsonl": load_trajectories,
+        ".ckpt": load_checkpoint,
+        ".json": cli._load_config_file,
+        ".toml": cli._load_config_file,
+        ".csv": cli._scores_from_csv,
+    }
+
+    @pytest.mark.parametrize("suffix", sorted(READERS))
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_a_reader_returns_or_raises_a_masc_error(self, fuzz_inputs, suffix, data):
+        directory, valid = fuzz_inputs
+        path = directory / f"fuzz{suffix}"
+        path.write_bytes(data.draw(st.binary(max_size=200) | mutated(valid[suffix])))
+        try:
+            self.READERS[suffix](str(path))
+        except MascError:
+            pass
+
+    @pytest.mark.parametrize("command", ["ingest", "train", "score", "eval"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_main_on_a_mutated_input_exits_with_a_documented_code(
+        self, fuzz_inputs, command, data
+    ):
+        directory, valid = fuzz_inputs
+        suffix = {"ingest": ".jsonl", "train": ".json", "score": ".ckpt", "eval": ".csv"}[command]
+        path, out = str(directory / f"mutated{suffix}"), str(directory / "out")
+        Path(path).write_bytes(data.draw(mutated(valid[suffix])))
+        traces, labeled = str(directory / "valid.jsonl"), str(directory / "labeled.jsonl")
+        argv = {
+            "ingest": ["ingest", "--traces", path, "--out", out],
+            "train": ["train", "--traces", traces, "--checkpoint", out, "--config", path]
+            + SMALL_TRAIN,
+            "score": ["score", "--checkpoint", path, "--traces", traces, "--out", out],
+            "eval": ["eval", "--traces", labeled, "--scores", path],
+        }[command]
+        assert main(argv) in (0, 2, 3, 4)
