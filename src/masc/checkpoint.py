@@ -11,12 +11,15 @@ order with shapes, and the SHA-256 of the payload. The payload is the
 model's parameter buffer (``params.flat``): all parameter arrays as raw
 little-endian float64, concatenated in ``PARAM_ORDER``. A header with any other block order is rejected.
 
-Neither direction copies the parameter buffer whole. ``save_checkpoint``
-hashes ``params.flat`` through the buffer protocol and hands the header
-bytes and then the buffer itself to ``trace.write_file``, which writes the
-file whole or not at all. ``load_checkpoint`` reads the file's bytes once,
-hashes the payload through a ``memoryview`` of them and decodes it straight
-into the new model's buffer, which is the only copy.
+Neither direction copies the parameter buffer whole. ``checkpoint_chunks``
+hashes ``params.flat`` through the buffer protocol and returns the header
+bytes and then the buffer itself as the file's chunks. ``save_checkpoint``
+hands them to ``trace.write_files``, whose first phase writes them to a
+synced temporary file and whose second renames it over the target, so the
+file is written whole or not at all; ``masc train`` and ``masc calibrate``
+hand them over together with their reports. ``load_checkpoint`` reads the
+file's bytes once, hashes the payload through a ``memoryview`` of them and
+decodes it straight into the new model's buffer, which is the only copy.
 
 ``load_checkpoint`` checks the framing: the magic, the header length, that
 the header is a JSON object, the version, the payload digest, the block
@@ -40,7 +43,7 @@ import numpy as np
 from .detector import PARAM_ORDER, BackboneSpec, DetectorModel, FlatParams
 from .embedding import EmbedderSpec
 from .errors import CheckpointError, ConfigError
-from .trace import write_file
+from .trace import write_files
 from .training import Calibration
 
 MAGIC = b"MASCCKPT"
@@ -48,11 +51,11 @@ FORMAT_VERSION = 1
 _LEN = struct.Struct("<I")
 
 
-def save_checkpoint(
-    model: DetectorModel, calibration: Calibration | None, path: str
-) -> str:
-    """Write model (+ optional calibration) to ``path`` through
-    ``trace.write_file``, whole or not at all; returns payload digest."""
+def checkpoint_chunks(
+    model: DetectorModel, calibration: Calibration | None
+) -> tuple[str, tuple]:
+    """The payload digest and the chunks of a checkpoint file: the framed
+    header bytes, then ``params.flat`` itself, with no copy."""
     payload = model.params.flat.astype("<f8", copy=False)  # no copy on little-endian hosts
     digest = hashlib.sha256(payload).hexdigest()
     header = {
@@ -71,7 +74,16 @@ def save_checkpoint(
         "payload_sha256": digest,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    write_file(path, (MAGIC + _LEN.pack(len(blob)) + blob, payload))
+    return digest, (MAGIC + _LEN.pack(len(blob)) + blob, payload)
+
+
+def save_checkpoint(
+    model: DetectorModel, calibration: Calibration | None, path: str
+) -> str:
+    """Write model (+ optional calibration) to ``path`` through
+    ``trace.write_files``, whole or not at all; returns payload digest."""
+    digest, chunks = checkpoint_chunks(model, calibration)
+    write_files([(path, chunks)])
     return digest
 
 
@@ -124,7 +136,8 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
             lam=header["lambda"],
         )
         # A missing or unknown field is a TypeError; ``stats`` may be absent.
-        calibration = Calibration(**header["calibration"]) if header.get("calibration") else None
+        cal = header.get("calibration")
+        calibration = None if cal is None else Calibration(**cal)
     except ConfigError as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -12,8 +12,12 @@ only that a file holds an object whose keys it knows. The frozen backbone's
 seed follows ``--seed``, as it does in ``DetectorModel.init``. Reports embed
 the effective configuration and the tool version.
 
-Text a command writes, to a file or to stdout, is UTF-8 whatever the
-locale, and every file is written whole or not at all (``trace.write_file``).
+Each ``cmd_*`` function writes nothing: it returns its outputs as
+``(path, data)`` pairs, a path of None meaning stdout. ``main`` hands them
+to ``trace.write_files`` in one call, which writes every file to a synced
+temporary file, then renames each over its target, and writes stdout last.
+So a command that fails writes none of its files, and its stdout comes after
+every file. Text, in a file or on stdout, is UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import __version__
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_chunks, load_checkpoint
 from .detector import BackboneSpec, score_trajectory
 from .embedding import EmbedderSpec, embed_trajectory
 from .errors import ConfigError, DataError, DivergenceError, MascError, check_int
@@ -37,12 +41,12 @@ from .evaluation import (
     embedding_distance_diagnostics,
     score_histogram,
 )
-from .experiment import ExperimentConfig, batch_experiment, dump_cell_traces
+from .experiment import ExperimentConfig, batch_experiment
 from .trace import (
     error_position_histogram,
     load_trajectories,
-    save_trajectories,
-    write_file,
+    serialize_trajectory,
+    write_files,
 )
 from .training import PROFILES, TrainConfig, calibrate_threshold, train
 
@@ -235,52 +239,36 @@ def _config_echo(cfg: TrainConfig) -> dict:
     return {
         "epochs": cfg.epochs, "lr": cfg.lr, "weight_decay": cfg.weight_decay,
         "lambda": cfg.lam, "seed": cfg.seed, "d_h": cfg.d_h,
-        "d_e": cfg.embedder.dimension, "layers": cfg.backbone.layers,
+        "dim": cfg.embedder.dimension, "layers": cfg.backbone.layers,
         "with_gt": cfg.with_gt, "exclude_labeled_steps": cfg.exclude_labeled_steps,
     }
 
 
-def _write_text(path: str | None, text: str):
-    """``text`` as UTF-8 to ``path`` through ``write_file``, or to stdout."""
-    data = text.encode("utf-8")
-    if path:
-        write_file(path, (data,))
-    elif hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
-        sys.stdout.buffer.write(data)
-    else:  # a text-only stream, such as io.StringIO, takes any str
-        sys.stdout.write(text)
-
-
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> list:
     trajectories = load_trajectories(args.traces, strict=args.strict)
-    if args.out:
-        save_trajectories(args.out, trajectories)
-    labeled = sum(1 for t in trajectories if t.labeled_steps)
+    outputs = [(args.out, map(serialize_trajectory, trajectories))] if args.out else []
     report = {
         "version": __version__,
         "trajectories": len(trajectories),
         "steps": sum(len(t) for t in trajectories),
-        "labeled_trajectories": labeled,
+        "labeled_trajectories": sum(1 for t in trajectories if t.labeled_steps),
     }
-    _write_text(None, json.dumps(report, indent=2) + "\n")
-    return EXIT_OK
+    return outputs + [(None, json.dumps(report, indent=2) + "\n")]
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> list:
     cfg = _resolve_train_config(args)
     trajectories = load_trajectories(args.traces, strict=args.strict)
     model, report = train(cfg, trajectories)
-    digest = save_checkpoint(model, None, args.checkpoint)
+    digest, chunks = checkpoint_chunks(model, None)
     payload = {
         **asdict(report), "checkpoint_digest": digest,
         "config": _config_echo(cfg), "version": __version__,
     }
-    _write_text(args.report, json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+    return [(args.checkpoint, chunks), (args.report, json.dumps(payload, indent=2) + "\n")]
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> list:
     model, _ = load_checkpoint(args.checkpoint)
     trajectories = load_trajectories(args.traces, strict=args.strict)
     calibration = calibrate_threshold(
@@ -288,10 +276,9 @@ def cmd_calibrate(args) -> int:
         **_given(quantile=args.quantile, alpha=args.alpha, beta=args.beta),
     )
     out_path = args.out or args.checkpoint
-    save_checkpoint(model, calibration, out_path)
     payload = {"version": __version__, **asdict(calibration), "checkpoint": out_path}
-    _write_text(None, json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+    return [(out_path, checkpoint_chunks(model, calibration)[1]),
+            (None, json.dumps(payload, indent=2) + "\n")]
 
 
 def _score_rows(model, calibration, trajectories, alpha, beta, delta):
@@ -308,7 +295,7 @@ def _score_rows(model, calibration, trajectories, alpha, beta, delta):
             yield trajectory, v
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> list:
     model, calibration = load_checkpoint(args.checkpoint)
     trajectories = load_trajectories(args.traces, strict=args.strict)
     if not trajectories:
@@ -324,8 +311,7 @@ def cmd_score(args) -> int:
             trajectory.id, v.t, f"{v.score:.17g}", f"{v.recon_term:.17g}",
             f"{v.proto_term:.17g}", int(v.flagged),
         ])
-    _write_text(args.out, text.getvalue())
-    return EXIT_OK
+    return [(args.out, text.getvalue())]
 
 
 _SCORE_COLUMNS = ("trajectory_id", "t", "score", "flagged")
@@ -335,8 +321,8 @@ def _scores_from_csv(path: str) -> list[tuple[str, int, float, bool]]:
     """The (trajectory id, t, score, flagged) rows of a ``masc score`` CSV.
 
     A missing column, a short row, a non-numeric field, a non-finite score, a
-    repeated (trajectory id, t) or an unreadable file raises DataError naming
-    the file and line.
+    ``flagged`` other than 0 or 1, a repeated (trajectory id, t) or an
+    unreadable file raises DataError naming the file and line.
     """
     rows = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -348,22 +334,24 @@ def _scores_from_csv(path: str) -> list[tuple[str, int, float, bool]]:
             for row in reader:
                 try:
                     key = (row["trajectory_id"], int(row["t"]))
-                    score, flagged = float(row["score"]), bool(int(row["flagged"]))
+                    score, flagged = float(row["score"]), int(row["flagged"])
                 except (TypeError, ValueError) as exc:
                     raise DataError(
                         f"{path}:{reader.line_num}: missing or non-numeric field ({exc})"
                     ) from exc
+                if flagged not in (0, 1):
+                    raise DataError(f"{path}:{reader.line_num}: flagged {flagged} is not 0 or 1")
                 if not math.isfinite(score):
                     raise DataError(f"{path}:{reader.line_num}: non-finite score {score}")
                 if key in rows:
                     raise DataError(f"{path}:{reader.line_num}: repeated step {key}")
-                rows[key] = (*key, score, flagged)
+                rows[key] = (*key, score, bool(flagged))
         except (csv.Error, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: unreadable CSV ({exc})") from exc
     return list(rows.values())
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> list:
     if args.scores is None and args.checkpoint is None:
         raise ConfigError("eval needs --scores or --checkpoint")
     if args.scores and (args.alpha, args.beta) != (None, None):
@@ -395,15 +383,12 @@ def cmd_eval(args) -> int:
         ))
     if labels:  # only a --scores CSV can leave steps out
         raise DataError(f"{args.scores}: no score for step {next(iter(labels))}")
-    report = compute_metrics(scored)
-    if args.hist:
-        _write_text(args.hist, score_histogram(scored, bins=args.bins).to_csv())
-    payload = {**asdict(report), "version": __version__}
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+    payload = {**asdict(compute_metrics(scored)), "version": __version__}
+    outputs = [(args.hist, score_histogram(scored, bins=args.bins).to_csv())] if args.hist else []
+    return outputs + [(args.out, json.dumps(payload, indent=2) + "\n")]
 
 
-def cmd_diag(args) -> int:
+def cmd_diag(args) -> list:
     check_int(args.bins, "bins", 1)
     embedder = EmbedderSpec(**_given(dimension=args.dim))
     trajectories = load_trajectories(args.traces, strict=args.strict)
@@ -421,11 +406,10 @@ def cmd_diag(args) -> int:
         "bins": args.bins,
         "embedder_dim": embedder.dimension,
     }
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+    return [(args.out, json.dumps(payload, indent=2) + "\n")]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list:
     topologies = None if args.topology == "all" else (args.topology,)
     config = ExperimentConfig(
         **_given(
@@ -453,14 +437,13 @@ def cmd_simulate(args) -> int:
     ]
     keys = {c.key() for c in report.cells}
     report.runs = {key: runs for key, runs in report.runs.items() if key in keys}
-    payload = report.to_dict()
-    payload["version"] = __version__
-    if args.csv:
-        _write_text(args.csv, report.to_csv())
-    if args.dump_traces:
-        dump_cell_traces(report, args.dump_traces)
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    outputs = [(args.csv, report.to_csv())] if args.csv else []
+    if args.dump_traces:  # every retained run, its id prefixed by its cell
+        runs = [replace(t, id=f"{key}/{t.id}")
+                for key, trajectories in sorted(report.runs.items()) for t in trajectories]
+        outputs.append((args.dump_traces, map(serialize_trajectory, runs)))
+    payload = {**report.to_dict(), "version": __version__}
+    return outputs + [(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")]
 
 
 _COMMANDS = {
@@ -478,7 +461,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        write_files(_COMMANDS[args.command](args))
+        return EXIT_OK
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

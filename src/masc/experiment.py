@@ -16,7 +16,7 @@ from .embedding import EmbedderSpec
 from .errors import check_int, check_number
 from .fixtures import FIXTURE_ROLES, make_fixture_suite, oracle_corrector, run_fixture
 from .simulator import FaultSpec, MascHook, Topology, resolve_fault, schedule
-from .trace import Trajectory, save_trajectories
+from .trace import Trajectory
 from .training import Calibration, TrainConfig, calibrate_threshold, train
 
 
@@ -201,15 +201,6 @@ def run_seed(base_seed: int, run_id: str) -> int:
     """Isolated per-run seed stream."""
     digest = hashlib.sha256(f"{base_seed}:{run_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def dump_cell_traces(report: ExperimentReport, path: str):
-    """Write every retained run trajectory as JSONL, ids prefixed by cell."""
-    out = []
-    for key, trajectories in sorted(report.runs.items()):
-        for trajectory in trajectories:
-            out.append(replace(trajectory, id=f"{key}/{trajectory.id}"))
-    save_trajectories(path, out)
 
 
 def _config_dict(config: ExperimentConfig) -> dict:

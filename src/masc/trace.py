@@ -20,9 +20,11 @@ may be ``""`` or null) and a label of 0, 1 or null, however they are built.
 that ``steps`` is an array of objects. ``load_trajectories`` adds the one
 check that spans lines, that no trajectory id repeats.
 
-``write_file`` is the package's one way to write a file: every file that
+``write_files`` is the package's one way to write a file: every file that
 ``masc`` writes, traces, checkpoints and reports alike, goes through it
-whole or not at all.
+whole or not at all. It writes a set of files in two phases, each file to a
+synced temporary file and then every temporary file renamed over its
+target, so a set is replaced whole or left as it was.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import json
 import logging
 import os
 import re
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -202,39 +205,69 @@ def load_trajectories(path: str, strict: bool = False) -> list[Trajectory]:
     return out
 
 
-def write_file(path: str, chunks: Iterable) -> None:
-    """Write the bytes-like ``chunks`` to ``path``, whole or not at all.
+def write_files(outputs: Iterable[tuple[str | None, str | Iterable]]) -> None:
+    """Write each ``(path, data)`` of ``outputs``: every file or none, then
+    standard output. ``data`` is a str, written as UTF-8, or an iterable of
+    bytes-like chunks; a ``path`` of None or ``""`` means standard output.
 
-    The chunks go to a temporary file beside the file ``path`` names, after
-    symlinks, which is flushed, synced to disk and then renamed over it. On
-    any failure the temporary file is removed, the error re-raised and
-    ``path`` left as it was. A replaced file gets a new file's mode, not the
-    old one's; a symlink at ``path`` keeps pointing at the file it named.
-    A target that exists but is not a regular file, such as ``/dev/stdout``
-    or a FIFO, cannot be renamed over and is written in place.
+    Phase 1 writes each file's data to a temporary file beside the file
+    ``path`` names, after symlinks, and flushes and syncs it to disk. A
+    target that exists but is not a regular file, such as ``/dev/stdout``
+    or a FIFO, cannot be renamed over: it is opened in this phase, so that a
+    directory fails before any rename, and written in place after phase 2.
+    Phase 2 renames every temporary file over its target, in order. On any
+    failure every temporary file left is removed and the error re-raised; an
+    error creating a temporary file names ``path``, not the temporary file.
+    So only a failing ``os.replace`` in phase 2 can leave part of a set
+    replaced; a target written in place is no file that can be kept whole.
+    A replaced file gets a new file's mode, not the old one's; a symlink
+    keeps pointing at the file it named. Last, in the order given, come the
+    targets written in place and standard output: UTF-8 bytes after a
+    flush, or text to a stream with no byte buffer.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
-        return
-    path = os.path.realpath(path)
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "xb")
+    staged, after = [], []  # (temporary file, target); (target opened in place or None, chunks)
     try:
-        with fh:
-            fh.writelines(chunks)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        for path, data in outputs:
+            chunks = (data.encode("utf-8"),) if isinstance(data, str) else data
+            if not path or (os.path.exists(path) and not os.path.isfile(path)):
+                after.append((open(path, "wb") if path else None, chunks))
+                continue
+            target = os.path.realpath(path)
+            tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+            try:
+                fh = open(tmp, "xb")
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            staged.append((tmp, target))
+            with fh:
+                fh.writelines(chunks)
+                fh.flush()
+                os.fsync(fh.fileno())
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
     except BaseException:
-        os.unlink(tmp)
+        for tmp, _ in staged:
+            os.unlink(tmp)
+        for fh, _ in after:
+            if fh:
+                fh.close()
         raise
+    for fh, chunks in after:
+        if fh:
+            with fh:
+                fh.writelines(chunks)
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(chunks)
+        else:  # a text-only stream, such as io.StringIO, takes any str
+            sys.stdout.write(b"".join(chunks).decode("utf-8"))
 
 
 def save_trajectories(path: str, trajectories: list[Trajectory]):
     """Write ``trajectories`` to ``path`` as canonical JSONL, through
-    ``write_file``."""
-    write_file(path, map(serialize_trajectory, trajectories))
+    ``write_files``."""
+    write_files([(path, map(serialize_trajectory, trajectories))])
 
 
 def split_dataset(

@@ -11,6 +11,7 @@ import multiprocessing
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,8 +419,8 @@ def test_criterion_10_determinism_persistence(tmp_path):
         csv_path = str(tmp_path / f"{tag}.csv")
         assert main(["score", "--checkpoint", ckpt, "--traces", corpus_path,
                      "--out", csv_path]) == 0
-        digests.append(json.loads(open(report_path).read())["checkpoint_digest"])
-        csvs.append(open(csv_path, "rb").read())
+        digests.append(json.loads(Path(report_path).read_text())["checkpoint_digest"])
+        csvs.append(Path(csv_path).read_bytes())
     assert digests[0] == digests[1]
     assert csvs[0] == csvs[1]
 

@@ -170,7 +170,7 @@ class TestIngest:
     def test_canonicalize_roundtrip(self, corpus_file, tmp_path, capsys):
         out = str(tmp_path / "canon.jsonl")
         assert main(["ingest", "--traces", corpus_file, "--out", out]) == 0
-        assert open(out, "rb").read() == open(corpus_file, "rb").read()
+        assert Path(out).read_bytes() == Path(corpus_file).read_bytes()
 
     def test_missing_file_exits_three(self, capsys):
         assert main(["ingest", "--traces", "/nonexistent.jsonl"]) == 3
@@ -206,7 +206,7 @@ class TestTrain:
     def test_writes_checkpoint_and_report(self, trained_checkpoint):
         ckpt, report_path = trained_checkpoint
         assert os.path.exists(ckpt)
-        report = json.loads(open(report_path).read())
+        report = json.loads(Path(report_path).read_text())
         assert report["config"]["epochs"] == 4
         assert report["version"]
         assert len(report["epochs"]) == 4
@@ -241,6 +241,19 @@ class TestTrain:
         assert report["config"]["epochs"] == 2  # from file
         assert report["config"]["lr"] == 1e-3  # flag wins
         assert report["config"]["lambda"] == 0.7
+
+    def test_report_config_is_a_config_file(self, corpus_file, tmp_path, capsys):
+        """A report's ``config``, given back as ``--config``, trains the same
+        checkpoint byte for byte."""
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        assert main(["train", "--traces", corpus_file, "--checkpoint", str(first),
+                     "--epochs", "2", "--hidden", "12", "--dim", "6", "--seed", "9",
+                     "--lambda", "0.4", "--layers", "1", "--lr", "2e-3"]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(json.loads(capsys.readouterr().out)["config"]))
+        assert main(["train", "--traces", corpus_file, "--checkpoint", str(second),
+                     "--config", str(config)]) == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_lam_and_lambda_both_given_exits_two(self, corpus_file, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -451,7 +464,7 @@ class TestScore:
                      "--out", out1]) == 0
         assert main(["score", "--checkpoint", ckpt, "--traces", corpus_file,
                      "--out", out2]) == 0
-        a, b = open(out1, "rb").read(), open(out2, "rb").read()
+        a, b = Path(out1).read_bytes(), Path(out2).read_bytes()
         assert a == b
         lines = a.decode().strip().split("\n")
         assert lines[0] == "trajectory_id,t,score,recon_term,proto_term,flagged"
@@ -514,19 +527,25 @@ class TestScore:
 class TestWrites:
     LIMIT = 256  # bytes; each command below writes more
 
-    @pytest.mark.parametrize("command", ["calibrate", "score", "ingest", "diag", "stdout"])
+    @pytest.mark.parametrize("command", [
+        "calibrate", "score", "ingest", "diag", "stdout", "train report directory",
+        "train report missing", "eval out missing", "simulate out missing",
+    ])
     def test_a_failed_write_keeps_the_old_file(
         self, trained_checkpoint, corpus_file, labeled_file, tmp_path, command
     ):
         """Under a file-size limit every write fails part way, and the file
         it was to replace keeps its old bytes, with no temporary file left.
         A pipe is no regular file: ``--out /dev/stdout`` writes it in place,
-        where the limit does not apply."""
+        where the limit does not apply. A command with several files, one of
+        which cannot be written, writes none of them, and its error names
+        the path it was given."""
         directory = tmp_path / "out"
         directory.mkdir()
         target = directory / "old"
+        missing = str(tmp_path / "nonexistent" / "r.json")
         ckpt = trained_checkpoint[0]
-        if command == "calibrate":  # in place
+        if command in ("calibrate", "train report directory"):  # an old checkpoint
             target.write_bytes(Path(ckpt).read_bytes())
             ckpt = str(target)
         else:
@@ -534,19 +553,33 @@ class TestWrites:
         before = target.read_bytes()
         assert len(before) > self.LIMIT
         score = ["score", "--checkpoint", ckpt, "--traces", corpus_file, "--out"]
-        argv = {
-            "calibrate": ["calibrate", "--checkpoint", ckpt, "--traces", corpus_file],
-            "score": score + [str(target)],
-            "ingest": ["ingest", "--traces", corpus_file, "--out", str(target)],
-            "diag": ["diag", "--traces", labeled_file, "--out", str(target)],
-            "stdout": score + ["/dev/stdout"],
+        train = ["train", "--traces", corpus_file, *TRAIN_FLAGS, "--checkpoint"]
+        argv, unwritable = {
+            "calibrate": (["calibrate", "--checkpoint", ckpt, "--traces", corpus_file], None),
+            "score": (score + [str(target)], None),
+            "ingest": (["ingest", "--traces", corpus_file, "--out", str(target)], None),
+            "diag": (["diag", "--traces", labeled_file, "--out", str(target)], None),
+            "stdout": (score + ["/dev/stdout"], None),
+            "train report directory": (
+                train + [ckpt, "--report", str(directory)], str(directory)),
+            "train report missing": (
+                train + [str(directory / "new.ckpt"), "--report", missing], missing),
+            "eval out missing": (["eval", "--traces", labeled_file, "--checkpoint", ckpt,
+                                  "--hist", str(target), "--out", missing], missing),
+            "simulate out missing": (["simulate", "--masc", "off", "--fixtures", "2",
+                                      "--csv", str(target), "--dump-traces",
+                                      str(directory / "new.jsonl"), "--out", missing], missing),
         }[command]
-        proc = run_masc(argv, limit=self.LIMIT)
+        proc = run_masc(argv, limit=None if unwritable else self.LIMIT)
         if command == "stdout":
             assert proc.returncode == 0, proc.stderr
             expected = tmp_path / "scores.csv"
             assert main(score + [str(expected)]) == 0
             assert proc.stdout == expected.read_bytes()
+        elif unwritable:
+            assert proc.returncode == 3, proc.stderr
+            assert repr(unwritable).encode() in proc.stderr
+            assert b".tmp" not in proc.stderr
         else:
             assert proc.returncode == 3, proc.stderr
             assert b"File too large" in proc.stderr
@@ -625,10 +658,10 @@ class TestEval:
         hist = str(tmp_path / "hist.csv")
         assert main(["eval", "--checkpoint", ckpt, "--traces", labeled_file,
                      "--out", out, "--hist", hist, "--bins", "6"]) == 0
-        metrics = json.loads(open(out).read())
+        metrics = json.loads(Path(out).read_text())
         assert metrics["n_steps"] == 40
         assert 0.0 <= metrics["auc_roc"] <= 1.0
-        header = open(hist).readline().strip()
+        header = Path(hist).read_text().splitlines()[0]
         assert header == "bin_lo,bin_hi,normal_count,error_count"
 
     def test_scores_mode_matches_module(self, trained_checkpoint, labeled_file,
@@ -640,7 +673,7 @@ class TestEval:
         out = str(tmp_path / "metrics.json")
         assert main(["eval", "--scores", csv_path, "--traces", labeled_file,
                      "--out", out]) == 0
-        via_cli = json.loads(open(out).read())
+        via_cli = json.loads(Path(out).read_text())
 
         import csv as csv_mod
 
@@ -677,7 +710,7 @@ class TestEval:
         csv_path = str(tmp_path / "scores.csv")
         assert main(["score", "--checkpoint", ckpt, "--traces", traces,
                      "--out", csv_path]) == 0
-        lines = open(csv_path, "rb").read().decode().split("\n")
+        lines = Path(csv_path).read_bytes().decode().split("\n")
         assert lines[1].startswith('"run,0",1,')
         assert lines[5].startswith('"say ""hi""",1,')
         assert lines[9].startswith("plain-2,1,")
@@ -686,7 +719,7 @@ class TestEval:
                      "--out", via_csv]) == 0
         assert main(["eval", "--checkpoint", ckpt, "--traces", traces,
                      "--out", via_ckpt]) == 0
-        a, b = json.loads(open(via_csv).read()), json.loads(open(via_ckpt).read())
+        a, b = json.loads(Path(via_csv).read_text()), json.loads(Path(via_ckpt).read_text())
         assert a["n_steps"] == 12
         assert a["auc_roc"] == b["auc_roc"]
 
@@ -722,8 +755,9 @@ class TestEval:
          ":3: non-finite score -inf"),
         ("trajectory_id,t,score,flagged\nx,1,0,0\nx,2,1,1\nx,1,0,0\n",
          ":4: repeated step ('x', 1)"),
+        ("trajectory_id,t,score,flagged\nx,1,0,0\nx,2,1,7\n", ":3: flagged 7 is not 0 or 1"),
     ], ids=["missing column", "non-numeric t", "non-numeric score", "short row",
-            "NaN score", "infinite score", "repeated step"])
+            "NaN score", "infinite score", "repeated step", "flagged 7"])
     def test_malformed_scores_csv_exits_three(self, labeled_file, tmp_path, capsys,
                                               text, message):
         csv_path = tmp_path / "bad.csv"
@@ -902,7 +936,7 @@ class TestSimulate:
         out = str(tmp_path / "sim.json")
         assert main(["simulate", "--topology", "chain", "--fault", "off",
                      "--masc", "off", "--fixtures", "5", "--out", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["cells"]["chain/clean/off"]["accuracy"] == 1.0
         assert payload["cells"]["chain/clean/off"]["n_runs"] == 5
 
@@ -930,15 +964,15 @@ class TestSimulate:
         dump_inf = str(tmp_path / "inf.jsonl")
         assert main(["simulate", "--fault", "on", "--masc", "on", "--delta", "inf",
                      "--out", out_inf, "--dump-traces", dump_inf] + common) == 0
-        off = json.loads(open(out_off).read())["cells"]["chain/faulted/off"]
-        inf = json.loads(open(out_inf).read())["cells"]["chain/faulted/masc"]
+        off = json.loads(Path(out_off).read_text())["cells"]["chain/faulted/off"]
+        inf = json.loads(Path(out_inf).read_text())["cells"]["chain/faulted/masc"]
         assert inf["accuracy"] == off["accuracy"]
         assert inf["interventions"] == 0
         # identical trajectories modulo the cell prefix in ids
         def strip(path, cell):
             return [
                 line.replace(cell, "CELL", 1)
-                for line in open(path).read().splitlines()
+                for line in Path(path).read_text().splitlines()
                 if cell in line
             ]
 
@@ -977,7 +1011,7 @@ class TestSimulate:
         assert main(["simulate", "--topology", "chain", "--fault", "off",
                      "--masc", "off", "--fixtures", "3",
                      "--out", str(tmp_path / "r.json"), "--csv", csv_path]) == 0
-        lines = open(csv_path).read().strip().split("\n")
+        lines = Path(csv_path).read_text().strip().split("\n")
         assert lines[0].startswith("topology,condition")
         assert len(lines) == 2
 

@@ -33,7 +33,7 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 def edit_header(path, edit):
     """Rewrite the checkpoint at ``path`` after ``edit`` changed its header
     in place."""
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
     start = len(MAGIC) + 4
     header = json.loads(blob[start : start + header_len])
@@ -271,7 +271,7 @@ class TestCheckpoint:
         model, _, _ = small_trained
         path = str(tmp_path / "model.ckpt")
         digest = save_checkpoint(model, None, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         joined = b"".join(model.params[name].astype("<f8").tobytes() for name in PARAM_ORDER)
         assert blob.endswith(joined)
         (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
@@ -304,7 +304,7 @@ class TestCheckpoint:
         model, _, _ = small_trained
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(model, None, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
         start = len(MAGIC) + 4
         header = json.loads(blob[start : start + header_len])
@@ -319,7 +319,7 @@ class TestCheckpoint:
         model, _, _ = small_trained
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(model, None, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) - 40])
         with pytest.raises(CheckpointError, match="corrupt"):
@@ -329,7 +329,7 @@ class TestCheckpoint:
         model, _, _ = small_trained
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(model, None, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[-1] ^= 0xFF
         with open(path, "wb") as fh:
             fh.write(blob)
@@ -340,7 +340,7 @@ class TestCheckpoint:
         model, _, _ = small_trained
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(model, None, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         patched = blob.replace(
             f'"format_version": {FORMAT_VERSION}'.encode(),
             f'"format_version": {FORMAT_VERSION + 1}'.encode(),
@@ -356,7 +356,7 @@ class TestCheckpoint:
         model, _, _ = small_trained
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(model, None, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
         start = len(MAGIC) + 4
         header = json.loads(blob[start : start + header_len])
@@ -387,6 +387,8 @@ class TestCheckpoint:
                 header, calibration={"quantile": 0.5, "alpha": 1.0, "beta": 1.0}
             ),
             "calibration as a list": dict(header, calibration=[1.0]),
+            **{f"calibration {value!r}": dict(header, calibration=value)
+               for value in ({}, [], False, 0, "")},
             "with_gt as a string": dict(header, with_gt="no"),
             "seed as a string": dict(header, seed="x"),
             "seed as a boolean": dict(header, seed=True),
@@ -480,7 +482,7 @@ def golden_checkpoint(tmp_path_factory):
     ), trajectories)
     path = str(tmp_path_factory.mktemp("golden") / "model.ckpt")
     save_checkpoint(model, calibrate_threshold(model, trajectories, 0.5), path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
     start = len(MAGIC) + 4
     header = json.loads(blob[start : start + header_len])
