@@ -18,12 +18,14 @@ hands them to ``trace.write_files``, whose first phase writes them to a
 synced temporary file and whose second renames it over the target, so the
 file is written whole or not at all; ``masc train`` and ``masc calibrate``
 hand them over together with their reports. ``load_checkpoint`` reads the
-file's bytes once, hashes the payload through a ``memoryview`` of them and
-decodes it straight into the new model's buffer, which is the only copy.
+magic, the header length and the header, checks the payload size the
+header declares against the file's size, then reads the payload with
+``readinto`` straight into the new model's buffer, which is the only copy,
+and hashes it there.
 
 ``load_checkpoint`` checks the framing: the magic, the header length, that
-the header is a JSON object, the version, the payload digest, the block
-order, the payload size and that ``d`` is the integer ``2 * d_e``. Every
+the header is a JSON object, the version, the block order, the payload
+size, the payload digest and that ``d`` is the integer ``2 * d_e``. Every
 other field is checked by the type it builds (``DetectorModel``, whose
 check covers the parameter shapes, ``EmbedderSpec``, ``BackboneSpec`` and
 ``Calibration``), and a ConfigError from those checks is re-raised as
@@ -35,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -94,52 +97,60 @@ def load_checkpoint(path: str) -> tuple[DetectorModel, Calibration | None]:
     do not match the payload) raises CheckpointError.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + _LEN.size or blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointError("corrupt checkpoint: bad magic")
-    (header_len,) = _LEN.unpack_from(blob, len(MAGIC))
-    header_start = len(MAGIC) + _LEN.size
-    if header_start + header_len > len(blob):
-        raise CheckpointError("corrupt checkpoint: truncated header")
-    try:
-        header = json.loads(blob[header_start : header_start + header_len])
-    except ValueError as exc:  # undecodable UTF-8 or malformed JSON
-        raise CheckpointError("corrupt checkpoint: unreadable header") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError("corrupt checkpoint: header is not an object")
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format version {version} not supported "
-            f"(expected {FORMAT_VERSION})"
-        )
-    payload = memoryview(blob)[header_start + header_len :]
-    try:
-        if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-            raise CheckpointError("corrupt checkpoint: payload digest mismatch")
-        if header["param_order"] != list(PARAM_ORDER):
-            raise CheckpointError("corrupt checkpoint: unexpected parameter order")
-        shapes = {name: tuple(header["param_shapes"][name]) for name in PARAM_ORDER}
-        if 8 * sum(math.prod(shape) for shape in shapes.values()) != len(payload):
-            raise CheckpointError("corrupt checkpoint: payload size mismatch")
-        if type(header["d"]) is not int or header["d"] != 2 * header["d_e"]:
-            raise CheckpointError("corrupt checkpoint: d is not 2 * d_e")
-        params = FlatParams(shapes, np.frombuffer(payload, dtype="<f8").astype(np.float64))
-        model = DetectorModel(
-            d_e=header["d_e"],
-            d_h=header["d_h"],
-            embedder=EmbedderSpec(**header["embedder"]),
-            backbone=BackboneSpec(**header["backbone"]),
-            seed=header["seed"],
-            with_gt=header["with_gt"],
-            params=params,
-            lam=header["lambda"],
-        )
-        # A missing or unknown field is a TypeError; ``stats`` may be absent.
-        cal = header.get("calibration")
-        calibration = None if cal is None else Calibration(**cal)
-    except ConfigError as exc:
-        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint: malformed header ({exc!r})") from exc
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(MAGIC) + _LEN.size)
+        if len(head) < len(MAGIC) + _LEN.size or head[: len(MAGIC)] != MAGIC:
+            raise CheckpointError("corrupt checkpoint: bad magic")
+        (header_len,) = _LEN.unpack_from(head, len(MAGIC))
+        header_end = len(head) + header_len
+        blob = fh.read(header_len) if header_end <= size else b""
+        if len(blob) != header_len:
+            raise CheckpointError("corrupt checkpoint: truncated header")
+        try:
+            header = json.loads(blob)
+        except ValueError as exc:  # undecodable UTF-8 or malformed JSON
+            raise CheckpointError("corrupt checkpoint: unreadable header") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError("corrupt checkpoint: header is not an object")
+        version = header.get("format_version")
+        if version != FORMAT_VERSION:
+            raise CheckpointError(
+                f"checkpoint format version {version} not supported "
+                f"(expected {FORMAT_VERSION})"
+            )
+        try:
+            if header["param_order"] != list(PARAM_ORDER):
+                raise CheckpointError("corrupt checkpoint: unexpected parameter order")
+            shapes = {name: tuple(header["param_shapes"][name]) for name in PARAM_ORDER}
+            n_values = sum(math.prod(shape) for shape in shapes.values())
+            # Checked against the file before the buffer is allocated, so a
+            # forged header cannot ask for more memory than the file holds;
+            # a trailing byte fails here too.
+            if 8 * n_values != size - header_end:
+                raise CheckpointError("corrupt checkpoint: payload size mismatch")
+            payload = np.empty(n_values, dtype="<f8")
+            if fh.readinto(payload) != payload.nbytes:
+                raise CheckpointError("corrupt checkpoint: payload size mismatch")
+            if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+                raise CheckpointError("corrupt checkpoint: payload digest mismatch")
+            if type(header["d"]) is not int or header["d"] != 2 * header["d_e"]:
+                raise CheckpointError("corrupt checkpoint: d is not 2 * d_e")
+            params = FlatParams(shapes, payload.astype(np.float64, copy=False))
+            model = DetectorModel(
+                d_e=header["d_e"],
+                d_h=header["d_h"],
+                embedder=EmbedderSpec(**header["embedder"]),
+                backbone=BackboneSpec(**header["backbone"]),
+                seed=header["seed"],
+                with_gt=header["with_gt"],
+                params=params,
+                lam=header["lambda"],
+            )
+            # A missing or unknown field is a TypeError; ``stats`` may be absent.
+            cal = header.get("calibration")
+            calibration = None if cal is None else Calibration(**cal)
+        except ConfigError as exc:
+            raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"corrupt checkpoint: malformed header ({exc!r})") from exc
     return model, calibration

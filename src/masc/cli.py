@@ -32,7 +32,7 @@ from dataclasses import asdict, replace
 
 from . import __version__
 from .checkpoint import checkpoint_chunks, load_checkpoint
-from .detector import BackboneSpec, score_trajectory
+from .detector import BackboneSpec, score_corpus
 from .embedding import EmbedderSpec, embed_trajectory
 from .errors import ConfigError, DataError, DivergenceError, MascError, check_int
 from .evaluation import (
@@ -287,11 +287,8 @@ def _score_rows(model, calibration, trajectories, alpha, beta, delta):
     if calibration:
         weights.update(alpha=calibration.alpha, beta=calibration.beta, delta=calibration.delta)
     weights.update(_given(alpha=alpha, beta=beta, delta=delta))
-    for trajectory in trajectories:
-        q_vec, step_embs = embed_trajectory(
-            model.embedder, trajectory, with_gt=model.with_gt
-        )
-        for v in score_trajectory(model, q_vec, step_embs, **weights):
+    for trajectory, verdicts in zip(trajectories, score_corpus(model, trajectories, **weights)):
+        for v in verdicts:
             yield trajectory, v
 
 

@@ -15,9 +15,10 @@ Two embedder kinds are supported:
 
 Step embeddings are the concatenation [role_embedding ; output_embedding],
 role half first, giving vectors of dimension 2 * d_e. There are three entry
-points: ``embed_text`` for one text and ``embed_trajectory`` for a whole
-trajectory go through one batch function (``_text_matrix``); ``embed_step``,
-the in-loop turn's, does too for the remote kind.
+points: ``embed_text`` for one text and ``embed_trajectories`` for a batch of
+whole trajectories (``embed_trajectory`` for one) go through one batch
+function (``_text_matrix``); ``embed_step``, the in-loop turn's, does too for
+the remote kind.
 
 A batch of texts embeds as one (n, d_e) matrix. With the hashing kind, each
 token's bucket and sign come from a per-dimension memo (token -> ``2 *
@@ -37,9 +38,9 @@ codes, one ``np.bincount``, the squared norm by one dot product and one
 divide, bit for bit the batch's row.
 
 A trajectory's texts are embedded in the order [query, role_1, output_1,
-role_2, output_2, ...], so rows 1 .. 2T of the matrix, read two at a time,
-are already the [role ; output] step embeddings: the (T, 2 * d_e) step
-matrix is a reshape, not a concatenation per step.
+role_2, output_2, ...], so rows 1 .. 2T of its block of the matrix, read two
+at a time, are already the [role ; output] step embeddings: the (T, 2 * d_e)
+step matrix is a reshape, not a concatenation per step.
 """
 
 from __future__ import annotations
@@ -378,12 +379,29 @@ def embed_trajectory(
     embedding, in execution order). Either everything embeds or the error
     propagates; partial results are never returned.
     """
-    texts = [query_text(trajectory, with_gt)]
-    for step in trajectory.steps:
-        texts.append(step.role)
-        texts.append(step.output)
+    return embed_trajectories(spec, [trajectory], with_gt)[0]
+
+
+def embed_trajectories(
+    spec: EmbedderSpec, trajectories: list[Trajectory], with_gt: bool = False
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``embed_trajectory`` of each trajectory, from one batch of all their
+    texts (one /embed request for the remote kind). A hashing row does not
+    depend on the batch, so each pair equals that trajectory's own bit for
+    bit."""
+    texts = []
+    for trajectory in trajectories:
+        texts.append(query_text(trajectory, with_gt))
+        for step in trajectory.steps:
+            texts.append(step.role)
+            texts.append(step.output)
     matrix = _text_matrix(spec, texts)
-    steps = matrix[1:].reshape(len(trajectory.steps), 2 * spec.dimension)
-    # A copy: a view of row 0 would keep the whole batch matrix alive for as
-    # long as the caller holds the query vector.
-    return matrix[0].copy(), steps
+    out, row = [], 0
+    for trajectory in trajectories:
+        stop = row + 1 + 2 * len(trajectory.steps)
+        steps = matrix[row + 1 : stop].reshape(len(trajectory.steps), 2 * spec.dimension)
+        # A copy: a view of the query's row would keep the whole batch matrix
+        # alive for as long as the caller holds the query vector.
+        out.append((matrix[row].copy(), steps))
+        row = stop
+    return out

@@ -5,9 +5,9 @@ The parameters, their gradients and the two moments share one flat layout
 ``BLOCK`` elements and gives each block a handful of in-place vectorized
 passes, whatever the number of parameter groups. Every operation is
 elementwise, so the blocks give the whole-vector update bit for bit. Two
-block-sized scratch vectors held by the state take the temporaries; a
-step allocates only the finiteness check's boolean mask, one byte per
-parameter.
+block-sized scratch vectors held by the state take the temporaries, and a
+block-sized boolean scratch takes the finiteness check's mask, so a step
+allocates no array.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]  # each min(BLOCK, size) elements
+    finite: np.ndarray  # min(BLOCK, size) booleans, the finiteness mask
     step_count: int = 0
 
     @classmethod
@@ -46,6 +47,7 @@ class AdamState:
         return cls(
             lr=lr, weight_decay=weight_decay,
             m=np.zeros(n), v=np.zeros(n), scratch=(np.empty(block), np.empty(block)),
+            finite=np.empty(block, dtype=bool),
         )
 
 
@@ -55,13 +57,16 @@ def adam_step(state: AdamState, params: FlatParams, grads: FlatParams) -> None:
     Weight decay is decoupled (applied directly to parameters, not folded into
     the gradient), which reduces to plain Adam when weight_decay == 0.
     Non-finite gradients abort with DivergenceError before any state changes:
-    the check covers the whole gradient and runs first. Then each block of
-    ``BLOCK`` elements gets the same in-place operations in the same order,
-    with the state's two block-sized scratch vectors as temporaries.
+    the check covers every block of the gradient, into the state's boolean
+    scratch, and runs first. Then each block of ``BLOCK`` elements gets the
+    same in-place operations in the same order, with the state's two
+    block-sized scratch vectors as temporaries.
     """
     g_all = grads.flat
-    if not np.all(np.isfinite(g_all)):
-        raise DivergenceError("diverged: non-finite gradient")
+    for lo in range(0, g_all.size, BLOCK):
+        g = g_all[lo : lo + BLOCK]
+        if not np.isfinite(g, out=state.finite[: g.size]).all():
+            raise DivergenceError("diverged: non-finite gradient")
     p_all, m_all, v_all = params.flat, state.m, state.v
     state.step_count += 1
     t = state.step_count

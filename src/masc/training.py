@@ -29,7 +29,8 @@ from .detector import (
     BackboneSpec,
     DetectorModel,
     _check_weights,
-    score_trajectory,
+    score_corpus,
+    score_trajectory,  # noqa: F401 -- bench/tracing.py wraps this name
     trajectory_loss,
 )
 from .embedding import EmbedderSpec, embed_trajectory
@@ -191,19 +192,20 @@ def calibrate_threshold(
 ) -> Calibration:
     """Set delta to an empirical quantile of normal-step scores.
 
-    Scores every step of every calibration trajectory, then takes the
-    linearly interpolated quantile (numpy's "linear" method).
+    Scores every step of every calibration trajectory through
+    ``score_corpus``, in stacked chunks, then takes the linearly
+    interpolated quantile (numpy's "linear" method). The scores agree with
+    ``score_trajectory``'s to rounding; their last bits can depend on the
+    trajectories a chunk stacks together.
     """
     check_number(quantile, "quantile", 0, 1, strict=True)
     if not calibration_set:
         raise DataError("empty calibration set")
-    scores = []
-    for trajectory in calibration_set:
-        q_vec, step_embs = embed_trajectory(
-            model.embedder, trajectory, with_gt=model.with_gt
-        )
-        verdicts = score_trajectory(model, q_vec, step_embs, alpha, beta)
-        scores.extend(v.score for v in verdicts)
+    scores = [
+        v.score
+        for verdicts in score_corpus(model, calibration_set, alpha, beta)
+        for v in verdicts
+    ]
     arr = np.asarray(scores, dtype=np.float64)
     delta = float(np.quantile(arr, quantile, method="linear"))
     stats = {

@@ -263,6 +263,20 @@ def test_adam_rejects_nan_gradients():
     assert not state.m.any() and not state.v.any()
     assert np.array_equal(params["w"], np.ones(2))
 
+    # A NaN in the last of three blocks, after one good step: the blocks
+    # before it are checked, not updated.
+    n = 2 * BLOCK + 5
+    params, grads = _flat(w=np.ones(n)), _flat(w=np.full(n, 0.5))
+    state = AdamState.init(params, lr=0.1)
+    adam_step(state, params, grads)
+    before = [params.flat.copy(), state.m.copy(), state.v.copy()]
+    grads.flat[-1] = np.nan
+    with pytest.raises(DivergenceError, match="diverged"):
+        adam_step(state, params, grads)
+    assert state.step_count == 1
+    for old, new in zip(before, (params.flat, state.m, state.v)):
+        assert old.tobytes() == new.tobytes()
+
 
 def test_adam_weight_decay_is_decoupled():
     plain, decayed = _flat(w=[2.0]), _flat(w=[2.0])
@@ -333,3 +347,7 @@ def test_adam_allocates_less_than_one_buffer_beyond_its_moments():
 
     # m and v, then two block-sized scratch vectors and the finiteness mask.
     assert traced_peak(init_and_step) < 3 * params.flat.nbytes
+    # A step itself allocates no array: the finiteness mask is block-sized
+    # scratch that the state holds.
+    state = AdamState.init(params, lr=0.1, weight_decay=0.01)
+    assert traced_peak(lambda: adam_step(state, params, grads)) < BLOCK

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masc import cli
+from masc import cli, detector
 from masc.checkpoint import load_checkpoint, save_checkpoint
 from masc.cli import main
 from masc.detector import BackboneSpec
-from masc.embedding import EmbedderSpec, embed_trajectory
+from masc.embedding import EmbedderSpec, embed_trajectories, embed_trajectory
 from masc.errors import MascError
 from masc.evaluation import ScoredStep, compute_metrics
 from masc.experiment import ExperimentConfig, MascSettings
@@ -638,12 +638,12 @@ class TestNonFiniteInput:
     def test_non_finite_step_embedding_exits_three(
         self, trained_checkpoint, corpus_file, monkeypatch, capsys
     ):
-        def with_nan(spec, trajectory, with_gt=False):
-            q_vec, steps = embed_trajectory(spec, trajectory, with_gt=with_gt)
-            steps[-1, 0] = math.nan
-            return q_vec, steps
+        def with_nan(spec, trajectories, with_gt=False):
+            embedded = embed_trajectories(spec, trajectories, with_gt=with_gt)
+            embedded[-1][1][-1, 0] = math.nan
+            return embedded
 
-        monkeypatch.setattr(cli, "embed_trajectory", with_nan)
+        monkeypatch.setattr(detector, "embed_trajectories", with_nan)
         assert main(["score", "--checkpoint", trained_checkpoint[0],
                      "--traces", corpus_file]) == 3
         err = capsys.readouterr().err

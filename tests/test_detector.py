@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masc import detector
 from masc.detector import (
+    CHUNK_ROWS,
     PARAM_ORDER,
     AnomalyVerdict,
     BackboneSpec,
@@ -27,14 +29,15 @@ from masc.detector import (
     projected_sequence,
     prototype_attention,
     reconstruction_loss,
+    score_corpus,
     score_trajectory,
     trajectory_loss,
 )
-from masc.embedding import EmbedderSpec, embed_trajectory
+from masc.embedding import EmbedderSpec, embed_trajectories, embed_trajectory
 from masc.errors import ConfigError, DataError, TransportError
 from masc.synthetic import make_normal_corpus, make_normal_trajectory, plant_anomaly
 from masc.training import TrainConfig, calibrate_threshold, train
-from tests.conftest import MALFORMED_REPLIES, SMALL_EMBEDDER, views_tile
+from tests.conftest import MALFORMED_REPLIES, SMALL_EMBEDDER, traced_peak, views_tile
 from tests.reference import verdicts_reference
 
 EMB4 = EmbedderSpec(kind="hashing", dimension=4)
@@ -524,10 +527,19 @@ class TestRemoteBackbone:
                 streamed.append(stream.score(step, 1.0, 1.0, math.inf))
                 stream.commit(step)
             requests = len(stub.requests)
+            # The corpus path stacks the three trajectories and still sends
+            # one /encode per prefix of each; the states are the same, so
+            # are the bits.
+            stacked = list(score_corpus(model, corpus, 1.0, 1.0))
+            stacked_requests = len(stub.requests) - requests
+            alone = _scored_alone(model, corpus, 1.0, 1.0)
         assert model.param_digest() == REMOTE_DIGEST
         assert [v.score.hex() for v in batch] == REMOTE_SCORES
         assert [v.score.hex() for v in streamed] == REMOTE_SCORES
         assert requests == 2 * 3 * 3 + 3 + 3
+        assert stacked_requests == 3 * 3
+        assert [v.score.hex() for v in stacked[0]] == REMOTE_SCORES
+        assert _bits(sum(stacked, [])) == _bits(sum(alone, []))
 
     def test_a_reply_of_the_wrong_dimension_is_a_config_error(self, stub_service):
         with stub_service(vector_dim=5) as stub:
@@ -641,6 +653,131 @@ def test_detect_agrees_with_score_trajectory(d_e, d_h, layers, T, seed):
         assert single.recon_term == pytest.approx(batch[t - 1].recon_term, rel=1e-12, abs=0.0)
         # 1 - cos lies in [0, 2]; near 0 a relative bound would be meaningless.
         assert single.proto_term == pytest.approx(batch[t - 1].proto_term, rel=0.0, abs=1e-12)
+
+
+def _scored_alone(model, corpus, alpha, beta, delta=math.inf):
+    return [
+        score_trajectory(
+            model, *embed_trajectory(model.embedder, t, model.with_gt), alpha, beta, delta
+        )
+        for t in corpus
+    ]
+
+
+def _assert_agree(stacked, alone):
+    """``score_corpus``'s verdicts equal the per-trajectory ones to rounding:
+    the same steps, weights and threshold, scores to rel 1e-12, and the same
+    flags wherever the score is not within rounding of the threshold."""
+    assert [len(vs) for vs in stacked] == [len(vs) for vs in alone]
+    for a, b in zip(sum(stacked, []), sum(alone, [])):
+        assert (a.t, a.alpha, a.beta, a.delta) == (b.t, b.alpha, b.beta, b.delta)
+        assert a.score == pytest.approx(b.score, rel=1e-12, abs=0.0)
+        assert a.recon_term == pytest.approx(b.recon_term, rel=1e-12, abs=0.0)
+        assert a.proto_term == pytest.approx(b.proto_term, rel=0.0, abs=1e-12)
+        if abs(b.score - b.delta) > 1e-12 * abs(b.delta):
+            assert a.flagged == b.flagged
+
+
+@pytest.mark.parametrize("d_e, d_h", [(4, 16), (64, 256)])
+@settings(max_examples=25, deadline=None)
+@given(lengths=st.lists(st.integers(1, 30), min_size=1, max_size=10),
+       seed=st.integers(0, 2**16))
+def test_score_corpus_agrees_with_score_trajectory(d_e, d_h, lengths, seed):
+    # Stacked rows may sum in another order than a trajectory's own pass,
+    # for some lengths and BLAS kernels, so the contract is rounding.
+    model = DetectorModel.init(
+        EmbedderSpec(kind="hashing", dimension=d_e), d_h=d_h,
+        backbone=BackboneSpec(hidden_dim=d_h, layers=2, seed=seed), seed=seed,
+    )
+    rng = random.Random(seed)
+    corpus = [make_normal_trajectory(f"t{i}", rng, T=T) for i, T in enumerate(lengths)]
+    scores = sorted(v.score for vs in _scored_alone(model, corpus, 1.0, 0.5) for v in vs)
+    delta = scores[len(scores) // 2]  # flags on both sides
+    stacked = list(score_corpus(model, corpus, 1.0, 0.5, delta))
+    _assert_agree(stacked, _scored_alone(model, corpus, 1.0, 0.5, delta))
+
+
+def test_score_corpus_stacks_whole_trajectories_up_to_the_cap(monkeypatch):
+    model = tiny_model(seed=7, d_h=12)
+    lengths = [30, 30, CHUNK_ROWS + 6, 5, CHUNK_ROWS, 1]
+    rng = random.Random(7)
+    corpus = [make_normal_trajectory(f"t{i}", rng, T=T) for i, T in enumerate(lengths)]
+    alone = _scored_alone(model, corpus, 1.0, 1.0)
+    runs = []
+    run = FrozenMixer.run
+
+    def recording(self, sequence, lengths=None):
+        runs.append(list(lengths))
+        return run(self, sequence, lengths)
+
+    monkeypatch.setattr(FrozenMixer, "run", recording)
+    stacked = list(score_corpus(model, corpus, 1.0, 1.0))
+    # A trajectory longer than the cap is a chunk of its own; one of
+    # exactly the cap fills one.
+    assert runs == [[30, 30], [CHUNK_ROWS + 6], [5], [CHUNK_ROWS], [1]]
+    _assert_agree(stacked, alone)
+    assert list(score_corpus(model, [], 1.0, 1.0)) == []
+
+
+@pytest.mark.parametrize("fault, error, match", [
+    ("no steps", DataError, "empty trajectory"),
+    ("NaN", DataError, "NaN or infinite"),
+    ("infinity", DataError, "NaN or infinite"),
+    ("short step", ConfigError, "dimension"),
+    ("short query", ConfigError, "dimension"),
+])
+def test_score_corpus_rejects_what_score_trajectory_rejects(monkeypatch, fault, error, match):
+    model = tiny_model()
+    corpus = make_normal_corpus(3, seed=1, T=4)
+
+    def faulty(spec, trajectories, with_gt=False):
+        embedded = embed_trajectories(spec, trajectories, with_gt)
+        q_vec, steps = embedded[-1]
+        if fault == "no steps":
+            steps = steps[:0]
+        elif fault in ("NaN", "infinity"):
+            steps = steps.copy()
+            steps[1, 2] = math.nan if fault == "NaN" else math.inf
+        elif fault == "short step":
+            steps = steps[:, 1:]
+        else:
+            q_vec = q_vec[1:]
+        embedded[-1] = (q_vec, steps)
+        return embedded
+
+    with pytest.raises(error, match=match):
+        score_trajectory(model, *faulty(EMB4, corpus)[-1], 1.0, 1.0)
+    monkeypatch.setattr(detector, "embed_trajectories", faulty)
+    with pytest.raises(error, match=match):
+        list(score_corpus(model, corpus, 1.0, 1.0))
+
+
+def test_score_corpus_sends_one_embed_request_per_chunk(stub_service):
+    corpus = make_normal_corpus(30, seed=5, T=5)  # 150 steps: chunks of 60, 60 and 30
+    with stub_service(dimension=4) as stub:
+        spec = EmbedderSpec(kind="remote", dimension=4, endpoint=stub.endpoint, model_name="m")
+        model = DetectorModel.init(spec, d_h=6, backbone=BackboneSpec(hidden_dim=6), seed=2)
+        stacked = list(score_corpus(model, corpus, 1.0, 1.0))
+        assert [r["path"] for r in stub.requests] == ["/embed"] * 3
+        alone = _scored_alone(model, corpus, 1.0, 1.0)
+    _assert_agree(stacked, alone)
+
+
+def test_score_corpus_memory_does_not_grow_with_the_corpus():
+    # The bench's `score` shape: d_e 64, d_h 384, T = 12.
+    model = DetectorModel.init(EmbedderSpec(dimension=64), d_h=384, seed=1)
+    corpus = make_normal_corpus(400, seed=3, T=12)
+
+    def consume(trajectories):
+        for _ in score_corpus(model, trajectories, 1.0, 1.0):
+            pass
+
+    consume(corpus)  # fills the token memo and builds the backbone
+    small = traced_peak(lambda: consume(corpus[:100]))
+    large = traced_peak(lambda: consume(corpus))
+    # One chunk's working set: at least its stacked block input, CHUNK_ROWS
+    # rows of 2 * d_h floats.
+    assert large - small < CHUNK_ROWS * 2 * 384 * 8
 
 
 def _bits(verdicts) -> list[str]:

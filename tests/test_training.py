@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -295,10 +294,19 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         assert traced_peak(model.param_digest) < buffer
         assert traced_peak(lambda: save_checkpoint(model, None, path)) < buffer
-        # The file's bytes and the new model's buffer, plus 64 KiB for the
-        # parsed header and the model's small objects, all alive at the end.
-        peak = traced_peak(lambda: load_checkpoint(path))
-        assert peak < os.path.getsize(path) + buffer + 64 * 1024
+        # The new model's buffer, read into in place, plus the header, the
+        # parsed header and the model's small objects.
+        assert traced_peak(lambda: load_checkpoint(path)) < 1.3 * buffer
+
+        # A header that declares 8 TB of payload is refused before any
+        # buffer is allocated.
+        edit_header(path, lambda header: header["param_shapes"].update(p=[2**40]))
+
+        def load_forged():
+            with pytest.raises(CheckpointError, match="payload size mismatch"):
+                load_checkpoint(path)
+
+        assert traced_peak(load_forged) < 64 * 1024
 
     def test_permuted_param_order_is_corrupt(self, small_trained, tmp_path):
         model, _, _ = small_trained
