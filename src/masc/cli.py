@@ -6,9 +6,15 @@ configuration: explicit flags > --config file (JSON, or TOML on Python 3.11
 and later) > profile defaults. A setting no flag, file or profile gives takes
 its default from the config dataclasses (``TrainConfig``, ``EmbedderSpec``,
 ``BackboneSpec``, ``ExperimentConfig``, ``MascSettings``, ``FaultSpec``), the
-only place a default is written. Those dataclasses also check every value,
-whether it comes from a flag, a file or the API; ``_load_config_file`` checks
-only that a file holds an object whose keys it knows. The frozen backbone's
+only place a training or sweep default is written. The scoring defaults are
+written where they are used: ``_score_rows`` scores with alpha = beta = 1
+and delta = inf when neither a flag nor the checkpoint's calibration gives
+them, and ``calibrate_threshold`` has its own alpha, beta and quantile.
+Those dataclasses also check every value, whether it comes from a flag, a
+file or the API; ``_load_config_file`` checks only that a file holds an
+object whose keys it knows. Every alpha, beta and delta, given or default,
+passes ``detector.check_score_settings`` before a step is scored, and
+``masc simulate``'s before any fixture runs. The frozen backbone's
 seed follows ``--seed``, as it does in ``DetectorModel.init``. Reports embed
 the effective configuration and the tool version.
 

@@ -52,6 +52,9 @@ Two ways to score:
   long the history. ``FrozenMixer.Stream`` describes how, and
   ``DetectorStream`` why the model's parameters must not change while a
   stream is open.
+
+Both, and every record that holds the settings alpha, beta and delta, check
+them by one rule, ``check_score_settings``.
 """
 
 from __future__ import annotations
@@ -704,14 +707,25 @@ def trajectory_loss(
 # -- inference ------------------------------------------------------------------
 
 
+def _checked_query(model: DetectorModel, q_vec) -> np.ndarray:
+    """The query as a float64 vector; ConfigError on a dimension other than
+    d_e, DataError on a NaN or infinite entry, which would make every later
+    score NaN and so never flagged."""
+    if np.shape(q_vec) != (model.d_e,):
+        raise ConfigError(f"query vector must have dimension {model.d_e}")
+    q_vec = np.asarray(q_vec, dtype=np.float64)
+    if not np.isfinite(q_vec).all():
+        raise DataError("query embedding holds a NaN or infinite value")
+    return q_vec
+
+
 def _checked_inputs(
     model: DetectorModel, q_vec, step_embs
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The query and the (T, d) step matrix; ConfigError on a wrong dimension,
-    DataError on a NaN or infinite entry, which would make every later score
-    NaN and so never flagged."""
-    if np.shape(q_vec) != (model.d_e,):
-        raise ConfigError(f"query vector must have dimension {model.d_e}")
+    """The checked query (``_checked_query``) and the (T, d) step matrix;
+    ConfigError on a step dimension other than d, DataError on a NaN or
+    infinite entry."""
+    q_vec = _checked_query(model, q_vec)
     if not isinstance(step_embs, np.ndarray):
         try:
             step_embs = np.stack(step_embs)
@@ -719,15 +733,41 @@ def _checked_inputs(
             raise ConfigError(f"step embeddings must have dimension {model.d}") from exc
     if step_embs.ndim != 2 or step_embs.shape[1] != model.d:
         raise ConfigError(f"step embeddings must have dimension {model.d}")
-    q_vec = np.asarray(q_vec, dtype=np.float64)
-    if not (np.isfinite(q_vec).all() and np.isfinite(step_embs).all()):
-        raise DataError("query or step embedding holds a NaN or infinite value")
+    if not np.isfinite(step_embs).all():
+        raise DataError("step embedding holds a NaN or infinite value")
     return q_vec, step_embs
 
 
-def _check_weights(alpha: float, beta: float) -> None:
-    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
-        raise ConfigError("alpha and beta must be >= 0 and not both zero")
+_INF = math.inf  # a global read costs less than math.inf's attribute read
+
+
+def check_score_settings(alpha: float, beta: float, delta: float) -> None:
+    """The one rule for the score settings: alpha and beta are finite, >= 0
+    and not both zero; delta is any number but NaN, so +inf flags no step
+    and -inf every step. ConfigError names the setting at fault.
+
+    Every scorer (``_verdicts``, ``DetectorStream.score``,
+    ``calibrate_threshold``) and every record that holds the settings
+    (``Calibration``, ``MascHook``, ``MascSettings``) calls it: a NaN
+    weight makes every score NaN, and ``score > delta`` is false whenever
+    the score or delta is NaN, so either would switch detection off without
+    an error. Plain comparisons of floats, as the in-loop turn calls it once
+    a step: about 0.1 us on a 2-core Xeon.
+    """
+    try:
+        if not 0.0 <= alpha < _INF:
+            fault = f"alpha must be a finite number >= 0, got {alpha!r}"
+        elif not 0.0 <= beta < _INF:
+            fault = f"beta must be a finite number >= 0, got {beta!r}"
+        elif not -_INF <= delta <= _INF:
+            fault = f"delta must be a number other than NaN, got {delta!r}"
+        elif alpha or beta:
+            return
+        else:
+            fault = "alpha and beta must not both be zero"
+    except (TypeError, ValueError):  # a value that does not compare as a number
+        fault = f"alpha, beta and delta must be numbers, got {alpha!r}, {beta!r}, {delta!r}"
+    raise ConfigError(fault)
 
 
 def _verdict(
@@ -774,7 +814,7 @@ def _verdicts(
     t0, t0 + 1, ... (see ``_verdict``). Why the batch equals scoring each
     row alone, bit for bit: see ``score_trajectory``.
     """
-    _check_weights(alpha, beta)
+    check_score_settings(alpha, beta, delta)
     squared = x_hats - step_matrix
     squared *= squared
     recon = np.sum(squared, axis=1).tolist()
@@ -800,7 +840,9 @@ def score_trajectory(
     with the stream's, with the verdict on the trajectory cut at t (see
     ``FrozenMixer.run``) and with ``score_corpus``'s, whose last bits can
     depend on the trajectories it shares a chunk with. A query of dimension
-    other than d_e, or a step of dimension other than d, raises ConfigError.
+    other than d_e, or a step of dimension other than d, raises ConfigError;
+    so do settings ``check_score_settings`` refuses (alpha and beta finite,
+    >= 0 and not both zero, delta not NaN).
 
     The verdicts, too, come from whole-trajectory arrays: the squared
     prediction errors of all T steps in one row-wise reduction, and the
@@ -846,8 +888,10 @@ def score_corpus(
     as in ``score_trajectory``, and the scores agree with it to rounding;
     a trajectory's last bits can depend on the chunk it shares. Only one
     chunk's arrays are alive at a time. Raises what ``score_trajectory``
-    raises, when it reaches the chunk at fault.
+    raises, when it reaches the chunk at fault; settings
+    ``check_score_settings`` refuses, before the first chunk is embedded.
     """
+    check_score_settings(alpha, beta, delta)
     for chunk in _chunks(trajectories):
         embedded = embed_trajectories(model.embedder, chunk, with_gt=model.with_gt)
         inputs = [_checked_inputs(model, q_vec, steps) for q_vec, steps in embedded]
@@ -902,9 +946,12 @@ class DetectorStream:
 
     The model's parameters must stay frozen for the stream's lifetime: the
     backbone stream's state, the head and the prototype's norm (taken once,
-    when the stream opens) all come from them. Steps are not checked for NaN
-    or infinite values here, which would cost two checks a turn; the
-    embedders reject such vectors where they come from.
+    when the stream opens) all come from them. The query is checked once,
+    when the stream opens, as ``score_trajectory`` checks it: a NaN or
+    infinite entry raises DataError. Steps are not checked for NaN or
+    infinite values here, which would cost two checks a turn; the embedders
+    reject such vectors where they come from. Each ``score`` checks its
+    settings by ``check_score_settings``, the rule every scorer applies.
 
     ``score`` judges a pending step against the committed history and
     leaves the stream unchanged; the verdict comes from ``_verdict``, as
@@ -916,8 +963,7 @@ class DetectorStream:
     """
 
     def __init__(self, model: DetectorModel, q_vec: np.ndarray):
-        if np.shape(q_vec) != (model.d_e,):
-            raise ConfigError(f"query vector must have dimension {model.d_e}")
+        q_vec = _checked_query(model, q_vec)
         self.model = model
         params = model.params
         # Views the turns read; the parameters stay frozen while the stream lives.
@@ -928,7 +974,7 @@ class DetectorStream:
         self._squared = np.empty(model.d)
         self._length = 1  # rows encoded: the query plus the committed steps
         # The first row ``projected_sequence`` gives, bit for bit.
-        query = params["fq_w"] @ np.asarray(q_vec, dtype=np.float64) + params["fq_b"]
+        query = params["fq_w"] @ q_vec + params["fq_b"]
         encoder = model.encoder()
         self._stream = encoder.Stream(encoder, params, query)
 
@@ -942,7 +988,7 @@ class DetectorStream:
     ) -> AnomalyVerdict:
         """Verdict on the pending step t = (committed steps) + 1."""
         step = self._checked_step(step_emb)
-        _check_weights(alpha, beta)
+        check_score_settings(alpha, beta, delta)
         x_hat = np.matmul(self._stream.state, self._ft_w_t, out=self._x_hat)
         x_hat += self._ft_b
         squared = np.subtract(x_hat, step, out=self._squared)

@@ -9,9 +9,10 @@ corrector, which rewrites a flagged step to the clean run's text.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field, replace
 
-from .detector import BackboneSpec, DetectorModel
+from .detector import BackboneSpec, DetectorModel, check_score_settings
 from .embedding import EmbedderSpec
 from .errors import check_int, check_number
 from .fixtures import FIXTURE_ROLES, make_fixture_suite, oracle_corrector, run_fixture
@@ -35,6 +36,9 @@ class MascSettings:
 
     def __post_init__(self):
         check_number(self.quantile, "quantile", 0, 1, strict=True)
+        # Without an override, delta is the calibrated one, checked there.
+        delta = math.inf if self.delta_override is None else self.delta_override
+        check_score_settings(self.alpha, self.beta, delta)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .correction import (
     apply_correction,
     render_transcript,
 )
-from .detector import AnomalyVerdict, DetectorModel, DetectorStream
+from .detector import AnomalyVerdict, DetectorModel, DetectorStream, check_score_settings
 from .embedding import embed_step, embed_text
 from .errors import ConfigError, DataError, TraceValidationError, TransportError, check_int
 from .trace import Step, Trajectory, _check_text, is_early_step
@@ -125,13 +125,17 @@ class FaultSpec:
 
 @dataclass
 class MascHook:
-    """Detector plus correction policy threaded through a run."""
+    """Detector plus correction policy threaded through a run. The settings
+    must pass ``check_score_settings``; a delta of -inf flags every step."""
 
     model: DetectorModel
     alpha: float
     beta: float
     delta: float
     policy: CorrectionPolicy
+
+    def __post_init__(self):
+        check_score_settings(self.alpha, self.beta, self.delta)
 
 
 @dataclass

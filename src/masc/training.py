@@ -19,6 +19,7 @@ step labels are never read by this path.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -28,7 +29,7 @@ from .detector import (
     SEED_MAX,
     BackboneSpec,
     DetectorModel,
-    _check_weights,
+    check_score_settings,
     score_corpus,
     score_trajectory,  # noqa: F401 -- bench/tracing.py wraps this name
     trajectory_loss,
@@ -105,10 +106,13 @@ class Calibration:
     stats: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        # A header's fields must be finite numbers, not bools. So delta is
+        # held finite, stricter than the score rule: a calibrated delta is a
+        # quantile of finite scores.
         for name in ("delta", "alpha", "beta"):
             check_number(getattr(self, name), f"calibration {name}")
         check_number(self.quantile, "calibration quantile", 0, 1, strict=True)
-        _check_weights(self.alpha, self.beta)
+        check_score_settings(self.alpha, self.beta, self.delta)
         if not isinstance(self.stats, dict) or not all(isinstance(k, str) for k in self.stats):
             raise ConfigError("calibration stats must be an object")
         for key, value in self.stats.items():
@@ -196,9 +200,12 @@ def calibrate_threshold(
     ``score_corpus``, in stacked chunks, then takes the linearly
     interpolated quantile (numpy's "linear" method). The scores agree with
     ``score_trajectory``'s to rounding; their last bits can depend on the
-    trajectories a chunk stacks together.
+    trajectories a chunk stacks together. Weights that
+    ``check_score_settings`` refuses (alpha and beta finite, >= 0 and not
+    both zero) raise ConfigError before any step is scored.
     """
     check_number(quantile, "quantile", 0, 1, strict=True)
+    check_score_settings(alpha, beta, math.inf)
     if not calibration_set:
         raise DataError("empty calibration set")
     scores = [

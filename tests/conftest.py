@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import threading
 import tracemalloc
@@ -119,6 +120,18 @@ class CountingPolicy(ScriptedPolicy):
 
 
 SMALL_EMBEDDER = EmbedderSpec(kind="hashing", dimension=16)
+
+# (alpha, beta, delta) triples ``check_score_settings`` refuses: with any of
+# them, every score or every comparison with delta would be NaN or infinite.
+BAD_SCORE_SETTINGS = [
+    pytest.param(math.nan, 1.0, 1.0, id="alpha nan"),
+    pytest.param(math.inf, 1.0, 1.0, id="alpha inf"),
+    pytest.param(-1.0, 1.0, 1.0, id="alpha negative"),
+    pytest.param(1.0, math.nan, 1.0, id="beta nan"),
+    pytest.param(1.0, math.inf, 1.0, id="beta inf"),
+    pytest.param(0.0, 0.0, 1.0, id="both weights zero"),
+    pytest.param(1.0, 1.0, math.nan, id="delta nan"),
+]
 
 
 def views_tile(params) -> bool:

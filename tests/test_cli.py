@@ -427,6 +427,18 @@ class TestTrain:
         assert "quantile" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_beta_exits_two_before_scoring(self, trained_checkpoint, corpus_file,
+                                                    tmp_path):
+        # Refused before any step is scored, so numpy's quantile never meets
+        # a NaN score and warns on stderr.
+        out = tmp_path / "calibrated.ckpt"
+        proc = run_masc(["calibrate", "--checkpoint", trained_checkpoint[0],
+                         "--traces", corpus_file, "--beta", "inf", "--out", str(out)])
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.startswith("error: beta ") and "RuntimeWarning" not in err
+        assert not out.exists()
+
     def test_api_and_cli_build_the_same_default_backbone(self, tmp_path, capsys):
         """Both seed the frozen mixer with the run's seed."""
         fixture = str(GOLDEN_DIR / "train_fixture.jsonl")
@@ -478,6 +490,18 @@ class TestScore:
                      "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "nan"), ("--alpha", "inf"), ("--delta", "nan"),
+    ], ids=["alpha nan", "alpha inf", "delta nan"])
+    def test_bad_setting_exits_two_and_writes_nothing(self, trained_checkpoint, labeled_file,
+                                                      tmp_path, capsys, flag, value):
+        # Each would make every score NaN or infinite, or flag no step.
+        out = tmp_path / "scores.csv"
+        assert main(["score", "--checkpoint", trained_checkpoint[0], "--traces", labeled_file,
+                     flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:]} ")
+        assert not out.exists()
 
     def test_empty_trace_file_exits_three(self, trained_checkpoint, tmp_path, capsys):
         ckpt, _ = trained_checkpoint
@@ -792,6 +816,15 @@ class TestEval:
         assert main(["eval", "--checkpoint", ckpt, "--traces", str(traces)]) == 3
         assert "trajectory id repeats" in capsys.readouterr().err
 
+    def test_nan_alpha_exits_two_and_writes_nothing(self, trained_checkpoint, labeled_file,
+                                                    tmp_path, capsys):
+        # A configuration error, not a data error in the NaN scores it would make.
+        out, hist = tmp_path / "metrics.json", tmp_path / "hist.csv"
+        assert main(["eval", "--checkpoint", trained_checkpoint[0], "--traces", labeled_file,
+                     "--alpha", "nan", "--out", str(out), "--hist", str(hist)]) == 2
+        assert capsys.readouterr().err.startswith("error: alpha ")
+        assert not out.exists() and not hist.exists()
+
     def test_unlabeled_data_exits_three(self, trained_checkpoint, corpus_file, capsys):
         ckpt, _ = trained_checkpoint
         assert main(["eval", "--checkpoint", ckpt, "--traces", corpus_file]) == 3
@@ -900,19 +933,22 @@ class TestSimulate:
             masc=MascSettings(epochs=9, d_e=16, delta_override=float("inf")),
         )
 
-    @pytest.mark.parametrize("flags", [
-        ["--quantile", "1.5"],
-        ["--fixtures", "0"],
-        ["--target-agent", "0", "--step-selector", "2"],
-    ], ids=["quantile", "no fixtures", "fixed step misses the target"])
-    def test_out_of_range_setting_exits_two_before_the_sweep(self, monkeypatch,
-                                                             capsys, flags):
+    @pytest.mark.parametrize("flags, setting", [
+        (["--quantile", "1.5"], "quantile"),
+        (["--fixtures", "0"], "n_fixtures"),
+        (["--target-agent", "0", "--step-selector", "2"], "fault step"),
+        (["--delta", "nan"], "delta"),
+    ], ids=["quantile", "no fixtures", "fixed step misses the target", "delta nan"])
+    def test_out_of_range_setting_exits_two_before_the_sweep(self, monkeypatch, tmp_path,
+                                                             capsys, flags, setting):
         def sweep(config):
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr("masc.cli.batch_experiment", sweep)
-        assert main(["simulate", *flags]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        out = tmp_path / "sim.json"
+        assert main(["simulate", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {setting} ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--epochs", "0"], ["--lr", "0"], ["--dim", "0"], ["--hidden", "0"],

@@ -89,6 +89,9 @@ class TestEncodeContext:
             score_trajectory(model, q, steps, 1.0, 1.0)
         with pytest.raises(DataError, match="NaN or infinite"):
             score_trajectory(model, q, list(steps), 1.0, 1.0)
+        if where == "query":  # a stream checks its query once, when it opens
+            with pytest.raises(DataError, match="NaN or infinite"):
+                DetectorStream(model, q)
 
     def test_dimension_mismatch_is_fatal(self):
         model = tiny_model()
@@ -356,6 +359,38 @@ class TestDetect:
             assert v.score == single.score
             assert v.recon_term == single.recon_term
             assert v.proto_term == single.proto_term
+
+    SETTING = st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]),
+        st.floats(-1e6, 1e6),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=SETTING, beta=SETTING, delta=SETTING)
+    def test_settings_raise_or_give_finite_scores_and_sound_flags(self, alpha, beta, delta):
+        # A NaN or infinite weight, or a NaN delta, would make score > delta
+        # false at every step, switching detection off without an error.
+        # Weights stay below 1e6: near the largest float, alpha * recon can
+        # overflow whatever the settings rule says.
+        model = tiny_model(seed=3)
+        rng = np.random.RandomState(3)
+        q, steps = rng.randn(4), rng.randn(3, 8)
+        valid = (
+            math.isfinite(alpha) and math.isfinite(beta)
+            and min(alpha, beta) >= 0 and max(alpha, beta) > 0 and not math.isnan(delta)
+        )
+        stream = DetectorStream(model, q)
+        for scorer in (
+            lambda: score_trajectory(model, q, steps, alpha, beta, delta),
+            lambda: [stream.score(steps[0], alpha, beta, delta)],
+        ):
+            if not valid:
+                with pytest.raises(ConfigError):
+                    scorer()
+                continue
+            for v in scorer():
+                assert math.isfinite(v.score)
+                assert v.flagged == (v.score > delta)
 
     def test_planted_anomaly_flagged_exactly_at_planted_step(self, small_trained):
         model, _, corpus = small_trained

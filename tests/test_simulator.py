@@ -38,7 +38,7 @@ from masc.simulator import (
     schedule,
 )
 from masc.trace import serialize_trajectory
-from tests.conftest import MALFORMED_REPLIES, CountingPolicy
+from tests.conftest import BAD_SCORE_SETTINGS, MALFORMED_REPLIES, CountingPolicy
 from tests.reference import checker_reference
 
 
@@ -445,6 +445,13 @@ class TestMascInLoop:
             assert isinstance(req.history, tuple)
             assert req.history == committed[: req.t - 1]
 
+    @pytest.mark.parametrize("alpha, beta, delta", BAD_SCORE_SETTINGS)
+    def test_bad_settings_are_refused_before_any_run(self, alpha, beta, delta):
+        # A NaN delta would let a faulted fixture run with no step flagged.
+        with pytest.raises(ConfigError):
+            MascHook(model=tiny_detector(), alpha=alpha, beta=beta, delta=delta,
+                     policy=ScriptedPolicy(lambda req, prompt: "no json"))
+
     def test_remote_backbone_encodes_once_per_turn(self, stub_service):
         # Every step is flagged and the oracle rewrites only the faulted one,
         # so the committed trajectory is the clean run's.
@@ -530,6 +537,15 @@ class TestBatchExperiment:
         with pytest.raises(ConfigError, match="layers"):
             batch_experiment(ExperimentConfig(n_fixtures=4, masc=MascSettings(layers=0)))
         assert len(runs) == 0
+
+    @pytest.mark.parametrize("alpha, beta, delta", BAD_SCORE_SETTINGS)
+    def test_bad_score_settings_rejected(self, alpha, beta, delta):
+        with pytest.raises(ConfigError):
+            MascSettings(alpha=alpha, beta=beta, delta_override=delta)
+
+    @pytest.mark.parametrize("delta", [None, math.inf, -math.inf, -1.0])
+    def test_any_delta_override_but_nan_accepted(self, delta):
+        assert MascSettings(delta_override=delta).delta_override == delta
 
 
 class Recorder:

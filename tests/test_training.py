@@ -23,7 +23,7 @@ from masc.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from masc.synthetic import make_normal_corpus
 from masc.trace import Step, Trajectory, load_trajectories
 from masc.training import PROFILES, Calibration, TrainConfig, calibrate_threshold, train
-from tests.conftest import traced_peak, views_tile
+from tests.conftest import BAD_SCORE_SETTINGS, traced_peak, views_tile
 
 EMB = EmbedderSpec(kind="hashing", dimension=16)
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -215,6 +215,30 @@ class TestCalibration:
             calibrate_threshold(model, corpus, quantile=1.0)
         with pytest.raises(ConfigError):
             calibrate_threshold(model, corpus, quantile=0.0)
+
+    @pytest.mark.parametrize("alpha, beta, delta", [
+        *BAD_SCORE_SETTINGS,
+        # Stricter than the rule: a calibrated delta is a quantile of finite scores.
+        pytest.param(1.0, 1.0, math.inf, id="delta inf"),
+        pytest.param(1.0, 1.0, -math.inf, id="delta -inf"),
+    ])
+    def test_bad_settings_rejected(self, alpha, beta, delta):
+        with pytest.raises(ConfigError):
+            Calibration(delta=delta, quantile=0.99, alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0), (0.0, 0.0),
+    ], ids=["alpha nan", "beta inf", "alpha negative", "both zero"])
+    def test_bad_weights_raise_before_any_step_is_scored(self, small_trained, monkeypatch,
+                                                         alpha, beta):
+        model, _, corpus = small_trained
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a step was scored")
+
+        monkeypatch.setattr("masc.training.score_corpus", refuse)
+        with pytest.raises(ConfigError, match="alpha|beta"):
+            calibrate_threshold(model, corpus, 0.99, alpha, beta)
 
     def test_delta_is_linear_interpolated_quantile(self, small_trained):
         # oracle: sort-based linear interpolation, independent of numpy
