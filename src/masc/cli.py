@@ -16,7 +16,9 @@ object whose keys it knows. Every alpha, beta and delta, given or default,
 passes ``detector.check_score_settings`` before a step is scored, and
 ``masc simulate``'s before any fixture runs. The frozen backbone's
 seed follows ``--seed``, as it does in ``DetectorModel.init``. Reports embed
-the effective configuration and the tool version.
+the effective configuration and the tool version, and are strict JSON: no
+NaN or Infinity (``experiment._config_dict`` writes an infinite threshold
+override as a string).
 
 Each ``cmd_*`` function writes nothing: it returns its outputs as
 ``(path, data)`` pairs, a path of None meaning stdout. ``main`` hands them

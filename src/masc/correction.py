@@ -6,7 +6,7 @@ prompt, and must answer with a JSON object:
 
     {"correction_needed": "Yes" or "No", "final_response": "..."}
 
-Protocol rules implemented here:
+Protocol rules implemented here, for the one step a request names:
 
 * "No" forces the final response back to the original flagged output, no
   matter what the payload says.
@@ -14,11 +14,12 @@ Protocol rules implemented here:
   the rule a trace ``Step`` applies to an output (a non-empty string with no
   lone surrogate), fall back to the original output and log a protocol
   violation; a broken corrector must never corrupt the trajectory.
-* The corrector is invoked only for flagged steps, once per step; corrected
-  outputs are not re-scored.
 * A corrector that raises, a remote one's transport failure included, fails
   open: the original output survives and the failure is reported in the
   outcome.
+
+Which steps reach the corrector is the run loop's decision, not this
+module's (see ``simulator``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Iterable, Protocol
 
-from .detector import AnomalyVerdict
 from .errors import TraceValidationError
 from .trace import _check_text
 
@@ -67,7 +67,7 @@ class CorrectionRequest:
     query: str
     history: tuple[tuple[str, str], ...]  # (role, output) for steps 1..t-1
     flagged_output: str
-    t: int = 0  # the flagged step's 1-based index; 0 when not known
+    t: int  # the flagged step's 1-based index
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ class CorrectionOutcome:
     """What happened at one step: the surviving output plus bookkeeping."""
 
     output: str
-    invoked: bool = False
     replaced: bool = False
     failed: bool = False
     result: CorrectionResult | None = None
@@ -170,29 +169,20 @@ class ScriptedPolicy:
         return self._script(req, prompt)
 
 
-def apply_correction(
-    policy: CorrectionPolicy, verdict: AnomalyVerdict, req: CorrectionRequest
-) -> CorrectionOutcome:
-    """Gate on the verdict and return the surviving output for step t.
-
-    Unflagged steps pass through untouched with zero policy calls. Flagged
-    steps go through the corrector once; its failure keeps the original
-    output (fail-open) and marks the outcome failed.
+def apply_correction(policy: CorrectionPolicy, req: CorrectionRequest) -> CorrectionOutcome:
+    """Ask the corrector once about the flagged step and return the surviving
+    output for it. The corrector's failure keeps the original output
+    (fail-open) and marks the outcome failed.
     """
-    if not verdict.flagged:
-        return CorrectionOutcome(output=req.flagged_output)
     prompt = build_correction_prompt(req)
     try:
         raw = policy.reply(req, prompt)
     except Exception as exc:  # fail-open: the detector is advisory
         logger.warning("correction agent failed; keeping original output: %s", exc)
-        return CorrectionOutcome(
-            output=req.flagged_output, invoked=True, failed=True
-        )
+        return CorrectionOutcome(output=req.flagged_output, failed=True)
     result = parse_correction_response(raw, req.flagged_output)
     return CorrectionOutcome(
         output=result.final_response,
-        invoked=True,
         replaced=result.final_response != req.flagged_output,
         result=result,
     )

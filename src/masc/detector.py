@@ -62,6 +62,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import sys
 import weakref
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
@@ -69,13 +70,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import EmbedderSpec, embed_trajectories
-from .errors import ConfigError, DataError, check_int, check_number
+from .errors import ConfigError, DataError, DivergenceError, check_int, check_number
 from .trace import Trajectory
 from .transport import float_vectors, new_session, post_json
 
 logger = logging.getLogger(__name__)
 
 SEED_MAX = 2**32 - 1  # numpy's RandomState takes seeds in [0, 2**32 - 1]
+# No payload shape depends on the frozen mixer's depth, so without a bound a
+# checkpoint header could ask for any number of blocks.
+LAYERS_MAX = 64
 
 PARAM_ORDER = (
     "fq_w", "fq_b", "fh_w", "fh_b", "ft_w", "ft_b", "wq", "wk", "wv", "p",
@@ -158,7 +162,7 @@ class BackboneSpec:
         if self.kind not in ("frozen_mixer", "remote_llm"):
             raise ConfigError(f"unknown backbone kind {self.kind!r}")
         check_int(self.hidden_dim, "backbone hidden_dim", 1)
-        check_int(self.layers, "backbone layers", 1)
+        check_int(self.layers, "backbone layers", 1, LAYERS_MAX)
         check_int(self.seed, "backbone seed", 0, SEED_MAX)
         if not all(isinstance(v, (str, type(None))) for v in (self.endpoint, self.model_name)):
             raise ConfigError("backbone endpoint and model_name must be strings or null")
@@ -509,8 +513,8 @@ class DetectorModel:
 class AnomalyVerdict:
     """Per-step anomaly score and its two components.
 
-    ``score == alpha * recon_term + beta * proto_term`` exactly as computed;
-    when a threshold is attached, ``flagged == (score > delta)``.
+    ``score == alpha * recon_term + beta * proto_term`` exactly as computed,
+    ``flagged == (score > delta)``, and ``t`` is the step's 1-based index.
     """
 
     score: float
@@ -518,9 +522,9 @@ class AnomalyVerdict:
     proto_term: float
     alpha: float
     beta: float
-    delta: float | None = None
-    flagged: bool | None = None
-    t: int | None = None
+    delta: float
+    flagged: bool
+    t: int
 
 
 # -- forward pass ---------------------------------------------------------------
@@ -739,12 +743,15 @@ def _checked_inputs(
 
 
 _INF = math.inf  # a global read costs less than math.inf's attribute read
+_MAX = sys.float_info.max  # an int above it cannot be a float weight
 
 
 def check_score_settings(alpha: float, beta: float, delta: float) -> None:
     """The one rule for the score settings: alpha and beta are finite, >= 0
-    and not both zero; delta is any number but NaN, so +inf flags no step
-    and -inf every step. ConfigError names the setting at fault.
+    and not both zero (an int too large for a float is not finite here: it
+    would overflow when a score is made); delta is any number but NaN, so
+    +inf flags no step and -inf every step. ConfigError names the setting at
+    fault.
 
     Every scorer (``_verdicts``, ``DetectorStream.score``,
     ``calibrate_threshold``) and every record that holds the settings
@@ -755,9 +762,9 @@ def check_score_settings(alpha: float, beta: float, delta: float) -> None:
     a step: about 0.1 us on a 2-core Xeon.
     """
     try:
-        if not 0.0 <= alpha < _INF:
+        if not 0.0 <= alpha <= _MAX:
             fault = f"alpha must be a finite number >= 0, got {alpha!r}"
-        elif not 0.0 <= beta < _INF:
+        elif not 0.0 <= beta <= _MAX:
             fault = f"beta must be a finite number >= 0, got {beta!r}"
         elif not -_INF <= delta <= _INF:
             fault = f"delta must be a number other than NaN, got {delta!r}"
@@ -785,7 +792,11 @@ def _verdict(
     ``float(np.linalg.norm(p))``, which the caller computes once.
 
     A prediction or a prototype of zero norm counts as cos 0, with a
-    warning.
+    warning. A score that is not finite raises DivergenceError: weights
+    that pass ``check_score_settings`` can still overflow it, and an inf
+    score would flag the step, a NaN one never. Both terms are >= 0 up to
+    rounding, so the score is never -inf, and one comparison finds +inf and
+    NaN.
     """
     x_norm = math.sqrt(x_hat.dot(x_hat))
     if x_norm == 0.0 or p_norm == 0.0:
@@ -795,6 +806,10 @@ def _verdict(
         cos = float(x_hat.dot(p)) / (x_norm * p_norm)
     proto_term = 1.0 - cos
     score = alpha * recon_term + beta * proto_term
+    if not score < _INF:
+        raise DivergenceError(
+            f"step {t}: score {score} is not finite (alpha={alpha!r}, beta={beta!r})"
+        )
     return AnomalyVerdict(
         score, recon_term, proto_term, alpha, beta, delta, bool(score > delta), t
     )
@@ -842,7 +857,8 @@ def score_trajectory(
     depend on the trajectories it shares a chunk with. A query of dimension
     other than d_e, or a step of dimension other than d, raises ConfigError;
     so do settings ``check_score_settings`` refuses (alpha and beta finite,
-    >= 0 and not both zero, delta not NaN).
+    >= 0 and not both zero, delta not NaN). A score the weights overflow
+    raises DivergenceError (see ``_verdict``).
 
     The verdicts, too, come from whole-trajectory arrays: the squared
     prediction errors of all T steps in one row-wise reduction, and the
@@ -950,7 +966,8 @@ class DetectorStream:
     when the stream opens, as ``score_trajectory`` checks it: a NaN or
     infinite entry raises DataError. Steps are not checked for NaN or
     infinite values here, which would cost two checks a turn; the embedders
-    reject such vectors where they come from. Each ``score`` checks its
+    reject such vectors where they come from, and a score one made NaN would
+    raise DivergenceError in ``_verdict``. Each ``score`` checks its
     settings by ``check_score_settings``, the rule every scorer applies.
 
     ``score`` judges a pending step against the committed history and

@@ -41,7 +41,7 @@ class CheckpointError(MascError):
 
 
 class DivergenceError(MascError):
-    """Training produced non-finite values."""
+    """Training or scoring produced non-finite values."""
 
 
 def check_int(value, name: str, low: float = -math.inf, high: float = math.inf) -> None:

@@ -209,12 +209,15 @@ def run_seed(base_seed: int, run_id: str) -> int:
 
 def _config_dict(config: ExperimentConfig) -> dict:
     """The settings the report echoes: each run draws its own fault seed, the
-    threshold override appears only when set, ``lam`` is written ``lambda``,
-    and the agent count is the fixture pipeline's."""
+    threshold override appears only when set, and as a string (``"inf"``,
+    ``"-inf"``) that ``float()`` reads back when it is infinite, since strict
+    JSON has no infinity; ``lam`` is written ``lambda``, and the agent count
+    is the fixture pipeline's."""
     echo = asdict(config)
     echo["n_agents"] = len(FIXTURE_ROLES)
     del echo["fault"]["seed"]
-    if config.masc.delta_override is None:
-        del echo["masc"]["delta_override"]
+    override = echo["masc"].pop("delta_override")
+    if override is not None:
+        echo["masc"]["delta_override"] = override if math.isfinite(override) else str(override)
     echo["masc"]["lambda"] = echo["masc"].pop("lam")
     return echo

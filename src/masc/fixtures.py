@@ -160,7 +160,7 @@ def oracle_corrector(clean_outputs: list[str]) -> ScriptedPolicy:
     """
 
     def reply(req, prompt: str) -> str:
-        if 1 <= req.t <= len(clean_outputs):
+        if req.t <= len(clean_outputs):
             return json.dumps(
                 {"correction_needed": "Yes", "final_response": clean_outputs[req.t - 1]}
             )

@@ -17,9 +17,17 @@ committed turn and watching agent, and handed to the agent as a copy.
 Per turn, with detection: ``embed_step`` embeds the output (the role half
 memoized), ``DetectorStream.score`` judges it against the committed
 history, and ``DetectorStream.commit`` appends the kept step; the
-``DetectorStream`` docstring says what a turn costs. Only a flagged step
-builds a ``CorrectionRequest``; it carries the full committed history,
-steps 1..t-1 as (role, output) pairs, whatever the acting agent could see.
+``DetectorStream`` docstring says what a turn costs.
+
+The loop is the one gate to the correction agent, and these protocol rules
+are its own (``correction`` holds the rules for the step it is handed):
+
+* Only a flagged step builds a ``CorrectionRequest`` and reaches the
+  corrector, once, before any later agent sees the step. The request
+  carries the full committed history, steps 1..t-1 as (role, output)
+  pairs, whatever the acting agent could see.
+* A corrected output is not re-scored: its embedding is committed as it
+  is, and the verdict on the original output is the one the report keeps.
 
 An agent's output must follow the rule a trace ``Step`` applies: a
 non-empty string with no lone surrogate. One that breaks it ends the run
@@ -316,7 +324,7 @@ def run_trajectory(
                     flagged_output=output,
                     t=t,
                 )
-                outcome = apply_correction(masc.policy, verdict, req)
+                outcome = apply_correction(masc.policy, req)
                 if outcome.failed:
                     report.corrections_failed += 1
                 if outcome.replaced:

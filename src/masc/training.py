@@ -202,7 +202,10 @@ def calibrate_threshold(
     ``score_trajectory``'s to rounding; their last bits can depend on the
     trajectories a chunk stacks together. Weights that
     ``check_score_settings`` refuses (alpha and beta finite, >= 0 and not
-    both zero) raise ConfigError before any step is scored.
+    both zero) raise ConfigError before any step is scored; a score they
+    overflow raises DivergenceError where it is made. The quantile and the
+    p50, p90 and p99 stats come from one ``np.quantile`` call; the mean of
+    scores whose sum overflows is the sum of each score over their count.
     """
     check_number(quantile, "quantile", 0, 1, strict=True)
     check_score_settings(alpha, beta, math.inf)
@@ -214,14 +217,20 @@ def calibrate_threshold(
         for v in verdicts
     ]
     arr = np.asarray(scores, dtype=np.float64)
-    delta = float(np.quantile(arr, quantile, method="linear"))
+    delta, p50, p90, p99 = np.quantile(
+        arr, [quantile, 0.5, 0.9, 0.99], method="linear"
+    ).tolist()
+    with np.errstate(over="ignore"):  # the sum of finite scores can overflow
+        mean = float(arr.mean())
+    if mean == math.inf:
+        mean = float(np.sum(arr / arr.size))
     stats = {
         "min": float(arr.min()),
-        "mean": float(arr.mean()),
+        "mean": mean,
         "max": float(arr.max()),
-        "p50": float(np.quantile(arr, 0.5, method="linear")),
-        "p90": float(np.quantile(arr, 0.9, method="linear")),
-        "p99": float(np.quantile(arr, 0.99, method="linear")),
+        "p50": p50,
+        "p90": p90,
+        "p99": p99,
         "n_steps": float(arr.size),
     }
     return Calibration(

@@ -121,6 +121,14 @@ class CountingPolicy(ScriptedPolicy):
 
 SMALL_EMBEDDER = EmbedderSpec(kind="hashing", dimension=16)
 
+
+def json_leaves(node, path=()):
+    """The key path of every scalar in a parsed JSON value."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in json_leaves(child, path + (key,))]
+    return [path]
+
 # (alpha, beta, delta) triples ``check_score_settings`` refuses: with any of
 # them, every score or every comparison with delta would be NaN or infinite.
 BAD_SCORE_SETTINGS = [

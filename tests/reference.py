@@ -1,9 +1,9 @@
 """References for the batched and in-loop paths.
 
 ``hashing_embed_reference`` is the token-by-token hashing embedding and
-``verdicts_reference`` the step-by-step scoring (one unthresholded verdict
-per step, then the threshold applied with ``dataclasses.replace``) that the
-batched versions in ``masc.embedding`` and ``masc.detector`` replaced.
+``verdicts_reference`` the step-by-step scoring (each verdict's terms from
+that step's rows alone) that the batched versions in ``masc.embedding`` and
+``masc.detector`` replaced.
 ``checker_reference`` is the fixture checker that scanned every visible
 output forward, and ``auc_roc_reference`` the AUC that found each tie group
 of the sorted scores in a loop. The replacements must equal them bit for
@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from dataclasses import replace
 
 import numpy as np
 
@@ -59,24 +58,16 @@ def _safe_cos(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (na * nb)
 
 
-def _unthresholded_verdict(x_hat, x, p, alpha, beta) -> AnomalyVerdict:
-    recon_term = float(np.sum((x_hat - x) ** 2))
-    proto_term = 1.0 - _safe_cos(x_hat, p)
-    return AnomalyVerdict(
-        score=alpha * recon_term + beta * proto_term,
-        recon_term=recon_term,
-        proto_term=proto_term,
-        alpha=alpha,
-        beta=beta,
-    )
-
-
 def verdicts_reference(x_hats, step_matrix, p, alpha, beta, delta, t0=1):
     """Thresholded verdicts for rows t0, t0 + 1, ... scored one at a time."""
     out = []
     for t, (x_hat, x) in enumerate(zip(x_hats, step_matrix), start=t0):
-        v = _unthresholded_verdict(x_hat, x, p, alpha, beta)
-        out.append(replace(v, delta=delta, flagged=bool(v.score > delta), t=t))
+        recon_term = float(np.sum((x_hat - x) ** 2))
+        proto_term = 1.0 - _safe_cos(x_hat, p)
+        score = alpha * recon_term + beta * proto_term
+        out.append(AnomalyVerdict(
+            score, recon_term, proto_term, alpha, beta, delta, bool(score > delta), t
+        ))
     return out
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from masc.checkpoint import load_checkpoint, save_checkpoint
 from masc.cli import main
-from masc.correction import apply_correction, parse_correction_response
+from masc.correction import parse_correction_response
 from masc.detector import (
     BackboneSpec,
     DetectorModel,
@@ -332,45 +332,49 @@ def test_criterion_08_correction_protocol():
     assert fallback.final_response == "original"
     assert fallback.protocol_violation
 
-    # gating: the corrector is invoked exactly once per flagged step
-    from masc.detector import AnomalyVerdict
-    from masc.correction import CorrectionRequest
-
-    policy = CountingPolicy(
-        lambda _req, _prompt: '{"correction_needed": "No", "final_response": ""}'
+    # gating, through the run loop: on one fixture and one model, the
+    # corrector is called once per flagged step and for no other step
+    fixture = make_fixture(3, seed=8)
+    fault = FaultSpec(target_agent=1, seed=8)
+    model = DetectorModel.init(
+        EmbedderSpec(kind="hashing", dimension=16), d_h=16,
+        backbone=BackboneSpec(hidden_dim=16, layers=2, seed=0), seed=0,
     )
-    flags = [True, False, True, False, False, True, True]
-    for i, flagged in enumerate(flags):
-        verdict = AnomalyVerdict(
-            score=2.0 if flagged else 0.1, recon_term=1.0, proto_term=1.0,
-            alpha=1.0, beta=1.0, delta=1.0, flagged=flagged, t=i + 1,
-        )
-        apply_correction(
-            policy, verdict,
-            CorrectionRequest(role="r", query="q", history=(), flagged_output="o"),
-        )
-    assert policy.calls == sum(flags)
+
+    def runs(topology, delta):
+        """The faulted run without detection, then with it at ``delta``,
+        corrected to the clean run's text; and the corrector."""
+        clean = run_fixture(fixture, topology)
+        plain = run_fixture(fixture, topology, fault=fault)
+        oracle = oracle_corrector([s.output for s in clean.trajectory.steps])
+        hook = MascHook(model=model, alpha=1.0, beta=1.0, delta=delta,
+                        policy=CountingPolicy(oracle.reply))
+        return clean, plain, run_fixture(fixture, topology, fault=fault, masc=hook), hook.policy
 
     # zero-intervention equivalence at delta = +inf, byte-exact
-    fixture = make_fixture(3, seed=8)
-    topology = Topology("chain", 3)
-    fault = FaultSpec(target_agent=1, seed=8)
-    plain = run_fixture(fixture, topology, fault=fault)
-    embedder = EmbedderSpec(kind="hashing", dimension=16)
-    model = DetectorModel.init(
-        embedder, d_h=16, backbone=BackboneSpec(hidden_dim=16, layers=2, seed=0),
-        seed=0,
-    )
-    oracle = oracle_corrector([s.output for s in plain.trajectory.steps])
-    hook = MascHook(
-        model=model, alpha=1.0, beta=1.0, delta=math.inf, policy=CountingPolicy(oracle.reply)
-    )
-    gated = run_fixture(fixture, topology, fault=fault, masc=hook)
+    chain = Topology("chain", 3)
+    _, plain, gated, policy = runs(chain, math.inf)
     assert serialize_trajectory(gated.trajectory) == serialize_trajectory(
         plain.trajectory
     )
-    assert gated.interventions == 0
-    assert hook.policy.calls == 0
+    assert gated.interventions == gated.flagged == policy.calls == 0
+
+    # at delta = -inf every step reaches the corrector, once
+    clean, _, gated, policy = runs(chain, -math.inf)
+    assert policy.calls == gated.flagged == len(gated.trajectory) == 3
+    assert gated.interventions == 1  # the faulted step; the others keep their text
+    assert serialize_trajectory(gated.trajectory) == serialize_trajectory(
+        clean.trajectory
+    )
+
+    # a threshold between the scores: only the flagged steps reach it
+    rounds = Topology("chain", 3, rounds=3)
+    _, _, first, _ = runs(rounds, math.inf)
+    median = float(np.median([v.score for v in first.verdicts]))
+    _, _, gated, policy = runs(rounds, median)
+    flags = [v.flagged for v in gated.verdicts]
+    assert 0 < sum(flags) < len(flags) == 9
+    assert policy.calls == gated.flagged == sum(flags)
 
 
 # -- criterion 9 ---------------------------------------------------------------

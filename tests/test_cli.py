@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masc import cli, detector
-from masc.checkpoint import load_checkpoint, save_checkpoint
+from masc.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from masc.cli import main
 from masc.detector import BackboneSpec
 from masc.embedding import EmbedderSpec, embed_trajectories, embed_trajectory
@@ -26,6 +27,7 @@ from masc.simulator import FaultSpec
 from masc.synthetic import make_anomaly_corpus, make_normal_corpus
 from masc.trace import load_trajectories, save_trajectories
 from masc.training import TrainConfig, train
+from tests.conftest import json_leaves
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -637,7 +639,22 @@ class TestWrites:
 
 class TestNonFiniteInput:
     """A NaN or infinite vector would make every later score NaN, and no
-    threshold flags NaN; each way one can arrive ends in an error exit."""
+    threshold flags NaN; each way one can arrive ends in an error exit, and
+    so does a score that weights the settings rule accepts overflow."""
+
+    @pytest.mark.parametrize("command", ["score", "eval", "calibrate"])
+    def test_overflowing_weight_exits_four_and_writes_nothing(
+        self, trained_checkpoint, corpus_file, labeled_file, tmp_path, capsys, command
+    ):
+        # Tier-1 turns a RuntimeWarning into an error, so numpy's quantile
+        # never meets an inf score here either.
+        ckpt, out = trained_checkpoint[0], tmp_path / "out"
+        traces = corpus_file if command == "calibrate" else labeled_file
+        assert main([command, "--checkpoint", ckpt, "--traces", traces,
+                     "--alpha", "1.7976931348623157e308", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 1: score inf is not finite (alpha=1.797")
+        assert not out.exists()
 
     def test_non_finite_embedding_reply_exits_two(
         self, trained_checkpoint, corpus_file, stub_service, tmp_path, capsys
@@ -986,7 +1003,7 @@ class TestSimulate:
             echoes.append(json.loads(out.read_text())["config"]["masc"])
         calibrated, overridden = echoes
         assert "delta_override" not in calibrated
-        assert overridden.pop("delta_override") == float("inf")
+        assert overridden.pop("delta_override") == "inf"  # strict JSON has no Infinity
         assert overridden == calibrated
 
     def test_masc_delta_inf_equals_masc_off(self, tmp_path):
@@ -1052,6 +1069,40 @@ class TestSimulate:
         assert len(lines) == 2
 
 
+def test_every_json_report_is_strict_json(trained_checkpoint, corpus_file, labeled_file,
+                                         tmp_path, capsys):
+    """No NaN or Infinity, which Python's json writes and reads but strict
+    parsers reject; an infinite threshold override is written as a string."""
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} in a report")
+
+    ckpt, train_report = trained_checkpoint
+    out = tmp_path / "report.json"
+    sweep = ["simulate", "--topology", "chain", "--fixtures", "2", "--epochs", "1",
+             "--dim", "8", "--hidden", "8", "--masc", "on", "--fault", "on", "--out", str(out)]
+    reports = [Path(train_report).read_text()]
+    for argv in (
+        ["ingest", "--traces", labeled_file],
+        ["calibrate", "--checkpoint", ckpt, "--traces", corpus_file,
+         "--out", str(tmp_path / "c.ckpt")],
+        ["eval", "--checkpoint", ckpt, "--traces", labeled_file, "--out", str(out)],
+        ["diag", "--traces", labeled_file, "--out", str(out)],
+        sweep + ["--delta", "inf"],
+        sweep + ["--delta=-inf"],
+    ):
+        out.unlink(missing_ok=True)
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        reports.append(out.read_text() if out.exists() else stdout)
+    overrides = []
+    for text in reports:
+        report = json.loads(text, parse_constant=refuse)
+        overrides.append(report.get("config", {}).get("masc", {}).get("delta_override"))
+    assert overrides[-2:] == ["inf", "-inf"]
+    assert [float(o) for o in overrides[-2:]] == [math.inf, -math.inf]
+
+
 @st.composite
 def mutated(draw, valid: bytes) -> bytes:
     """``valid`` with one to four bytes replaced, inserted or deleted."""
@@ -1067,6 +1118,39 @@ def mutated(draw, valid: bytes) -> bytes:
         else:
             del data[i]
     return bytes(data)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=8))
+
+
+@st.composite
+def leaf_mutated(draw, tree: dict) -> dict:
+    """A copy of a parsed JSON object with one leaf changed: a value of
+    another type, NaN, a negative number or a huge int in its place, the
+    leaf removed, or a key added beside it."""
+    edited = json.loads(json.dumps(tree))
+    *parents, last = draw(st.sampled_from(json_leaves(edited)))
+    node = edited
+    for key in parents:
+        node = node[key]
+    edit = draw(st.sampled_from(["type", "nan", "negative", "huge", "missing", "extra"]))
+    if edit == "type":
+        node[last] = draw(st.sampled_from([None, True, "2", [2], {"k": 2}, 2, 2.5]).filter(
+            lambda value: type(value) is not type(node[last])))
+    elif edit == "nan":
+        node[last] = math.nan
+    elif edit == "negative":
+        node[last] = draw(st.integers(max_value=-1) | st.floats(max_value=-1e-300))
+    elif edit == "huge":
+        node[last] = draw(st.integers(2**63, 10**400))
+    elif edit == "missing":
+        del node[last]
+    elif isinstance(node, dict):
+        node[draw(st.sampled_from(sorted(cli._CONFIG_KEYS)) | st.text(max_size=8))] = draw(SCALARS)
+    else:
+        node.append(draw(SCALARS))
+    return edited
 
 
 SMALL_TRAIN = ["--epochs", "1", "--hidden", "8", "--dim", "4", "--layers", "1"]
@@ -1136,3 +1220,45 @@ class TestByteFuzz:
             "eval": ["eval", "--traces", labeled, "--scores", path],
         }[command]
         assert main(argv) in (0, 2, 3, 4)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_score_on_a_checkpoint_header_mutated_past_the_framing_exits_zero_or_two(
+        self, fuzz_inputs, data
+    ):
+        # Re-framed with the payload and its digest, so the header's own
+        # checks, not the digest, meet the mutation.
+        directory, valid = fuzz_inputs
+        blob = valid[".ckpt"]
+        start = len(MAGIC) + 4
+        end = start + struct.unpack_from("<I", blob, len(MAGIC))[0]
+        text = json.dumps(data.draw(leaf_mutated(json.loads(blob[start:end])))).encode()
+        path, out = directory / "reframed.ckpt", directory / "reframed.csv"
+        path.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + blob[end:])
+        out.unlink(missing_ok=True)
+        code = main(["score", "--checkpoint", str(path), "--traces",
+                     str(directory / "valid.jsonl"), "--out", str(out)])
+        assert code in (0, 2)
+        assert out.exists() == (code == 0)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_train_on_a_config_mutated_past_parsing_exits_two_or_reaches_training(
+        self, fuzz_inputs, data
+    ):
+        directory, valid = fuzz_inputs
+        config, ckpt = directory / "reparsed.json", directory / "reparsed.ckpt"
+        config.write_text(json.dumps(data.draw(leaf_mutated(json.loads(valid[".json"])))))
+
+        def stop(cfg, trajectories):
+            raise Built(cfg)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("masc.cli.train", stop)
+            try:
+                code = main(["train", "--traces", str(directory / "valid.jsonl"),
+                             "--checkpoint", str(ckpt), "--config", str(config)])
+            except Built:
+                return
+        assert code == 2
+        assert not ckpt.exists()

@@ -14,7 +14,6 @@ from masc.correction import (
     parse_correction_response,
     render_transcript,
 )
-from masc.detector import AnomalyVerdict
 from tests.conftest import CountingPolicy
 
 
@@ -24,6 +23,7 @@ def req(history=((("planner", "made a plan"),)), output="the answer is 12"):
         query="what is 7 + 5?",
         history=tuple(history),
         flagged_output=output,
+        t=2,
     )
 
 
@@ -33,13 +33,6 @@ def scripted(correction_needed, final_response=""):
         {"correction_needed": correction_needed, "final_response": final_response}
     )
     return CountingPolicy(lambda _req, _prompt: reply)
-
-
-def verdict(flagged, score=2.0, delta=1.0):
-    return AnomalyVerdict(
-        score=score, recon_term=score, proto_term=0.0, alpha=1.0, beta=0.0,
-        delta=delta, flagged=flagged, t=2,
-    )
 
 
 class TestPrompt:
@@ -139,9 +132,9 @@ class TestParse:
         result = parse_correction_response(raw, "orig")
         assert result.protocol_violation
         assert result.final_response == "orig"
-        outcome = apply_correction(scripted("Yes", bad), verdict(True), req())
+        outcome = apply_correction(scripted("Yes", bad), req())
         assert outcome.output == "the answer is 12"
-        assert outcome.invoked and not outcome.replaced
+        assert not outcome.replaced and outcome.result.protocol_violation
 
     def test_non_string_final_response_falls_back(self):
         raw = '{"correction_needed": "Yes", "final_response": 5}'
@@ -151,25 +144,18 @@ class TestParse:
 
 
 class TestApply:
-    def test_unflagged_passes_through_without_calls(self):
-        policy = scripted("No")
-        outcome = apply_correction(policy, verdict(False), req())
-        assert outcome.output == "the answer is 12"
-        assert outcome.invoked is False
-        assert policy.calls == 0
-
     def test_flagged_scripted_replacement(self):
         policy = scripted("Yes", "fixed")
-        outcome = apply_correction(policy, verdict(True), req())
+        outcome = apply_correction(policy, req())
         assert outcome.output == "fixed"
-        assert outcome.invoked and outcome.replaced
+        assert outcome.replaced
         assert policy.calls == 1
 
     def test_flagged_but_agent_says_no_keeps_original(self):
         policy = scripted("No", "ignored")
-        outcome = apply_correction(policy, verdict(True), req())
+        outcome = apply_correction(policy, req())
         assert outcome.output == "the answer is 12"
-        assert outcome.invoked and not outcome.replaced
+        assert not outcome.replaced and policy.calls == 1
 
     def test_policy_exception_fails_open(self, caplog):
         def boom(_req, _prompt):
@@ -177,14 +163,7 @@ class TestApply:
 
         policy = ScriptedPolicy(boom)
         with caplog.at_level(logging.WARNING):
-            outcome = apply_correction(policy, verdict(True), req())
+            outcome = apply_correction(policy, req())
         assert outcome.output == "the answer is 12"
         assert outcome.failed
         assert any("keeping original" in r.message for r in caplog.records)
-
-    def test_gating_call_count_matches_flag_count(self):
-        policy = scripted("No")
-        flags = [True, False, True, True, False]
-        for f in flags:
-            apply_correction(policy, verdict(f), req())
-        assert policy.calls == sum(flags)

@@ -34,7 +34,7 @@ from masc.detector import (
     trajectory_loss,
 )
 from masc.embedding import EmbedderSpec, embed_trajectories, embed_trajectory
-from masc.errors import ConfigError, DataError, TransportError
+from masc.errors import ConfigError, DataError, DivergenceError, TransportError
 from masc.synthetic import make_normal_corpus, make_normal_trajectory, plant_anomaly
 from masc.training import TrainConfig, calibrate_threshold, train
 from tests.conftest import MALFORMED_REPLIES, SMALL_EMBEDDER, traced_peak, views_tile
@@ -361,17 +361,17 @@ class TestDetect:
             assert v.proto_term == single.proto_term
 
     SETTING = st.one_of(
-        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]),
-        st.floats(-1e6, 1e6),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 1e308]),
+        st.floats(),
     )
 
     @settings(max_examples=300, deadline=None)
     @given(alpha=SETTING, beta=SETTING, delta=SETTING)
     def test_settings_raise_or_give_finite_scores_and_sound_flags(self, alpha, beta, delta):
         # A NaN or infinite weight, or a NaN delta, would make score > delta
-        # false at every step, switching detection off without an error.
-        # Weights stay below 1e6: near the largest float, alpha * recon can
-        # overflow whatever the settings rule says.
+        # false at every step, switching detection off without an error. A
+        # weight the rule accepts can still overflow a score; that raises
+        # where the score is made.
         model = tiny_model(seed=3)
         rng = np.random.RandomState(3)
         q, steps = rng.randn(4), rng.randn(3, 8)
@@ -381,14 +381,20 @@ class TestDetect:
         )
         stream = DetectorStream(model, q)
         for scorer in (
-            lambda: score_trajectory(model, q, steps, alpha, beta, delta),
-            lambda: [stream.score(steps[0], alpha, beta, delta)],
+            lambda a, b, d: score_trajectory(model, q, steps, a, b, d),
+            lambda a, b, d: [stream.score(steps[0], a, b, d)],
         ):
             if not valid:
                 with pytest.raises(ConfigError):
-                    scorer()
+                    scorer(alpha, beta, delta)
                 continue
-            for v in scorer():
+            # The terms do not depend on the weights: score once at (1, 1).
+            terms = [(v.recon_term, v.proto_term) for v in scorer(1.0, 1.0, 0.0)]
+            if not all(math.isfinite(alpha * r + beta * p) for r, p in terms):
+                with pytest.raises(DivergenceError, match="not finite"):
+                    scorer(alpha, beta, delta)
+                continue
+            for v in scorer(alpha, beta, delta):
                 assert math.isfinite(v.score)
                 assert v.flagged == (v.score > delta)
 

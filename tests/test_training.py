@@ -23,7 +23,7 @@ from masc.errors import CheckpointError, ConfigError, DataError, DivergenceError
 from masc.synthetic import make_normal_corpus
 from masc.trace import Step, Trajectory, load_trajectories
 from masc.training import PROFILES, Calibration, TrainConfig, calibrate_threshold, train
-from tests.conftest import BAD_SCORE_SETTINGS, traced_peak, views_tile
+from tests.conftest import BAD_SCORE_SETTINGS, json_leaves, traced_peak, views_tile
 
 EMB = EmbedderSpec(kind="hashing", dimension=16)
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -261,6 +261,21 @@ class TestCalibration:
         assert float(np.quantile(arr, 0.5, method="linear")) == 3.25
         assert float(np.quantile(arr, 0.99, method="linear")) == 3.25
 
+    def test_scores_whose_sum_overflows_keep_a_finite_mean(self, small_trained):
+        # Every score stays below the largest float, and their sum exceeds it.
+        model, _, corpus = small_trained
+        recon = calibrate_threshold(model, corpus, 0.5, 1.0, 0.0).stats["max"]
+        calibration = calibrate_threshold(model, corpus, 0.5, 1e308 / recon, 0.0)
+        stats = calibration.stats
+        assert stats["max"] < math.inf == stats["mean"] * stats["n_steps"]
+        assert stats["min"] <= stats["mean"] <= stats["max"]
+
+    def test_scores_that_overflow_raise_divergence(self, small_trained):
+        model, _, corpus = small_trained
+        big = 1.7976931348623157e308
+        with pytest.raises(DivergenceError, match=r"score inf is not finite"):
+            calibrate_threshold(model, corpus, 0.5, big, big)
+
     def test_stats_summary(self, small_trained):
         model, _, corpus = small_trained
         calibration = calibrate_threshold(model, corpus, 0.99, 1.0, 1.0)
@@ -448,8 +463,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="corrupt checkpoint: calibration"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_weight_above_the_largest_float_is_checkpoint_error(
+        self, small_trained, tmp_path, key
+    ):
+        # An int the float range cannot hold: scoring would raise OverflowError.
+        model, _, _ = small_trained
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, Calibration(0.5, 0.9, 1.0, 2.0), path)
+        edit_calibration(path, lambda calibration: calibration.update({key: 10**400}))
+        with pytest.raises(CheckpointError, match=f"corrupt checkpoint: {key} must be a finite"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("section, key, value", [
         ("backbone", "layers", 2.0),
+        ("backbone", "layers", 2**62),
         ("backbone", "hidden_dim", float),
         ("backbone", "seed", 1.5),
         ("backbone", "seed", "x"),
@@ -464,7 +492,7 @@ class TestCheckpoint:
         ("embedder", "model_name", 1),
         ("embedder", "cache_path", False),
     ], ids=[
-        "layers float", "hidden_dim float", "seed float", "seed string", "seed negative",
+        "layers float", "layers 2**62", "hidden_dim float", "seed float", "seed string", "seed negative",
         "backbone endpoint number", "dimension float", "max_inflight 0", "max_attempts 0",
         "timeout 0", "timeout string", "embedder endpoint list", "model_name number",
         "cache_path boolean",
@@ -521,18 +549,11 @@ def golden_checkpoint(tmp_path_factory):
     return header, blob[start + header_len :], path, trajectories
 
 
-def header_leaves(node, path=()):
-    """The key path of every scalar in a JSON header."""
-    if isinstance(node, (dict, list)):
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-        return [leaf for key, child in items for leaf in header_leaves(child, path + (key,))]
-    return [path]
-
-
-# Integers stay small: ``layers`` is not part of the payload's shape, so a
-# large value would build that many mixer blocks.
+# Huge integers too: ``layers`` is not part of the payload's shape, so only
+# ``BackboneSpec``'s bound keeps a large value from building that many blocks.
 header_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers(-3, 40) | st.integers(2**62, 10**400)
+    | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
                                                                   max_size=3),
     max_leaves=5,
@@ -544,7 +565,7 @@ header_values = st.recursive(
 def test_any_header_leaf_gives_checkpoint_error_or_a_scoring_model(golden_checkpoint, data):
     header, payload, path, trajectories = golden_checkpoint
     edited = json.loads(json.dumps(header))
-    *parents, last = data.draw(st.sampled_from(header_leaves(header)))
+    *parents, last = data.draw(st.sampled_from(json_leaves(header)))
     node = edited
     for key in parents:
         node = node[key]
